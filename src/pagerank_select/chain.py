@@ -38,16 +38,18 @@ def _check_selection(instance: Instance, y: Selection) -> None:
         raise DimensionMismatch(f"selection length {len(y)} does not match |Z| = {instance.z_count}")
 
 
-def active_targets(instance: Instance, y: Selection) -> list[set[int]]:
-    """Per-node set of active out-neighbors under the given selection."""
+def transition_matrix(instance: Instance, y: Selection) -> np.ndarray:
+    """Full n-by-n transition matrix under the given selection; the only
+    builder of the walk, whose rows every other function here reads."""
     _check_selection(instance, y)
-    targets: list[set[int]] = [set() for _ in range(instance.n)]
-    for (i, j) in instance.edges:
-        targets[i].add(j)
-    for k, (i, j) in enumerate(instance.fragile):
-        if y[k]:
-            targets[i].add(j)
-    return targets
+    n, c = instance.n, instance.damping
+    active = np.concatenate((instance.edge_array, instance.fragile_array[np.asarray(y, dtype=bool)]))
+    src, dst = active[:, 0], active[:, 1]
+    deg = np.bincount(src, minlength=n)
+    P = np.full((n, n), (1.0 - c) / n)
+    P[src, dst] += c / deg[src]
+    P[deg == 0] = 1.0 / n
+    return P
 
 
 def transition_row(instance: Instance, y: Selection, node: int) -> np.ndarray:
@@ -67,59 +69,24 @@ def transition_row(instance: Instance, y: Selection, node: int) -> np.ndarray:
     ndarray, shape (n,)
         Nonnegative row summing to 1.
     """
-    _check_selection(instance, y)
+    P = transition_matrix(instance, y)
     if not 0 <= node < instance.n:
         raise NodeIndexError(f"node {node} outside [0, {instance.n})")
-    n, c = instance.n, instance.damping
-    targets = {j for (i, j) in instance.edges if i == node}
-    for k, (i, j) in enumerate(instance.fragile):
-        if i == node and y[k]:
-            targets.add(j)
-    row = np.empty(n)
-    if targets:
-        row.fill((1.0 - c) / n)
-        share = c / len(targets)
-        for j in targets:
-            row[j] += share
-    else:
-        row.fill(1.0 / n)
-    return row
+    return P[node].copy()
 
 
-def transition_matrix(instance: Instance, y: Selection) -> np.ndarray:
-    """Full n-by-n transition matrix under the given selection."""
-    n, c = instance.n, instance.damping
-    P = np.empty((n, n))
-    for i, targets in enumerate(active_targets(instance, y)):
-        if targets:
-            P[i, :] = (1.0 - c) / n
-            share = c / len(targets)
-            for j in targets:
-                P[i, j] += share
-        else:
-            P[i, :] = 1.0 / n
-    return P
-
-
-def _require_target_reachable(instance: Instance, y: Selection) -> None:
+def _require_target_reachable(P: np.ndarray, v: int) -> None:
     """For damping 1 the hitting system is singular unless every node can
-    reach the target; dangling nodes jump uniformly, so they reach everything."""
-    n, v = instance.n, instance.target
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for i, targets in enumerate(active_targets(instance, y)):
-        outs = targets if targets else range(n)
-        for j in outs:
-            preds[j].append(i)
-    seen = {v}
-    stack = [v]
-    while stack:
-        j = stack.pop()
-        for i in preds[j]:
-            if i not in seen:
-                seen.add(i)
-                stack.append(i)
-    if len(seen) < n:
-        missing = min(set(range(n)) - seen)
+    reach the target.  At damping 1, ``P[i, j] > 0`` exactly when the walk can
+    step from i to j (dangling rows are uniform, so they reach everything)."""
+    moves = P > 0
+    seen = np.arange(len(P)) == v
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = moves[:, frontier].any(axis=1) & ~seen
+        seen |= frontier
+    if not seen.all():
+        missing = int(np.flatnonzero(~seen)[0])
         raise SingularSystem(
             f"damping is 1 and target {v} is unreachable from node {missing}"
         )
@@ -137,11 +104,10 @@ def hitting_times(instance: Instance, y: Selection) -> HittingProfile:
     SingularSystem
         When damping is 1 and the target is unreachable from some node.
     """
-    _check_selection(instance, y)
-    if instance.damping >= 1.0:
-        _require_target_reachable(instance, y)
     P = transition_matrix(instance, y)
     n, v = instance.n, instance.target
+    if instance.damping >= 1.0:
+        _require_target_reachable(P, v)
     h = np.zeros(n)
     others = [j for j in range(n) if j != v]
     if others:

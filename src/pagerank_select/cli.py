@@ -21,6 +21,7 @@ from .instance import (
     EMPTY_CONSTRAINTS,
     enumerate_feasible,
     generate_random,
+    instance_from_json,
     read_instance,
     validation_errors,
     write_instance,
@@ -53,7 +54,7 @@ def cmd_validate(args) -> int:
         for msg in problems:
             print(f"invalid: {msg}", file=sys.stderr)
         return EXIT_INPUT
-    inst, constraints = read_instance(args.file)  # re-parse to also check constraints
+    inst, _ = instance_from_json(data)  # also checks the constraints
     print(
         f"ok: {inst.n} nodes, {len(inst.edges)} fixed edges, "
         f"{inst.z_count} fragile edges, target {inst.target}, damping {inst.damping}"

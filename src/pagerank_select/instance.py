@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -66,6 +67,24 @@ class Instance:
     @property
     def z_count(self) -> int:
         return len(self.fragile)
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """Fixed edges as a read-only (m, 2) array of (source, target) rows.
+        Validates the instance first: the walk builder counts every edge listed."""
+        validate(self)
+        return _edge_array(sorted(self.edges))
+
+    @cached_property
+    def fragile_array(self) -> np.ndarray:
+        """Fragile edges as a read-only (|Z|, 2) array; row k is edge id k."""
+        return _edge_array(self.fragile)
+
+
+def _edge_array(pairs) -> np.ndarray:
+    arr = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -378,6 +397,13 @@ def instance_to_json(instance: Instance, constraints: ConstraintSet = EMPTY_CONS
     }
 
 
+def instance_from_json(data) -> tuple[Instance, ConstraintSet]:
+    """Validate a parsed instance file; returns (Instance, ConstraintSet)."""
+    inst = validate(data)
+    constraints = _constraints_from_json(data.get("constraints"), inst.z_count)
+    return inst, constraints
+
+
 def read_instance(path) -> tuple[Instance, ConstraintSet]:
     """Parse and validate an instance file; returns (Instance, ConstraintSet)."""
     try:
@@ -385,9 +411,7 @@ def read_instance(path) -> tuple[Instance, ConstraintSet]:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    inst = validate(data)
-    constraints = _constraints_from_json(data.get("constraints"), inst.z_count)
-    return inst, constraints
+    return instance_from_json(data)
 
 
 def write_instance(path, instance: Instance, constraints: ConstraintSet = EMPTY_CONSTRAINTS) -> None:

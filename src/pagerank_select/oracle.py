@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import chain
-from .errors import DampingRangeError, DimensionMismatch, NoConvergence, OverlapError
+from .errors import DampingRangeError, DimensionMismatch, OverlapError
 from .instance import Instance, Selection
 
 MEAN_IMPROVEMENT = 1e-12
@@ -72,8 +72,9 @@ def gamma(instance: Instance, query: GammaQuery) -> GammaResult:
 
     Policy iteration: start with every free edge activated; alternate exact
     hitting-time evaluation with the per-node greedy re-selection until no
-    node changes.  The sweep guard must never trigger; hitting it signals a
-    bug, not a hard instance.
+    node changes.  Rounding noise in h above ``MEAN_IMPROVEMENT`` can make the
+    greedy step cycle; when it returns a selection already evaluated, the
+    lowest-``fr`` selection seen is returned (ties by the selection tuple).
     """
     forced_on = frozenset(query.forced_on)
     forced_off = frozenset(query.forced_off)
@@ -105,13 +106,11 @@ def gamma(instance: Instance, query: GammaQuery) -> GammaResult:
         for k, _ in node_edges:
             y[k] = 1
 
-    guard = 10 * (1 << min(z_count, 20))
-    sweeps = 0
+    evaluated: dict[Selection, float] = {}
     while True:
-        if sweeps >= guard:
-            raise NoConvergence(f"policy iteration exceeded {guard} sweeps")
-        profile = chain.hitting_times(instance, tuple(y))
-        sweeps += 1
+        current = tuple(y)
+        profile = chain.hitting_times(instance, current)
+        evaluated[current] = profile.fr
         h = profile.h
         mean_all = float(h.sum()) / instance.n
         changed = False
@@ -126,7 +125,10 @@ def gamma(instance: Instance, query: GammaQuery) -> GammaResult:
                     y[k] = bit
                     changed = True
         if not changed:
-            return GammaResult(value=profile.fr, argmin=tuple(y), iterations=sweeps)
+            return GammaResult(value=profile.fr, argmin=current, iterations=len(evaluated))
+        if tuple(y) in evaluated:
+            best = min(evaluated, key=lambda sel: (evaluated[sel], sel))
+            return GammaResult(value=evaluated[best], argmin=best, iterations=len(evaluated))
 
 
 def min_unconstrained(instance: Instance) -> float:

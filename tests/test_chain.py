@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pagerank_select as ps
-from pagerank_select.errors import DampingRangeError, DimensionMismatch, NoConvergence, SingularSystem
+from pagerank_select.errors import DampingRangeError, DimensionMismatch, NoConvergence, OverlapError, SingularSystem
 from conftest import build_corpus, random_selection
 
 
@@ -16,6 +16,29 @@ def make(n, target, edges, fragile=(), damping=0.85):
             "damping": damping,
         }
     )
+
+
+def loop_transition_matrix(inst, y):
+    """Row-by-row reference for ps.transition_matrix: collect each node's
+    active out-neighbors, then fill its row.  Same arithmetic in the same
+    order, so the vectorised builder must match it bitwise."""
+    n, c = inst.n, inst.damping
+    targets = [set() for _ in range(n)]
+    for (i, j) in inst.edges:
+        targets[i].add(j)
+    for k, (i, j) in enumerate(inst.fragile):
+        if y[k]:
+            targets[i].add(j)
+    P = np.empty((n, n))
+    for i, outs in enumerate(targets):
+        if outs:
+            P[i, :] = (1.0 - c) / n
+            share = c / len(outs)
+            for j in outs:
+                P[i, j] += share
+        else:
+            P[i, :] = 1.0 / n
+    return P
 
 
 def mc_first_return(inst, y, rollouts, seed):
@@ -80,6 +103,50 @@ class TestTransitionRow:
             ps.transition_row(inst, (), 0)
 
 
+class TestTransitionMatrix:
+    def test_matches_loop_reference_on_random_instances(self):
+        rng = np.random.default_rng(3)
+        for inst in build_corpus(30, seed0=77):
+            for y in (
+                random_selection(rng, inst.z_count),
+                (0,) * inst.z_count,
+                (1,) * inst.z_count,
+            ):
+                assert np.array_equal(ps.transition_matrix(inst, y), loop_transition_matrix(inst, y))
+
+    @pytest.mark.parametrize(
+        "n, edges, fragile, y, damping",
+        [
+            (1, [], [], (), 0.85),  # no edges at all
+            (1, [(0, 0)], [], (), 0.85),  # self-loop
+            (3, [(0, 0), (0, 1)], [(1, 2)], (1,), 0.9),  # self-loop among other targets
+            (4, [(0, 1)], [(1, 2)], (0,), 0.85),  # dangling nodes
+            (3, [(0, 1), (1, 2), (2, 0)], [(1, 0)], (1,), 1.0),  # damping 1
+            (3, [(0, 1)], [(2, 1)], (0,), 1.0),  # dangling at damping 1
+        ],
+    )
+    def test_matches_loop_reference_by_hand(self, n, edges, fragile, y, damping):
+        inst = make(n, 0, edges, fragile, damping)
+        assert np.array_equal(ps.transition_matrix(inst, y), loop_transition_matrix(inst, y))
+
+    def test_selection_length_checked(self):
+        inst = make(2, 0, [(0, 1)], fragile=[(1, 0)])
+        with pytest.raises(DimensionMismatch):
+            ps.transition_matrix(inst, (1, 1))
+
+    def test_unvalidated_overlap_is_rejected(self):
+        inst = ps.Instance(n=2, target=0, edges=frozenset({(0, 1)}), fragile=((0, 1),))
+        with pytest.raises(OverlapError):
+            ps.transition_matrix(inst, (1,))
+
+    def test_edge_arrays_are_read_only(self):
+        inst = make(3, 0, [(1, 2), (0, 1)], fragile=[(2, 0)])
+        assert inst.edge_array.tolist() == [[0, 1], [1, 2]]
+        assert inst.fragile_array.tolist() == [[2, 0]]
+        with pytest.raises(ValueError):
+            inst.fragile_array[0, 0] = 1
+
+
 class TestHittingTimes:
     def test_single_state(self):
         inst = make(1, 0, [(0, 0)])
@@ -111,6 +178,14 @@ class TestHittingTimes:
         inst = make(2, 0, [(0, 1), (1, 1)], damping=1.0)
         with pytest.raises(SingularSystem):
             ps.hitting_times(inst, ())
+
+    def test_reachability_at_damping_one_follows_the_selection(self):
+        # node 1 reaches the target only through the fragile edge (1, 0)
+        inst = make(2, 0, [(0, 1), (1, 1)], fragile=[(1, 0)], damping=1.0)
+        with pytest.raises(SingularSystem, match="unreachable from node 1"):
+            ps.hitting_times(inst, (0,))
+        # with it on, h1 = 1 + h1 / 2 gives h1 = 2 and fr = 3
+        assert ps.hitting_times(inst, (1,)).fr == pytest.approx(3.0)
 
     def test_profile_invariants_on_random_instances(self):
         rng = np.random.default_rng(1)

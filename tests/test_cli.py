@@ -59,6 +59,25 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(tmp_path / "nope.json"))
         assert code == 1
 
+    def test_constraint_row_with_wrong_coefficient_count(self, capsys, tmp_path):
+        path = tmp_path / "badrow.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "n": 3,
+                    "target": 0,
+                    "edges": [[0, 1], [1, 2]],
+                    "fragile": [[2, 0], [1, 0]],
+                    "damping": 0.85,
+                    "constraints": {"rows": [{"coeffs": [1], "sense": "<=", "rhs": 1}], "cardinality": None},
+                }
+            )
+        )
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert "constraint row" in err
+
 
 class TestGen:
     def test_deterministic(self, capsys, tmp_path):

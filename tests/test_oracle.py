@@ -156,3 +156,26 @@ class TestGammaProperties:
         assert len(trace) == res.iterations
         assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
         assert trace[-1] == res.value
+
+
+class TestGammaRoundingCycle:
+    # The target has no in-edge, so every selection has the closed-form
+    # value n / (1 - c) = 10000; rounding noise in h at that scale exceeds
+    # MEAN_IMPROVEMENT and once made the greedy step alternate without end.
+    @pytest.fixture()
+    def flat(self):
+        return ps.generate_random(100, 0.05, 14, "card_le:3", seed=1, damping=0.99)
+
+    def test_recurring_selection_stops_policy_iteration(self, flat):
+        inst, _ = flat
+        res = ps.gamma(inst, GammaQuery(forced_on=frozenset({9})))
+        assert res.iterations <= 10
+        assert res.value == pytest.approx(10000.0, rel=1e-9)
+        assert res.argmin[9] == 1
+        assert res.value == ps.hitting_times(inst, res.argmin).fr
+
+    def test_solve_closes(self, flat):
+        inst, cons = flat
+        report = ps.solve(inst, cons, family="new")
+        assert report.status == "optimal"
+        assert report.best_value == pytest.approx(10000.0, rel=1e-9)
