@@ -42,7 +42,7 @@ from .instance import (
     validation_errors,
     write_instance,
 )
-from .master import MasterResult, solve_master
+from .master import FeasibleSet, MasterResult, feasible_set, solve_master
 from .oracle import GammaQuery, GammaResult, gamma, min_unconstrained
 from .solver import SolveReport, solve
 
@@ -55,6 +55,7 @@ __all__ = [
     "Cut",
     "EMPTY_CONSTRAINTS",
     "FAMILIES",
+    "FeasibleSet",
     "GammaQuery",
     "GammaResult",
     "HittingProfile",
@@ -73,6 +74,7 @@ __all__ = [
     "construction_coefficient",
     "enumerate_feasible",
     "eval_cut",
+    "feasible_set",
     "first_return_time",
     "from_support",
     "gamma",

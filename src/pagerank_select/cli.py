@@ -109,6 +109,8 @@ def _sample_incumbents(feasible, trials, rng):
 
 
 def cmd_compare_cuts(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     inst, constraints = read_instance(args.file)
     z_count = inst.z_count
     feasible = list(enumerate_feasible(constraints, z_count))
@@ -231,10 +233,7 @@ def main(argv=None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except PagerankSelectError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (PagerankSelectError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

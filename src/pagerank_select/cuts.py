@@ -103,6 +103,19 @@ def l_shaped_cut(instance: Instance, incumbent: Selection, lower_bound: float) -
     return Cut(constant=constant, coeffs=coeffs, family=L_SHAPED, incumbent=incumbent, gamma_calls=0)
 
 
+def _supported_half(instance: Instance, sel: frozenset[int], fr_bar: float) -> tuple[float, list[float]]:
+    """The supported-edge half of ``new`` and ``lifted``: constant and coefficients
+    from ``w = min(0, gamma(off e) - fr_bar)`` per supported edge, zeros elsewhere."""
+    constant = fr_bar
+    coeffs = [0.0] * instance.z_count
+    for k in sorted(sel):
+        g = oracle.gamma(instance, oracle.GammaQuery(forced_off=frozenset({k}))).value
+        w = min(0.0, g - fr_bar)
+        constant += w
+        coeffs[k] = -w
+    return constant, coeffs
+
+
 def new_cut(instance: Instance, incumbent: Selection) -> Cut:
     """Single-edge-minimization cut: one oracle call per fragile edge.
 
@@ -113,20 +126,13 @@ def new_cut(instance: Instance, incumbent: Selection) -> Cut:
     incumbent = tuple(int(b) for b in incumbent)
     fr_bar = chain.hitting_times(instance, incumbent).fr
     sel = support(incumbent)
-    constant = fr_bar
-    coeffs = []
-    calls = 0
+    constant, coeffs = _supported_half(instance, sel, fr_bar)
     for k in range(instance.z_count):
-        if k in sel:
-            g = oracle.gamma(instance, oracle.GammaQuery(forced_off=frozenset({k}))).value
-            w = min(0.0, g - fr_bar)
-            constant += w
-            coeffs.append(-w)
-        else:
+        if k not in sel:
             g = oracle.gamma(instance, oracle.GammaQuery(forced_on=frozenset({k}))).value
-            coeffs.append(min(0.0, g - fr_bar))
-        calls += 1
-    return Cut(constant=constant, coeffs=tuple(coeffs), family=NEW, incumbent=incumbent, gamma_calls=calls)
+            coeffs[k] = min(0.0, g - fr_bar)
+    return Cut(constant=constant, coeffs=tuple(coeffs), family=NEW, incumbent=incumbent,
+               gamma_calls=instance.z_count)
 
 
 def make_lift_ordering(
@@ -167,19 +173,11 @@ def lifted_cut(instance: Instance, incumbent: Selection, ordering: LiftOrdering)
     if sorted(ordering.order) != unselected:
         raise InvalidOrdering("ordering is not a permutation of the unselected fragile edges")
     fr_bar = chain.hitting_times(instance, incumbent).fr
-    constant = fr_bar
-    coeffs = [0.0] * instance.z_count
-    calls = 0
-    for k in sorted(sel):
-        g = oracle.gamma(instance, oracle.GammaQuery(forced_off=frozenset({k}))).value
-        w = min(0.0, g - fr_bar)
-        constant += w
-        coeffs[k] = -w
-        calls += 1
+    constant, coeffs = _supported_half(instance, sel, fr_bar)
     order = ordering.order
     for pos, k in enumerate(order):
         tail = frozenset(order[pos + 1 :])
         g = oracle.gamma(instance, oracle.GammaQuery(forced_on=frozenset({k}), forced_off=tail)).value
         coeffs[k] = min(0.0, g - fr_bar)
-        calls += 1
-    return Cut(constant=constant, coeffs=tuple(coeffs), family=LIFTED, incumbent=incumbent, gamma_calls=calls)
+    return Cut(constant=constant, coeffs=tuple(coeffs), family=LIFTED, incumbent=incumbent,
+               gamma_calls=instance.z_count)

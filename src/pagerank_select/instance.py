@@ -107,11 +107,19 @@ class ConstraintSet:
     cardinality: tuple[str, int] | None = None
 
     def compiled_rows(self, z_count: int) -> tuple[Row, ...]:
-        """All rows, with the cardinality shortcut expanded to an all-ones row."""
+        """All rows, with the cardinality shortcut expanded to an all-ones row.
+        Raises DimensionMismatch on a wrong-length row, ParseError on an unknown sense."""
         rows = self.rows
         if self.cardinality is not None:
             sense, k = self.cardinality
             rows = rows + (Row(coeffs=(1,) * z_count, sense=sense, rhs=k),)
+        for row in rows:
+            if len(row.coeffs) != z_count:
+                raise DimensionMismatch(
+                    f"constraint row has {len(row.coeffs)} coefficients for {z_count} fragile edges"
+                )
+            if row.sense not in SENSES:
+                raise ParseError(f"unknown constraint sense {row.sense!r}")
         return rows
 
     @property
@@ -218,20 +226,9 @@ def validation_errors(raw) -> list[str]:
 # feasibility
 
 
-def _check_row(row: Row, z_count: int) -> None:
-    if len(row.coeffs) != z_count:
-        raise DimensionMismatch(
-            f"constraint row has {len(row.coeffs)} coefficients for {z_count} fragile edges"
-        )
-    if row.sense not in SENSES:
-        raise ParseError(f"unknown constraint sense {row.sense!r}")
-
-
 def is_feasible(constraints: ConstraintSet, y: Selection) -> bool:
     """True iff every row (and the cardinality shortcut) is satisfied by y."""
-    z_count = len(y)
-    for row in constraints.compiled_rows(z_count):
-        _check_row(row, z_count)
+    for row in constraints.compiled_rows(len(y)):
         lhs = sum(c * b for c, b in zip(row.coeffs, y))
         if row.sense == "<=":
             ok = lhs <= row.rhs

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
 
 from .cuts import Cut
 from .errors import DimensionMismatch
-from .instance import ConstraintSet, Row, Selection
+from .instance import ConstraintSet, Row, Selection, enumerate_feasible
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -35,63 +34,59 @@ class MasterResult:
     nodes_explored: int
 
 
-def solve_master(
-    cuts: Sequence[Cut],
-    constraints: ConstraintSet,
-    z_count: int,
-    method: str = "auto",
-) -> MasterResult:
-    """Globally minimize ``max(0, max_k cut_k(y))`` over feasible selections.
+@dataclass(frozen=True, eq=False)
+class FeasibleSet:
+    """What the master minimizes over, built once per solve.  ``points`` holds the
+    feasible selections in lexicographic order (read-only floats) up to
+    EXHAUSTIVE_MAX fragile edges and is None beyond, where branch and bound
+    works from the compiled ``rows``."""
+
+    z_count: int
+    rows: tuple[Row, ...]
+    points: np.ndarray | None
+
+
+def feasible_set(constraints: ConstraintSet, z_count: int) -> FeasibleSet:
+    """Check the constraint rows and, up to EXHAUSTIVE_MAX fragile edges,
+    enumerate the feasible selections once."""
+    rows = constraints.compiled_rows(z_count)
+    points = None
+    if z_count <= EXHAUSTIVE_MAX:
+        found = list(enumerate_feasible(constraints, z_count))
+        points = np.array(found, dtype=float).reshape(len(found), z_count)
+        points.setflags(write=False)
+    return FeasibleSet(z_count=z_count, rows=rows, points=points)
+
+
+def solve_master(cuts: Sequence[Cut], feasible: FeasibleSet) -> MasterResult:
+    """Globally minimize ``max(0, max_k cut_k(y))`` over the feasible set.
 
     Deterministic: among equal-theta optima the lexicographically smallest
-    selection is returned.  ``method`` is "auto" (enumeration up to
-    EXHAUSTIVE_MAX fragile edges, branch and bound beyond), "exhaustive", or
-    "bnb".
+    selection is returned.
     """
+    z_count = feasible.z_count
     for cut in cuts:
         if len(cut.coeffs) != z_count:
             raise DimensionMismatch(
                 f"cut arity {len(cut.coeffs)} does not match {z_count} fragile edges"
             )
-    rows = constraints.compiled_rows(z_count)
-    for row in rows:
-        if len(row.coeffs) != z_count:
-            raise DimensionMismatch(
-                f"constraint row has {len(row.coeffs)} coefficients for {z_count} fragile edges"
-            )
-    if method == "auto":
-        method = "exhaustive" if z_count <= EXHAUSTIVE_MAX else "bnb"
-    if method == "exhaustive":
-        return _solve_exhaustive(cuts, rows, z_count)
-    if method == "bnb":
-        return _solve_branch_bound(cuts, rows, z_count)
-    raise ValueError(f"unknown method {method!r}")
+    if feasible.points is not None:
+        return _solve_exhaustive(cuts, feasible.points)
+    return _solve_branch_bound(cuts, feasible.rows, z_count)
 
 
-def _solve_exhaustive(cuts, rows, z_count) -> MasterResult:
-    points = np.array(list(product((0, 1), repeat=z_count)), dtype=float)
-    points = points.reshape(len(points), z_count)
-    mask = np.ones(len(points), dtype=bool)
-    for row in rows:
-        lhs = points @ np.asarray(row.coeffs, dtype=float)
-        if row.sense == "<=":
-            mask &= lhs <= row.rhs
-        elif row.sense == ">=":
-            mask &= lhs >= row.rhs
-        else:
-            mask &= lhs == row.rhs
-    feasible = points[mask]
-    if len(feasible) == 0:
+def _solve_exhaustive(cuts: Sequence[Cut], points: np.ndarray) -> MasterResult:
+    if len(points) == 0:
         return MasterResult(status=INFEASIBLE, y=None, theta=math.inf, nodes_explored=0)
     if cuts:
         A = np.array([cut.coeffs for cut in cuts], dtype=float)
         a0 = np.array([cut.constant for cut in cuts])
-        theta = np.maximum((feasible @ A.T + a0).max(axis=1), 0.0)
+        theta = np.maximum((points @ A.T + a0).max(axis=1), 0.0)
     else:
-        theta = np.zeros(len(feasible))
+        theta = np.zeros(len(points))
     best = int(np.argmin(theta))  # first minimum; enumeration order is lexicographic
-    y = tuple(int(b) for b in feasible[best])
-    return MasterResult(status=OPTIMAL, y=y, theta=float(theta[best]), nodes_explored=len(feasible))
+    y = tuple(int(b) for b in points[best])
+    return MasterResult(status=OPTIMAL, y=y, theta=float(theta[best]), nodes_explored=len(points))
 
 
 def _solve_branch_bound(cuts, rows: Sequence[Row], z_count: int) -> MasterResult:

@@ -79,7 +79,7 @@ def solve(
     if eps < 0:
         raise ValueError(f"gap tolerance must be nonnegative, got {eps}")
 
-    z_count = instance.z_count
+    feasible = master_mod.feasible_set(constraints, instance.z_count)
     gamma_calls = 0
     shared_lower = None
     if family == cut_families.L_SHAPED:
@@ -95,7 +95,7 @@ def solve(
     iterations = 0
 
     while True:
-        result = master_mod.solve_master(pool, constraints, z_count)
+        result = master_mod.solve_master(pool, feasible)
         if result.status == master_mod.INFEASIBLE:
             raise Infeasible("constraint set admits no selection")
         incumbent = result.y

@@ -146,6 +146,12 @@ class TestSolveAndBrute:
         code, _, err = run(capsys, "brute", str(path))
         assert code == 2
 
+    def test_negative_eps_is_an_input_error(self, capsys, demo_file):
+        code, _, err = run(capsys, "solve", demo_file, "--eps", "-1")
+        assert code == 1
+        assert err.startswith("error:") and "gap tolerance" in err
+        assert "Traceback" not in err
+
     def test_iteration_limit_exit_code(self, capsys, demo_file):
         code, _, _ = run(capsys, "solve", demo_file, "--max-iters", "0")
         assert code == 3
@@ -189,3 +195,10 @@ class TestCompareCuts:
         lines = [line for line in out.splitlines() if line]
         assert len(lines) == 1
         assert lines[0].startswith("instance_id,")
+
+    def test_negative_trials_is_an_input_error(self, capsys, demo_file):
+        code, out, err = run(capsys, "compare-cuts", demo_file, "--trials", "-1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--trials" in err
+        assert "Traceback" not in err

@@ -4,7 +4,7 @@ import pytest
 
 import pagerank_select as ps
 from pagerank_select import ConstraintSet, Row
-from pagerank_select import cuts as cut_families
+from pagerank_select import cuts as cut_families, master as master_mod
 from pagerank_select.cuts import BY_GAMMA, BY_INDEX, FAMILIES, L_SHAPED, LIFTED, NEW
 from pagerank_select.errors import DampingRangeError, Infeasible, NoConvergence
 from pagerank_select.solver import ITER_LIMIT, OPTIMAL
@@ -126,6 +126,27 @@ class TestTraceInvariants:
     def test_deterministic(self, frozen):
         cons = ConstraintSet(cardinality=("<=", 2))
         assert ps.solve(frozen, cons, family=LIFTED) == ps.solve(frozen, cons, family=LIFTED)
+
+
+class TestMasterCalls:
+    def test_feasible_set_once_per_solve_and_one_master_call_per_round(self, frozen, monkeypatch):
+        calls = {"feasible_set": 0, "solve_master": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(master_mod, name, counted(name, getattr(master_mod, name)))
+        cons = ConstraintSet(cardinality=("<=", 2))
+        for family in FAMILIES:
+            calls.update(feasible_set=0, solve_master=0)
+            report = ps.solve(frozen, cons, family=family)
+            assert report.iterations >= 1
+            assert calls == {"feasible_set": 1, "solve_master": len(report.lower_bounds)}
 
 
 class TestGammaAccounting:
