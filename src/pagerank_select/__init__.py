@@ -43,7 +43,7 @@ from .instance import (
     write_instance,
 )
 from .master import FeasibleSet, MasterResult, feasible_set, solve_master
-from .oracle import GammaQuery, GammaResult, gamma, min_unconstrained
+from .oracle import GammaQuery, GammaResult, Memo, gamma, min_unconstrained
 from .solver import SolveReport, solve
 
 __version__ = "0.1.0"
@@ -64,6 +64,7 @@ __all__ = [
     "LIFTED",
     "LiftOrdering",
     "MasterResult",
+    "Memo",
     "NEW",
     "Row",
     "Selection",

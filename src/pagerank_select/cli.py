@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bruteforce, chain, cuts as cut_families, oracle, solver
+from . import bruteforce, cuts as cut_families, oracle, solver
 from .errors import Infeasible, PagerankSelectError, TooLargeToEnumerate
 from .instance import (
     EMPTY_CONSTRAINTS,
@@ -117,11 +117,12 @@ def cmd_compare_cuts(args) -> int:
     if not feasible:
         raise Infeasible("constraint set admits no selection")
     cube = list(enumerate_feasible(EMPTY_CONSTRAINTS, z_count))
-    fr_at = {y: chain.hitting_times(inst, y).fr for y in cube}
+    memo = oracle.Memo(inst)  # one per run, shared by every cut built below
+    fr_at = {y: memo.fr(y) for y in cube}
 
     rng = np.random.default_rng(args.seed)
     incumbents = _sample_incumbents(feasible, args.trials, rng)
-    shared_lower = oracle.min_unconstrained(inst)
+    shared_lower = oracle.min_unconstrained(inst, memo=memo)
 
     iteration_counts = {}
     for family in cut_families.FAMILIES:
@@ -131,10 +132,13 @@ def cmd_compare_cuts(args) -> int:
     rows = []
     for incumbent in incumbents:
         built = {
-            cut_families.L_SHAPED: cut_families.l_shaped_cut(inst, incumbent, shared_lower),
-            cut_families.NEW: cut_families.new_cut(inst, incumbent),
+            cut_families.L_SHAPED: cut_families.l_shaped_cut(inst, incumbent, shared_lower, memo=memo),
+            cut_families.NEW: cut_families.new_cut(inst, incumbent, memo=memo),
             cut_families.LIFTED: cut_families.lifted_cut(
-                inst, incumbent, cut_families.make_lift_ordering(inst, incumbent, args.ordering)[0]
+                inst,
+                incumbent,
+                cut_families.make_lift_ordering(inst, incumbent, args.ordering, memo=memo)[0],
+                memo=memo,
             ),
         }
         for family, cut in built.items():

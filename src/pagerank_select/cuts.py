@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import chain, oracle
+from . import oracle
 from .errors import DimensionMismatch, InvalidOrdering, LTooLarge
 from .instance import Instance, Selection, support
 
@@ -83,15 +83,18 @@ def construction_coefficient(cut: Cut, edge_id: int) -> float:
     return cut.coeffs[edge_id]
 
 
-def l_shaped_cut(instance: Instance, incumbent: Selection, lower_bound: float) -> Cut:
+def l_shaped_cut(
+    instance: Instance, incumbent: Selection, lower_bound: float, memo: oracle.Memo | None = None
+) -> Cut:
     """Distance-decay cut from a global lower bound on the objective.
 
     ``lower_bound`` must not exceed the optimum; 0 is always legal, the
     unconstrained minimum is the sharpest legal choice.  Costs no oracle calls
-    since the bound is supplied by the caller.
+    since the bound is supplied by the caller.  ``memo`` (one per solve; a
+    fresh one when None) supplies the incumbent's return time.
     """
     incumbent = tuple(int(b) for b in incumbent)
-    fr_bar = chain.hitting_times(instance, incumbent).fr
+    fr_bar = oracle.memo_for(instance, memo).fr(incumbent)
     if lower_bound > fr_bar + L_GUARD:
         raise LTooLarge(
             f"lower bound {lower_bound} exceeds the incumbent value {fr_bar}"
@@ -103,81 +106,86 @@ def l_shaped_cut(instance: Instance, incumbent: Selection, lower_bound: float) -
     return Cut(constant=constant, coeffs=coeffs, family=L_SHAPED, incumbent=incumbent, gamma_calls=0)
 
 
-def _supported_half(instance: Instance, sel: frozenset[int], fr_bar: float) -> tuple[float, list[float]]:
+def _supported_half(memo: oracle.Memo, sel: frozenset[int], fr_bar: float) -> tuple[float, list[float]]:
     """The supported-edge half of ``new`` and ``lifted``: constant and coefficients
     from ``w = min(0, gamma(off e) - fr_bar)`` per supported edge, zeros elsewhere."""
     constant = fr_bar
-    coeffs = [0.0] * instance.z_count
+    coeffs = [0.0] * memo.instance.z_count
     for k in sorted(sel):
-        g = oracle.gamma(instance, oracle.GammaQuery(forced_off=frozenset({k}))).value
+        g = memo.gamma(oracle.GammaQuery(forced_off=frozenset({k}))).value
         w = min(0.0, g - fr_bar)
         constant += w
         coeffs[k] = -w
     return constant, coeffs
 
 
-def new_cut(instance: Instance, incumbent: Selection) -> Cut:
+def new_cut(instance: Instance, incumbent: Selection, memo: oracle.Memo | None = None) -> Cut:
     """Single-edge-minimization cut: one oracle call per fragile edge.
 
     For a supported edge the construction coefficient is
     ``min(0, gamma(off e) - fr(incumbent))``; for the rest it is
-    ``min(0, gamma(on e) - fr(incumbent))``.
+    ``min(0, gamma(on e) - fr(incumbent))``.  ``gamma_calls`` counts the
+    queries asked; those ``memo`` (one per solve; a fresh one when None)
+    already holds are not solved again.
     """
     incumbent = tuple(int(b) for b in incumbent)
-    fr_bar = chain.hitting_times(instance, incumbent).fr
+    memo = oracle.memo_for(instance, memo)
+    fr_bar = memo.fr(incumbent)
     sel = support(incumbent)
-    constant, coeffs = _supported_half(instance, sel, fr_bar)
+    constant, coeffs = _supported_half(memo, sel, fr_bar)
     for k in range(instance.z_count):
         if k not in sel:
-            g = oracle.gamma(instance, oracle.GammaQuery(forced_on=frozenset({k}))).value
+            g = memo.gamma(oracle.GammaQuery(forced_on=frozenset({k}))).value
             coeffs[k] = min(0.0, g - fr_bar)
     return Cut(constant=constant, coeffs=tuple(coeffs), family=NEW, incumbent=incumbent,
                gamma_calls=instance.z_count)
 
 
 def make_lift_ordering(
-    instance: Instance, incumbent: Selection, strategy: str = BY_INDEX
+    instance: Instance, incumbent: Selection, strategy: str = BY_INDEX, memo: oracle.Memo | None = None
 ) -> tuple[LiftOrdering, int]:
     """Build the lifting order over the unselected fragile edges.
 
     Returns the ordering and the number of oracle calls spent building it:
     zero for ``index``; one single-edge call per unselected edge for
-    ``gamma`` (sorted ascending by that value, ties by edge id).
+    ``gamma`` (sorted ascending by that value, ties by edge id), answered
+    through ``memo`` (one per solve; a fresh one when None).
     """
     sel = support(incumbent)
     unselected = [k for k in range(instance.z_count) if k not in sel]
     if strategy == BY_INDEX:
         return LiftOrdering(order=tuple(unselected), strategy=strategy), 0
     if strategy == BY_GAMMA:
-        vals = {
-            k: oracle.gamma(instance, oracle.GammaQuery(forced_on=frozenset({k}))).value
-            for k in unselected
-        }
+        memo = oracle.memo_for(instance, memo)
+        vals = {k: memo.gamma(oracle.GammaQuery(forced_on=frozenset({k}))).value for k in unselected}
         order = tuple(sorted(unselected, key=lambda k: (vals[k], k)))
         return LiftOrdering(order=order, strategy=strategy), len(unselected)
     raise ValueError(f"unknown ordering strategy {strategy!r}")
 
 
-def lifted_cut(instance: Instance, incumbent: Selection, ordering: LiftOrdering) -> Cut:
+def lifted_cut(
+    instance: Instance, incumbent: Selection, ordering: LiftOrdering, memo: oracle.Memo | None = None
+) -> Cut:
     """Up-lifted cut along an ordering of the unselected edges.
 
     Supported-edge coefficients are identical to ``new_cut``'s.  The r-th
     ordered edge gets ``min(0, gamma(on r, off tail) - fr(incumbent))`` where
     the tail is everything after r in the ordering; the last edge therefore
-    matches its ``new_cut`` coefficient.  Total oracle calls: one per fragile
-    edge.
+    matches its ``new_cut`` coefficient.  Total oracle calls asked: one per
+    fragile edge, answered through ``memo`` as in ``new_cut``.
     """
     incumbent = tuple(int(b) for b in incumbent)
     sel = support(incumbent)
     unselected = sorted(k for k in range(instance.z_count) if k not in sel)
     if sorted(ordering.order) != unselected:
         raise InvalidOrdering("ordering is not a permutation of the unselected fragile edges")
-    fr_bar = chain.hitting_times(instance, incumbent).fr
-    constant, coeffs = _supported_half(instance, sel, fr_bar)
+    memo = oracle.memo_for(instance, memo)
+    fr_bar = memo.fr(incumbent)
+    constant, coeffs = _supported_half(memo, sel, fr_bar)
     order = ordering.order
     for pos, k in enumerate(order):
         tail = frozenset(order[pos + 1 :])
-        g = oracle.gamma(instance, oracle.GammaQuery(forced_on=frozenset({k}), forced_off=tail)).value
+        g = memo.gamma(oracle.GammaQuery(forced_on=frozenset({k}), forced_off=tail)).value
         coeffs[k] = min(0.0, g - fr_bar)
     return Cut(constant=constant, coeffs=tuple(coeffs), family=LIFTED, incumbent=incumbent,
                gamma_calls=instance.z_count)

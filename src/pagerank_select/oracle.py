@@ -131,7 +131,53 @@ def gamma(instance: Instance, query: GammaQuery) -> GammaResult:
             return GammaResult(value=evaluated[best], argmin=best, iterations=len(evaluated))
 
 
-def min_unconstrained(instance: Instance) -> float:
+def min_unconstrained(instance: Instance, memo: Memo | None = None) -> float:
     """Global minimum of the first return time over the whole cube; the
     sharpest legal constant for the distance-style cut family."""
-    return gamma(instance, GammaQuery()).value
+    return memo_for(instance, memo).gamma(GammaQuery()).value
+
+
+class Memo:
+    """The answers of one solve: each distinct oracle query and each return
+    time at a selection is computed once.
+
+    Create one per solve and drop it with the solve; it keeps every answer, so
+    a memo that outlived its solve would grow without bound.  Only results are
+    stored: a query that raises is asked again, and raises again, next time.
+    """
+
+    def __init__(self, instance: Instance):
+        self.instance = instance
+        self._gamma: dict[tuple[frozenset[int], frozenset[int]], GammaResult] = {}
+        self._fr: dict[Selection, float] = {}
+
+    @property
+    def gamma_solves(self) -> int:
+        """Policy iterations actually run: the distinct queries answered."""
+        return len(self._gamma)
+
+    def gamma(self, query: GammaQuery) -> GammaResult:
+        """``gamma(instance, query)``, run once per distinct forced pair."""
+        key = (frozenset(query.forced_on), frozenset(query.forced_off))
+        result = self._gamma.get(key)
+        if result is None:
+            result = self._gamma[key] = gamma(self.instance, query)
+        return result
+
+    def fr(self, y: Selection) -> float:
+        """First return time at a selection, evaluated once per selection."""
+        y = tuple(int(b) for b in y)
+        value = self._fr.get(y)
+        if value is None:
+            value = self._fr[y] = chain.hitting_times(self.instance, y).fr
+        return value
+
+
+def memo_for(instance: Instance, memo: Memo | None) -> Memo:
+    """``memo`` itself, checked to answer for ``instance``; a fresh memo when
+    it is None."""
+    if memo is None:
+        return Memo(instance)
+    if memo.instance is not instance:
+        raise ValueError("the memo was made for another instance")
+    return memo

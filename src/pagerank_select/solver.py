@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import chain, cuts as cut_families, master as master_mod, oracle
+from . import cuts as cut_families, master as master_mod, oracle
 from .errors import DampingRangeError, Infeasible, NoConvergence
 from .instance import ConstraintSet, EMPTY_CONSTRAINTS, Instance, Selection
 
@@ -31,7 +31,9 @@ class SolveReport:
 
     ``lower_bounds``/``upper_bounds`` hold one entry per master solve (the
     master bound and the best incumbent value so far); ``iterations`` counts
-    separation rounds, so it equals ``cuts_added``.
+    separation rounds, so it equals ``cuts_added``.  ``gamma_calls_total``
+    counts the oracle queries the cuts asked; ``gamma_solves`` the policy
+    iterations actually run, one per distinct query of the solve.
     """
 
     status: str
@@ -41,6 +43,7 @@ class SolveReport:
     upper_bounds: tuple[float, ...]
     cuts_added: int
     gamma_calls_total: int
+    gamma_solves: int
     iterations: int
 
     def to_json(self) -> dict:
@@ -52,6 +55,7 @@ class SolveReport:
             "upper_bounds": list(self.upper_bounds),
             "cuts_added": self.cuts_added,
             "gamma_calls_total": self.gamma_calls_total,
+            "gamma_solves": self.gamma_solves,
             "iterations": self.iterations,
         }
 
@@ -66,9 +70,11 @@ def solve(
 ) -> SolveReport:
     """Minimize the first return time over the feasible selections, exactly.
 
-    Raises Infeasible when the constraint set admits no selection; returns a
-    partial trace with status "iter_limit" once max_iters cuts have been
-    separated without closing the gap.
+    Raises Infeasible when the constraint set admits no selection, and
+    ValueError for a negative ``eps`` or ``max_iters``; returns a partial
+    trace with status "iter_limit" once max_iters cuts have been separated
+    without closing the gap.  One ``oracle.Memo`` serves the whole solve, so
+    each distinct oracle query and each incumbent's value is computed once.
     """
     if family not in cut_families.FAMILIES:
         raise ValueError(f"unknown cut family {family!r}")
@@ -78,12 +84,15 @@ def solve(
         raise DampingRangeError("the cutting-plane solver requires damping < 1")
     if eps < 0:
         raise ValueError(f"gap tolerance must be nonnegative, got {eps}")
+    if max_iters < 0:
+        raise ValueError(f"iteration limit must be nonnegative, got {max_iters}")
 
     feasible = master_mod.feasible_set(constraints, instance.z_count)
+    memo = oracle.Memo(instance)
     gamma_calls = 0
     shared_lower = None
     if family == cut_families.L_SHAPED:
-        shared_lower = oracle.min_unconstrained(instance)
+        shared_lower = oracle.min_unconstrained(instance, memo=memo)
         gamma_calls += 1
 
     pool: list[cut_families.Cut] = []
@@ -99,7 +108,7 @@ def solve(
         if result.status == master_mod.INFEASIBLE:
             raise Infeasible("constraint set admits no selection")
         incumbent = result.y
-        value = chain.hitting_times(instance, incumbent).fr
+        value = memo.fr(incumbent)
         if value < best_val:
             best_y, best_val = incumbent, value
         lower.append(result.theta)
@@ -117,15 +126,15 @@ def solve(
             )
         separated.add(incumbent)
         if family == cut_families.L_SHAPED:
-            cut = cut_families.l_shaped_cut(instance, incumbent, shared_lower)
+            cut = cut_families.l_shaped_cut(instance, incumbent, shared_lower, memo=memo)
         elif family == cut_families.NEW:
-            cut = cut_families.new_cut(instance, incumbent)
+            cut = cut_families.new_cut(instance, incumbent, memo=memo)
         else:
             ordering, ordering_calls = cut_families.make_lift_ordering(
-                instance, incumbent, ordering_strategy
+                instance, incumbent, ordering_strategy, memo=memo
             )
             gamma_calls += ordering_calls
-            cut = cut_families.lifted_cut(instance, incumbent, ordering)
+            cut = cut_families.lifted_cut(instance, incumbent, ordering, memo=memo)
         gamma_calls += cut.gamma_calls
         pool.append(cut)
         iterations += 1
@@ -138,5 +147,6 @@ def solve(
         upper_bounds=tuple(upper),
         cuts_added=len(pool),
         gamma_calls_total=gamma_calls,
+        gamma_solves=memo.gamma_solves,
         iterations=iterations,
     )

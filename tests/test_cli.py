@@ -152,6 +152,13 @@ class TestSolveAndBrute:
         assert err.startswith("error:") and "gap tolerance" in err
         assert "Traceback" not in err
 
+    def test_negative_iteration_limit_is_an_input_error(self, capsys, demo_file):
+        code, out, err = run(capsys, "solve", demo_file, "--max-iters", "-5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "iteration limit" in err
+        assert "Traceback" not in err
+
     def test_iteration_limit_exit_code(self, capsys, demo_file):
         code, _, _ = run(capsys, "solve", demo_file, "--max-iters", "0")
         assert code == 3

@@ -218,3 +218,27 @@ class TestEvalCut:
         assert len(blob["coeffs"]) == 4
         assert blob["gamma_calls"] == 4
         assert isinstance(blob["a0"], float)
+
+
+class TestSharedMemo:
+    def test_warm_memo_builds_the_standalone_cuts(self):
+        rng = np.random.default_rng(21)
+        for inst in build_corpus(6, seed0=211, n_lo=5, n_hi=12, z_lo=1, z_hi=8):
+            memo = ps.Memo(inst)
+            low = ps.min_unconstrained(inst, memo=memo)
+            assert low == ps.min_unconstrained(inst)
+            for _ in range(4):
+                incumbent = random_selection(rng, inst.z_count)
+                pairs = [
+                    (ps.l_shaped_cut(inst, incumbent, low, memo=memo), ps.l_shaped_cut(inst, incumbent, low)),
+                    (ps.new_cut(inst, incumbent, memo=memo), ps.new_cut(inst, incumbent)),
+                ]
+                for strategy in (BY_INDEX, BY_GAMMA):
+                    shared = ps.make_lift_ordering(inst, incumbent, strategy, memo=memo)
+                    alone = ps.make_lift_ordering(inst, incumbent, strategy)
+                    assert shared == alone
+                    pairs.append(
+                        (ps.lifted_cut(inst, incumbent, shared[0], memo=memo), ps.lifted_cut(inst, incumbent, alone[0]))
+                    )
+                for warm, cold in pairs:
+                    assert repr(warm) == repr(cold)

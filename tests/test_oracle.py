@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pagerank_select as ps
-from pagerank_select import GammaQuery, chain
+from pagerank_select import GammaQuery, chain, oracle
 from pagerank_select.errors import DampingRangeError, DimensionMismatch, OverlapError
 from conftest import build_corpus
 
@@ -179,3 +179,80 @@ class TestGammaRoundingCycle:
         report = ps.solve(inst, cons, family="new")
         assert report.status == "optimal"
         assert report.best_value == pytest.approx(10000.0, rel=1e-9)
+
+
+class TestMemo:
+    @pytest.fixture()
+    def inst(self):
+        return ps.generate_random(8, 0.3, 6, None, seed=9)[0]
+
+    @pytest.fixture()
+    def spy(self, monkeypatch):
+        calls = []
+        real = oracle.gamma
+
+        def counted(instance, query):
+            calls.append(query)
+            return real(instance, query)
+
+        monkeypatch.setattr(oracle, "gamma", counted)
+        return calls
+
+    def test_hit_returns_what_gamma_returns(self, inst):
+        memo = oracle.Memo(inst)
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            q = random_disjoint_query(rng, inst.z_count)
+            first = memo.gamma(q)
+            assert first == ps.gamma(inst, q)
+            assert memo.gamma(q) is first
+
+    def test_repeated_query_solved_once(self, inst, spy):
+        memo = oracle.Memo(inst)
+        q = GammaQuery(forced_on=frozenset({1}), forced_off=frozenset({4}))
+        for _ in range(3):
+            memo.gamma(q)
+        assert len(spy) == 1
+        assert memo.gamma_solves == 1
+
+    def test_set_and_frozenset_share_a_key(self, inst, spy):
+        memo = oracle.Memo(inst)
+        a = memo.gamma(GammaQuery(forced_on={0, 2}, forced_off={5}))
+        b = memo.gamma(GammaQuery(forced_on=frozenset({2, 0}), forced_off=frozenset({5})))
+        assert a is b
+        assert len(spy) == 1
+
+    @pytest.mark.parametrize(
+        "query, error",
+        [
+            (GammaQuery(forced_on=frozenset({0}), forced_off=frozenset({0})), OverlapError),
+            (GammaQuery(forced_on=frozenset({7})), DimensionMismatch),
+        ],
+    )
+    def test_bad_query_raises_every_time_and_is_not_stored(self, inst, spy, query, error):
+        memo = oracle.Memo(inst)
+        for _ in range(2):
+            with pytest.raises(error):
+                memo.gamma(query)
+        assert len(spy) == 2
+        assert memo.gamma_solves == 0
+
+    def test_return_time_evaluated_once_per_selection(self, inst, monkeypatch):
+        evaluated = []
+        real = chain.hitting_times
+
+        def counted(instance, y):
+            evaluated.append(y)
+            return real(instance, y)
+
+        monkeypatch.setattr(chain, "hitting_times", counted)
+        memo = oracle.Memo(inst)
+        y = (1, 0, 1, 0, 0, 1)
+        assert memo.fr(y) == real(inst, y).fr
+        assert memo.fr(list(y)) == memo.fr(y)
+        assert evaluated == [y]
+
+    def test_memo_of_another_instance_rejected(self, inst):
+        other = ps.generate_random(8, 0.3, 6, None, seed=10)[0]
+        with pytest.raises(ValueError):
+            ps.min_unconstrained(inst, memo=oracle.Memo(other))

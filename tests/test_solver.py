@@ -4,7 +4,7 @@ import pytest
 
 import pagerank_select as ps
 from pagerank_select import ConstraintSet, Row
-from pagerank_select import cuts as cut_families, master as master_mod
+from pagerank_select import cuts as cut_families, master as master_mod, oracle
 from pagerank_select.cuts import BY_GAMMA, BY_INDEX, FAMILIES, L_SHAPED, LIFTED, NEW
 from pagerank_select.errors import DampingRangeError, Infeasible, NoConvergence
 from pagerank_select.solver import ITER_LIMIT, OPTIMAL
@@ -48,10 +48,14 @@ class TestTrivialCases:
         with pytest.raises(ValueError):
             ps.solve(frozen, family="benders")
 
+    def test_negative_iteration_limit_rejected(self, frozen):
+        with pytest.raises(ValueError, match="iteration limit"):
+            ps.solve(frozen, max_iters=-5)
+
     def test_recurring_incumbent_aborts_loudly(self, frozen, monkeypatch):
         # a separation that never tightens anything leaves the master stuck on
         # the same incumbent; the loop must diagnose that instead of cycling
-        def useless_cut(instance, incumbent):
+        def useless_cut(instance, incumbent, memo=None):
             return cut_families.Cut(
                 constant=0.0,
                 coeffs=(0.0,) * instance.z_count,
@@ -163,6 +167,38 @@ class TestGammaAccounting:
         assert report.gamma_calls_total == report.iterations * frozen.z_count
 
 
+class TestGammaSolves:
+    @pytest.fixture()
+    def spy(self, monkeypatch):
+        keys = []
+        real = oracle.gamma
+
+        def counted(instance, query):
+            keys.append((frozenset(query.forced_on), frozenset(query.forced_off)))
+            return real(instance, query)
+
+        monkeypatch.setattr(oracle, "gamma", counted)
+        return keys
+
+    @pytest.mark.parametrize(
+        "family, strategy", [(L_SHAPED, BY_INDEX), (NEW, BY_INDEX), (LIFTED, BY_INDEX), (LIFTED, BY_GAMMA)]
+    )
+    def test_one_policy_iteration_per_distinct_query(self, spy, family, strategy):
+        inst, cons = ps.generate_random(10, 0.3, 7, "card_le:3", seed=5)
+        report = ps.solve(inst, cons, family=family, ordering_strategy=strategy)
+        assert report.iterations >= 2
+        assert len(spy) == report.gamma_solves == len(set(spy))
+        assert report.gamma_solves < report.gamma_calls_total or report.gamma_calls_total == 1
+        assert report.to_json()["gamma_solves"] == report.gamma_solves
+
+    def test_no_answer_outlives_its_solve(self, spy):
+        inst, cons = ps.generate_random(10, 0.3, 7, "card_le:3", seed=5)
+        first = ps.solve(inst, cons, family=NEW)
+        second = ps.solve(inst, cons, family=NEW)
+        assert first == second
+        assert len(spy) == 2 * first.gamma_solves
+
+
 class TestReportJson:
     def test_fields_mirror_the_type(self, frozen):
         report = ps.solve(frozen)
@@ -175,6 +211,7 @@ class TestReportJson:
             "upper_bounds",
             "cuts_added",
             "gamma_calls_total",
+            "gamma_solves",
             "iterations",
         }
         assert blob["status"] == "optimal"
