@@ -33,6 +33,10 @@ class TooLargeToEnumerate(PagerankSelectError):
     """An enumeration was requested over more fragile edges than the limit."""
 
 
+class TooLargeForDense(PagerankSelectError):
+    """The dense walk numerics would allocate an array past their size limit."""
+
+
 class InfeasibleSpec(PagerankSelectError):
     """Random-instance spec asks for more fragile edges than non-edges exist."""
 

@@ -67,7 +67,7 @@ def _greedy_subset(h, base_targets, free_edges, mean_all):
     return chosen
 
 
-def gamma(instance: Instance, query: GammaQuery) -> GammaResult:
+def gamma(instance: Instance, query: GammaQuery, *, walk: chain.WalkFactor | None = None) -> GammaResult:
     """Minimize the first return time subject to the forced edges.
 
     Policy iteration: start with every free edge activated; alternate exact
@@ -75,6 +75,8 @@ def gamma(instance: Instance, query: GammaQuery) -> GammaResult:
     node changes.  Rounding noise in h above ``MEAN_IMPROVEMENT`` can make the
     greedy step cycle; when it returns a selection already evaluated, the
     lowest-``fr`` selection seen is returned (ties by the selection tuple).
+    Every evaluation is ``chain.low_rank_hitting_times`` on ``walk``, the
+    instance's factored walk (one solve shares one; a fresh one when None).
     """
     forced_on = frozenset(query.forced_on)
     forced_off = frozenset(query.forced_off)
@@ -87,37 +89,43 @@ def gamma(instance: Instance, query: GammaQuery) -> GammaResult:
             raise DimensionMismatch(f"fragile edge id {k} outside [0, {z_count})")
     if instance.damping >= 1.0:
         raise DampingRangeError("the minimization oracle requires damping < 1")
+    if walk is None:
+        walk = chain.factor_walk(instance)
+    elif walk.instance is not instance:
+        raise ValueError("the factored walk was made for another instance")
 
-    base_targets: list[list[int]] = [[] for _ in range(instance.n)]
-    for (i, j) in instance.edges:
-        base_targets[i].append(j)
-    for k in forced_on:
-        i, j = instance.fragile[k]
-        base_targets[i].append(j)
-    free_by_node: list[list[tuple[int, int]]] = [[] for _ in range(instance.n)]
+    # Only the sources of free edges re-select; their fixed and forced-on
+    # targets keep the order of instance.edges, then of forced_on.
+    free_by_node: dict[int, list[tuple[int, int]]] = {}
     for k, (i, j) in enumerate(instance.fragile):
         if k not in forced_on and k not in forced_off:
-            free_by_node[i].append((k, j))
+            free_by_node.setdefault(i, []).append((k, j))
+    base_targets: dict[int, list[int]] = {i: [] for i in free_by_node}
+    for i, j in walk.fixed_edges.tolist():
+        if i in base_targets:
+            base_targets[i].append(j)
+    for k in forced_on:
+        i, j = instance.fragile[k]
+        if i in base_targets:
+            base_targets[i].append(j)
+    nodes = sorted(free_by_node.items())
 
     y = [0] * z_count
     for k in forced_on:
         y[k] = 1
-    for node_edges in free_by_node:
+    for _, node_edges in nodes:
         for k, _ in node_edges:
             y[k] = 1
 
     evaluated: dict[Selection, float] = {}
     while True:
         current = tuple(y)
-        profile = chain.hitting_times(instance, current)
+        profile = chain.low_rank_hitting_times(walk, current)
         evaluated[current] = profile.fr
         h = profile.h
         mean_all = float(h.sum()) / instance.n
         changed = False
-        for node in range(instance.n):
-            node_free = free_by_node[node]
-            if not node_free:
-                continue
+        for node, node_free in nodes:
             chosen = _greedy_subset(h, base_targets[node], node_free, mean_all)
             for k, _ in node_free:
                 bit = 1 if k in chosen else 0
@@ -144,12 +152,23 @@ class Memo:
     Create one per solve and drop it with the solve; it keeps every answer, so
     a memo that outlived its solve would grow without bound.  Only results are
     stored: a query that raises is asked again, and raises again, next time.
+    Every answer is computed from one factored walk (``walk``), the solve's
+    only factorisation.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self._gamma: dict[tuple[frozenset[int], frozenset[int]], GammaResult] = {}
         self._fr: dict[Selection, float] = {}
+        self._walk: chain.WalkFactor | None = None
+
+    @property
+    def walk(self) -> chain.WalkFactor:
+        """The instance's factored walk, built when first needed and shared
+        by every return time and every policy-iteration sweep of the solve."""
+        if self._walk is None:
+            self._walk = chain.factor_walk(self.instance)
+        return self._walk
 
     @property
     def gamma_solves(self) -> int:
@@ -161,7 +180,7 @@ class Memo:
         key = (frozenset(query.forced_on), frozenset(query.forced_off))
         result = self._gamma.get(key)
         if result is None:
-            result = self._gamma[key] = gamma(self.instance, query)
+            result = self._gamma[key] = gamma(self.instance, query, walk=self.walk)
         return result
 
     def fr(self, y: Selection) -> float:
@@ -169,7 +188,7 @@ class Memo:
         y = tuple(int(b) for b in y)
         value = self._fr.get(y)
         if value is None:
-            value = self._fr[y] = chain.hitting_times(self.instance, y).fr
+            value = self._fr[y] = chain.low_rank_hitting_times(self.walk, y).fr
         return value
 
 

@@ -1,8 +1,18 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 import pagerank_select as ps
-from pagerank_select.errors import DampingRangeError, DimensionMismatch, NoConvergence, OverlapError, SingularSystem
+from pagerank_select import chain
+from pagerank_select.errors import (
+    DampingRangeError,
+    DimensionMismatch,
+    NoConvergence,
+    OverlapError,
+    SingularSystem,
+    TooLargeForDense,
+)
 from conftest import build_corpus, random_selection
 
 
@@ -64,6 +74,33 @@ def mc_first_return(inst, y, rollouts, seed):
     mean = float(steps.mean())
     stderr = float(steps.std(ddof=1) / np.sqrt(rollouts))
     return mean, stderr
+
+
+def walk_instance(rng, n, damping):
+    """Random instance with the shapes that stress the low-rank update:
+    fixed and fragile self-loops, dangling nodes, fragile edges out of the
+    target and out of a node that dangles at the all-off selection, and
+    fragile edges sharing a source."""
+    target = int(rng.integers(n))
+    dangling = int(rng.integers(n))
+    edges = {
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != dangling and rng.random() < min(0.5, 4.0 / n)
+    }
+    picks = {(target, int(rng.integers(n))), (dangling, int(rng.integers(n))), (dangling, dangling)}
+    shared = int(rng.integers(n))
+    picks |= {(shared, int(j)) for j in rng.integers(n, size=3)}
+    picks |= {(int(i), int(j)) for i, j in rng.integers(n, size=(int(rng.integers(0, 8)), 2))}
+    fragile = sorted(picks - edges)
+    rng.shuffle(fragile)
+    return make(n, target, edges, fragile, damping)
+
+
+def assert_profiles_close(got, want):
+    np.testing.assert_allclose(got.h, want.h, rtol=1e-12, atol=0)
+    assert got.fr == pytest.approx(want.fr, rel=1e-12, abs=0)
 
 
 class TestTransitionRow:
@@ -215,6 +252,130 @@ class TestHittingTimes:
             fr = ps.hitting_times(inst, y).fr
             mean, stderr = mc_first_return(inst, y, rollouts=10**5, seed=seed)
             assert abs(fr - mean) <= 3 * stderr, (fr, mean, stderr)
+
+
+class TestLowRankHittingTimes:
+    @pytest.mark.parametrize("damping", [0.5, 0.85, 0.99, 0.999])
+    def test_matches_dense_on_random_instances(self, damping, monkeypatch):
+        dense = chain.hitting_times
+        fallbacks = []
+        monkeypatch.setattr(chain, "hitting_times", lambda instance, y: fallbacks.append(y) or dense(instance, y))
+        rng = np.random.default_rng(int(damping * 1000))
+        evaluations = 0
+        for n in (2, 3, 5, 9, 17, 40, 120, 300):
+            inst = walk_instance(rng, n, damping)
+            walk = chain.factor_walk(inst)
+            z = inst.z_count
+            assert fallbacks.pop() == (0,) * z  # the factor's own all-off base
+            for y in [(0,) * z, (1,) * z] + [random_selection(rng, z) for _ in range(4)]:
+                assert_profiles_close(chain.low_rank_hitting_times(walk, y), dense(inst, y))
+                evaluations += 1
+        # the update, not its dense fallback, answers most of them (all but
+        # 0, 0, 1 and 13 of 48 at the four dampings)
+        assert len(fallbacks) < evaluations / 2
+
+    @pytest.mark.parametrize("damping", [0.5, 0.99, 0.999])
+    def test_every_selection_of_a_hand_instance(self, damping):
+        # target 0 has fragile out-edges (0, 0) and (0, 3); node 4 dangles
+        # unless its fragile edges (4, 1) and (4, 4) are on; node 1 has three
+        # fragile edges; node 2 has a fixed self-loop
+        inst = make(
+            6,
+            0,
+            [(0, 1), (1, 2), (2, 2), (2, 5), (3, 0), (5, 4)],
+            fragile=[(0, 3), (4, 1), (1, 3), (0, 0), (1, 5), (4, 4), (1, 0), (2, 0)],
+            damping=damping,
+        )
+        walk = chain.factor_walk(inst)
+        for y in product((0, 1), repeat=inst.z_count):
+            assert_profiles_close(chain.low_rank_hitting_times(walk, y), ps.hitting_times(inst, y))
+
+    def test_all_off_and_edgeless_cases_equal_dense_bitwise(self):
+        inst = make(4, 2, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        got, want = chain.low_rank_hitting_times(chain.factor_walk(inst), ()), ps.hitting_times(inst, ())
+        assert np.array_equal(got.h, want.h) and got.fr == want.fr
+        rich, _ = ps.generate_random(60, 0.05, 9, None, seed=4)
+        off = (0,) * rich.z_count
+        got, want = chain.low_rank_hitting_times(chain.factor_walk(rich), off), ps.hitting_times(rich, off)
+        assert np.array_equal(got.h, want.h) and got.fr == want.fr
+        single = make(1, 0, [], fragile=[(0, 0)])
+        for y in ((0,), (1,)):
+            got, want = chain.low_rank_hitting_times(chain.factor_walk(single), y), ps.hitting_times(single, y)
+            assert np.array_equal(got.h, want.h) and got.fr == want.fr
+
+    def test_factor_holds_rows_and_columns_only_at_fragile_sources(self):
+        inst, _ = ps.generate_random(60, 0.05, 9, None, seed=4)
+        walk = chain.factor_walk(inst)
+        sources = sorted({i for i, _ in inst.fragile} - {inst.target})
+        assert walk.sources.tolist() == sources
+        assert walk.columns.shape == walk.base_rows.shape == (len(sources), inst.n)
+        assert not walk.columns[:, inst.target].any()
+        assert np.array_equal(walk.base_rows, ps.transition_matrix(inst, (0,) * inst.z_count)[sources])
+        from_fragile = {i for i, _ in inst.fragile}
+        assert walk.fixed_edges.tolist() == [[i, j] for i, j in inst.edges if i in from_fragile]
+
+    def test_failed_error_bound_falls_back_to_dense(self, monkeypatch):
+        # a zero threshold fails every error bound that is not exactly zero
+        monkeypatch.setattr(chain, "UPDATE_RTOL", 0.0)
+        dense = []
+        real = chain.hitting_times
+
+        def counted(instance, y):
+            dense.append(y)
+            return real(instance, y)
+
+        monkeypatch.setattr(chain, "hitting_times", counted)
+        rng = np.random.default_rng(12)
+        inst, _ = ps.generate_random(30, 0.1, 8, None, seed=6)
+        walk = chain.factor_walk(inst)
+        for _ in range(5):
+            y = random_selection(rng, inst.z_count)
+            y = (1,) + y[1:] if inst.fragile[0][0] != inst.target else y[:-1] + (1,)
+            got = chain.low_rank_hitting_times(walk, y)
+            want = real(inst, y)
+            assert dense[-1] == y
+            assert np.array_equal(got.h, want.h)
+            assert got.fr == want.fr
+
+    def test_damping_one_takes_the_dense_path(self):
+        inst = make(2, 0, [(0, 1), (1, 1)], fragile=[(1, 0)], damping=1.0)
+        walk = chain.factor_walk(inst)
+        with pytest.raises(SingularSystem, match="unreachable from node 1"):
+            chain.low_rank_hitting_times(walk, (0,))
+        got, want = chain.low_rank_hitting_times(walk, (1,)), ps.hitting_times(inst, (1,))
+        assert np.array_equal(got.h, want.h) and got.fr == want.fr == pytest.approx(3.0)
+
+    def test_selection_length_checked(self):
+        inst = make(2, 0, [(0, 1)], fragile=[(1, 0)])
+        with pytest.raises(DimensionMismatch):
+            chain.low_rank_hitting_times(chain.factor_walk(inst), ())
+
+
+class TestDenseSizeGuard:
+    @pytest.fixture()
+    def wide(self):
+        # no edges, so nothing of size n^2 is ever built
+        return make(5000, 0, [])
+
+    def test_raised_before_any_dense_array(self, wide):
+        for call in (
+            lambda: ps.transition_matrix(wide, ()),
+            lambda: ps.hitting_times(wide, ()),
+            lambda: chain.factor_walk(wide),
+            lambda: ps.stationary(wide, ()),
+            lambda: ps.solve(wide),
+        ):
+            with pytest.raises(TooLargeForDense, match="128 MiB"):
+                call()
+
+    def test_limit_is_one_array_of_dense_max_bytes(self, monkeypatch):
+        monkeypatch.setattr(chain, "DENSE_MAX_BYTES", 8 * 10 * 10)
+        assert ps.transition_matrix(make(10, 0, [(0, 1)]), ()).shape == (10, 10)
+        with pytest.raises(TooLargeForDense):
+            ps.transition_matrix(make(11, 0, [(0, 1)]), ())
+
+    def test_single_rows_stay_available(self, wide):
+        assert ps.transition_row(wide, (), 3).shape == (5000,)
 
 
 class TestStationary:

@@ -177,6 +177,16 @@ class TestSolveAndBrute:
         code, _, err = run(capsys, "brute", str(path))
         assert code == 3
 
+    def test_dense_size_limit_is_an_input_error(self, capsys, tmp_path):
+        # no edges, so the refused n-by-n array is never allocated
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"n": 5000, "target": 0, "edges": [], "fragile": [[1, 2]], "damping": 0.85}))
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: n = 5000") and "128 MiB" in err
+        assert "Traceback" not in err
+
 
 class TestCompareCuts:
     def test_csv_shape_and_dominance(self, capsys, demo_file):

@@ -41,7 +41,8 @@ class TestGammaBasics:
         query = GammaQuery(forced_on=frozenset({0, 2}), forced_off=frozenset({1, 3}))
         res = ps.gamma(inst, query)
         assert res.argmin == (1, 0, 1, 0)
-        assert res.value == ps.hitting_times(inst, (1, 0, 1, 0)).fr
+        assert res.value == chain.low_rank_hitting_times(chain.factor_walk(inst), (1, 0, 1, 0)).fr
+        assert res.value == pytest.approx(ps.hitting_times(inst, (1, 0, 1, 0)).fr, rel=1e-12, abs=0)
 
     def test_shortcut_is_taken(self):
         inst = hand_instance()
@@ -144,18 +145,34 @@ class TestGammaProperties:
     def test_policy_iteration_value_trace_is_monotone(self, monkeypatch):
         inst, _ = ps.generate_random(10, 0.3, 8, None, seed=17, damping=0.9)
         trace = []
-        real = chain.hitting_times
+        real = chain.low_rank_hitting_times
 
-        def spy(instance, y):
-            prof = real(instance, y)
+        def spy(walk, y):
+            prof = real(walk, y)
             trace.append(prof.fr)
             return prof
 
-        monkeypatch.setattr(chain, "hitting_times", spy)
+        monkeypatch.setattr(chain, "low_rank_hitting_times", spy)
         res = ps.gamma(inst, GammaQuery())
         assert len(trace) == res.iterations
         assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
         assert trace[-1] == res.value
+
+
+class TestGammaWalk:
+    def test_shared_walk_gives_the_standalone_result(self):
+        rng = np.random.default_rng(13)
+        for inst in build_corpus(6, seed0=144, z_lo=1, z_hi=8):
+            walk = chain.factor_walk(inst)
+            for _ in range(4):
+                q = random_disjoint_query(rng, inst.z_count)
+                assert ps.gamma(inst, q, walk=walk) == ps.gamma(inst, q)
+
+    def test_walk_of_another_instance_rejected(self):
+        inst = ps.generate_random(8, 0.3, 6, None, seed=9)[0]
+        other = ps.generate_random(8, 0.3, 6, None, seed=10)[0]
+        with pytest.raises(ValueError):
+            ps.gamma(inst, GammaQuery(), walk=chain.factor_walk(other))
 
 
 class TestGammaRoundingCycle:
@@ -172,7 +189,8 @@ class TestGammaRoundingCycle:
         assert res.iterations <= 10
         assert res.value == pytest.approx(10000.0, rel=1e-9)
         assert res.argmin[9] == 1
-        assert res.value == ps.hitting_times(inst, res.argmin).fr
+        assert res.value == chain.low_rank_hitting_times(chain.factor_walk(inst), res.argmin).fr
+        assert res.value == pytest.approx(ps.hitting_times(inst, res.argmin).fr, rel=1e-12, abs=0)
 
     def test_solve_closes(self, flat):
         inst, cons = flat
@@ -191,9 +209,9 @@ class TestMemo:
         calls = []
         real = oracle.gamma
 
-        def counted(instance, query):
+        def counted(instance, query, **kwargs):
             calls.append(query)
-            return real(instance, query)
+            return real(instance, query, **kwargs)
 
         monkeypatch.setattr(oracle, "gamma", counted)
         return calls
@@ -239,18 +257,36 @@ class TestMemo:
 
     def test_return_time_evaluated_once_per_selection(self, inst, monkeypatch):
         evaluated = []
-        real = chain.hitting_times
+        real = chain.low_rank_hitting_times
 
-        def counted(instance, y):
+        def counted(walk, y):
             evaluated.append(y)
-            return real(instance, y)
+            return real(walk, y)
 
-        monkeypatch.setattr(chain, "hitting_times", counted)
+        monkeypatch.setattr(chain, "low_rank_hitting_times", counted)
         memo = oracle.Memo(inst)
         y = (1, 0, 1, 0, 0, 1)
-        assert memo.fr(y) == real(inst, y).fr
+        assert memo.fr(y) == real(chain.factor_walk(inst), y).fr
+        assert memo.fr(y) == pytest.approx(ps.hitting_times(inst, y).fr, rel=1e-12, abs=0)
         assert memo.fr(list(y)) == memo.fr(y)
         assert evaluated == [y]
+
+    def test_one_factored_walk_per_memo_built_on_first_need(self, inst, monkeypatch):
+        built = []
+        real = chain.factor_walk
+
+        def counted(instance):
+            built.append(instance)
+            return real(instance)
+
+        monkeypatch.setattr(chain, "factor_walk", counted)
+        memo = oracle.Memo(inst)
+        assert built == []
+        memo.fr((1, 0, 1, 0, 0, 1))
+        memo.gamma(GammaQuery(forced_on=frozenset({1})))
+        memo.gamma(GammaQuery(forced_off=frozenset({2})))
+        memo.fr((0, 1, 1, 0, 0, 0))
+        assert built == [inst]
 
     def test_memo_of_another_instance_rejected(self, inst):
         other = ps.generate_random(8, 0.3, 6, None, seed=10)[0]

@@ -173,9 +173,9 @@ class TestGammaSolves:
         keys = []
         real = oracle.gamma
 
-        def counted(instance, query):
+        def counted(instance, query, **kwargs):
             keys.append((frozenset(query.forced_on), frozenset(query.forced_off)))
-            return real(instance, query)
+            return real(instance, query, **kwargs)
 
         monkeypatch.setattr(oracle, "gamma", counted)
         return keys
