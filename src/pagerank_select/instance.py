@@ -13,6 +13,7 @@ share across concurrent solves.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -183,12 +184,10 @@ def _violations(inst: Instance, edge_list: list[Edge]) -> list[tuple[type, str]]
         for (i, j) in pairs:
             if not (0 <= i < inst.n and 0 <= j < inst.n):
                 found.append((NodeIndexError, f"{name} edge ({i}, {j}) has an endpoint outside [0, {inst.n})"))
-    if len(edge_list) != len(set(edge_list)):
-        dupes = sorted({e for e in edge_list if edge_list.count(e) > 1})
-        found.append((DuplicateEdgeError, f"duplicate fixed edge(s): {dupes}"))
-    if len(inst.fragile) != len(set(inst.fragile)):
-        dupes = sorted({e for e in inst.fragile if inst.fragile.count(e) > 1})
-        found.append((DuplicateEdgeError, f"duplicate fragile edge(s): {dupes}"))
+    for name, pairs in (("fixed", edge_list), ("fragile", inst.fragile)):
+        dupes = sorted(e for e, count in Counter(pairs).items() if count > 1)
+        if dupes:
+            found.append((DuplicateEdgeError, f"duplicate {name} edge(s): {dupes}"))
     overlap = inst.edges & set(inst.fragile)
     if overlap:
         found.append((OverlapError, f"edge(s) listed as both fixed and fragile: {sorted(overlap)}"))

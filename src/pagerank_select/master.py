@@ -1,11 +1,14 @@
 """Restricted master problem: minimize theta over the feasible cube under a cut pool.
 
 The objective at a selection y is ``max(0, max_k cut_k(y))``; the solver needs
-its global minimum and the lexicographically smallest minimizer.  Because
-theta is the only continuous variable and every cut is affine in y, a
-termwise min-completion bound is a valid relaxation and no LP machinery is
-needed: plain enumeration covers small instances and a depth-first branch
-and bound covers the rest.
+its global minimum and the lexicographically smallest minimizer.  Theta is
+the only continuous variable and every cut is affine in y, so once the
+feasible selections are listed the master is a running maximum over them
+(Kelley 1960; Laporte & Louveaux 1993): ``feasible_set`` enumerates them once
+per solve, level by level in numpy, and each ``solve_master`` call folds in
+only the cuts added since the previous call.  An enumeration whose points
+would take more than ``POINTS_MAX_BYTES`` raises TooLargeToEnumerate (CLI
+exit 3) before that level is allocated.
 """
 
 from __future__ import annotations
@@ -17,13 +20,19 @@ from typing import Sequence
 import numpy as np
 
 from .cuts import Cut
-from .errors import DimensionMismatch
-from .instance import ConstraintSet, Row, Selection, enumerate_feasible
+from .errors import DimensionMismatch, ParseError, TooLargeToEnumerate
+from .instance import ConstraintSet, Selection
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
-EXHAUSTIVE_MAX = 12  # above this, branch and bound takes over
+# Largest enumeration level that feasible_set builds, at 8 bytes per fragile
+# edge and per constraint row of each candidate.  64 MiB admits the whole
+# cube up to 18 fragile edges (36 MiB of points).  On a 2-CPU host with one
+# BLAS thread that cube enumerates in 60 ms, one cut folds into it in 26 ms,
+# and peak memory grows by about 2.3 times the point bytes, because folding
+# a cut takes a temporary as large as the points.
+POINTS_MAX_BYTES = 2**26
 
 
 @dataclass(frozen=True)
@@ -31,135 +40,103 @@ class MasterResult:
     status: str
     y: Selection | None
     theta: float
-    nodes_explored: int
+    nodes_explored: int  # feasible points scanned
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class FeasibleSet:
-    """What the master minimizes over, built once per solve.  ``points`` holds the
-    feasible selections in lexicographic order (read-only floats) up to
-    EXHAUSTIVE_MAX fragile edges and is None beyond, where branch and bound
-    works from the compiled ``rows``."""
+    """What the master minimizes over, with its state across one solve's rounds.
+
+    ``points`` holds the feasible selections in lexicographic order (read-only
+    floats); ``theta`` holds, per point, the maximum of zero and the first
+    ``folded`` cuts of the pool, the last of which is ``last_cut``."""
 
     z_count: int
-    rows: tuple[Row, ...]
-    points: np.ndarray | None
+    points: np.ndarray
+    theta: np.ndarray
+    folded: int = 0
+    last_cut: Cut | None = None
 
 
 def feasible_set(constraints: ConstraintSet, z_count: int) -> FeasibleSet:
-    """Check the constraint rows and, up to EXHAUSTIVE_MAX fragile edges,
-    enumerate the feasible selections once."""
+    """Check the constraint rows and enumerate the feasible selections once.
+
+    Each level extends every surviving prefix by bit 0, then bit 1, and drops
+    the prefixes that no completion can bring inside some row's bounds, so
+    the points come out in lexicographic order.  Raises TooLargeToEnumerate
+    when a level's candidates would pass POINTS_MAX_BYTES."""
     rows = constraints.compiled_rows(z_count)
-    points = None
-    if z_count <= EXHAUSTIVE_MAX:
-        found = list(enumerate_feasible(constraints, z_count))
-        points = np.array(found, dtype=float).reshape(len(found), z_count)
-        points.setflags(write=False)
-    return FeasibleSet(z_count=z_count, rows=rows, points=points)
+    if any(sum(map(abs, row.coeffs)) + abs(row.rhs) >= 2**53 for row in rows):
+        raise ParseError("constraint rows with coefficients or bounds of 2**53 and more are not supported")
+    coeffs = np.array([row.coeffs for row in rows], dtype=np.int64).reshape(len(rows), z_count).T
+    upper = np.array([math.inf if row.sense == ">=" else row.rhs for row in rows])
+    lower = np.array([-math.inf if row.sense == "<=" else row.rhs for row in rows])
+    # reach_lo[d] / reach_hi[d]: the least / most that bits d.. can add to each row
+    reach_lo = np.zeros((z_count + 1, len(rows)), dtype=np.int64)
+    reach_hi = np.zeros_like(reach_lo)
+    reach_lo[:z_count] = np.cumsum(np.minimum(coeffs, 0)[::-1], axis=0)[::-1]
+    reach_hi[:z_count] = np.cumsum(np.maximum(coeffs, 0)[::-1], axis=0)[::-1]
+
+    def inside(lhs, depth):
+        return ((lhs + reach_lo[depth] <= upper) & (lhs + reach_hi[depth] >= lower)).all(axis=1)
+
+    candidate_bytes = 8 * (z_count + len(rows))
+    lhs = np.zeros((1, len(rows)), dtype=np.int64)  # row sums of the surviving prefixes
+    lhs = lhs[inside(lhs, 0)]
+    kept = []  # per level, the surviving candidates: index 2 * prefix + bit
+    for depth in range(z_count):
+        if 2 * len(lhs) * candidate_bytes > POINTS_MAX_BYTES:
+            raise TooLargeToEnumerate(
+                f"{z_count} fragile edges: enumerating the feasible selections takes more than "
+                f"{POINTS_MAX_BYTES // 2**20} MiB at edge {depth}"
+            )
+        lhs = np.repeat(lhs, 2, axis=0)
+        lhs[1::2] += coeffs[depth]
+        keep = np.flatnonzero(inside(lhs, depth + 1))
+        kept.append(keep)
+        lhs = lhs[keep]
+
+    # Fortran order, so that points.T is C-contiguous for solve_master
+    points = np.empty((len(lhs), z_count), order="F")
+    index = np.arange(len(lhs))
+    for depth in reversed(range(z_count)):
+        candidate = kept[depth][index]
+        points[:, depth] = candidate & 1
+        index = candidate >> 1
+    points.setflags(write=False)
+    return FeasibleSet(z_count=z_count, points=points, theta=np.zeros(len(points)))
 
 
 def solve_master(cuts: Sequence[Cut], feasible: FeasibleSet) -> MasterResult:
     """Globally minimize ``max(0, max_k cut_k(y))`` over the feasible set.
 
-    Deterministic: among equal-theta optima the lexicographically smallest
-    selection is returned.
+    ``cuts`` must extend the pool of the previous call on ``feasible``: only
+    the cuts past it are checked and folded in, and a pool that shrank or
+    was swapped raises ValueError.  Deterministic: among equal-theta optima
+    the lexicographically smallest selection is returned.
     """
-    z_count = feasible.z_count
-    for cut in cuts:
-        if len(cut.coeffs) != z_count:
+    seen = feasible.folded
+    if len(cuts) < seen or (seen and cuts[seen - 1] is not feasible.last_cut):
+        raise ValueError(f"the cut pool does not extend the {seen} cut(s) already folded in")
+    fresh = cuts[seen:]
+    for cut in fresh:
+        if len(cut.coeffs) != feasible.z_count:
             raise DimensionMismatch(
-                f"cut arity {len(cut.coeffs)} does not match {z_count} fragile edges"
+                f"cut arity {len(cut.coeffs)} does not match {feasible.z_count} fragile edges"
             )
-    if feasible.points is not None:
-        return _solve_exhaustive(cuts, feasible.points)
-    return _solve_branch_bound(cuts, feasible.rows, z_count)
+    columns = feasible.points.T
+    for cut in fresh:
+        # Reducing over the leading axis of a C-contiguous array adds row
+        # after row, so each point's sum runs in edge order, as eval_cut sums
+        # it; a BLAS product regroups the terms and can move a tie by an ulp.
+        lhs = np.add.reduce(columns * np.array(cut.coeffs, dtype=float)[:, None], axis=0)
+        np.maximum(feasible.theta, cut.constant + lhs, out=feasible.theta)
+    if fresh:
+        feasible.folded, feasible.last_cut = len(cuts), cuts[-1]
 
-
-def _solve_exhaustive(cuts: Sequence[Cut], points: np.ndarray) -> MasterResult:
+    points, theta = feasible.points, feasible.theta
     if len(points) == 0:
         return MasterResult(status=INFEASIBLE, y=None, theta=math.inf, nodes_explored=0)
-    if cuts:
-        A = np.array([cut.coeffs for cut in cuts], dtype=float)
-        a0 = np.array([cut.constant for cut in cuts])
-        theta = np.maximum((points @ A.T + a0).max(axis=1), 0.0)
-    else:
-        theta = np.zeros(len(points))
-    best = int(np.argmin(theta))  # first minimum; enumeration order is lexicographic
+    best = int(np.argmin(theta))  # first minimum; the points are in lexicographic order
     y = tuple(int(b) for b in points[best])
     return MasterResult(status=OPTIMAL, y=y, theta=float(theta[best]), nodes_explored=len(points))
-
-
-def _solve_branch_bound(cuts, rows: Sequence[Row], z_count: int) -> MasterResult:
-    m = len(cuts)
-    coeffs = [cut.coeffs for cut in cuts]
-    constants = [cut.constant for cut in cuts]
-
-    # suffix completions: best possible contribution of the unfixed variables
-    cut_suffix = [[0.0] * (z_count + 1) for _ in range(m)]
-    for k in range(m):
-        for d in range(z_count - 1, -1, -1):
-            cut_suffix[k][d] = cut_suffix[k][d + 1] + min(coeffs[k][d], 0.0)
-    row_lo = [[0] * (z_count + 1) for _ in rows]
-    row_hi = [[0] * (z_count + 1) for _ in rows]
-    for r, row in enumerate(rows):
-        for d in range(z_count - 1, -1, -1):
-            row_lo[r][d] = row_lo[r][d + 1] + min(row.coeffs[d], 0)
-            row_hi[r][d] = row_hi[r][d + 1] + max(row.coeffs[d], 0)
-
-    best_val = math.inf
-    best_y: Selection | None = None
-    nodes = 0
-    assignment = [0] * z_count
-
-    def window_feasible(depth, partial_lhs) -> bool:
-        for r, row in enumerate(rows):
-            lo = partial_lhs[r] + row_lo[r][depth]
-            hi = partial_lhs[r] + row_hi[r][depth]
-            if row.sense == "<=":
-                if lo > row.rhs:
-                    return False
-            elif row.sense == ">=":
-                if hi < row.rhs:
-                    return False
-            elif lo > row.rhs or hi < row.rhs:
-                return False
-        return True
-
-    def bound(depth, partial_cut) -> float:
-        b = 0.0
-        for k in range(m):
-            v = constants[k] + partial_cut[k] + cut_suffix[k][depth]
-            if v > b:
-                b = v
-        return b
-
-    def dfs(depth, partial_cut, partial_lhs) -> None:
-        nonlocal best_val, best_y, nodes
-        nodes += 1
-        if not window_feasible(depth, partial_lhs):
-            return
-        value = bound(depth, partial_cut)
-        if value > best_val:
-            return
-        if depth == z_count:
-            # exploring ones first visits selections in descending lexicographic
-            # order, so on ties the later (smaller) point wins
-            if value <= best_val:
-                best_val = value
-                best_y = tuple(assignment)
-            return
-        for bit in (1, 0):
-            assignment[depth] = bit
-            if bit:
-                next_cut = [partial_cut[k] + coeffs[k][depth] for k in range(m)]
-                next_lhs = [partial_lhs[r] + rows[r].coeffs[depth] for r in range(len(rows))]
-            else:
-                next_cut = partial_cut
-                next_lhs = partial_lhs
-            dfs(depth + 1, next_cut, next_lhs)
-        assignment[depth] = 0
-
-    dfs(0, [0.0] * m, [0] * len(rows))
-    if best_y is None:
-        return MasterResult(status=INFEASIBLE, y=None, theta=math.inf, nodes_explored=nodes)
-    return MasterResult(status=OPTIMAL, y=best_y, theta=best_val, nodes_explored=nodes)

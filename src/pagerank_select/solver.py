@@ -70,11 +70,14 @@ def solve(
 ) -> SolveReport:
     """Minimize the first return time over the feasible selections, exactly.
 
-    Raises Infeasible when the constraint set admits no selection, and
-    ValueError for a negative ``eps`` or ``max_iters``; returns a partial
-    trace with status "iter_limit" once max_iters cuts have been separated
-    without closing the gap.  One ``oracle.Memo`` serves the whole solve, so
-    each distinct oracle query and each incumbent's value is computed once.
+    Raises Infeasible when the constraint set admits no selection,
+    TooLargeToEnumerate when its feasible selections would pass
+    ``master.POINTS_MAX_BYTES``, and ValueError for a negative ``eps`` or
+    ``max_iters``; returns a partial trace with status "iter_limit" once
+    max_iters cuts have been separated without closing the gap.  One
+    ``master.FeasibleSet`` and one ``oracle.Memo`` serve the whole solve: each
+    round folds only its new cut into the master, and each distinct oracle
+    query and each incumbent's value is computed once.
     """
     if family not in cut_families.FAMILIES:
         raise ValueError(f"unknown cut family {family!r}")

@@ -177,6 +177,18 @@ class TestSolveAndBrute:
         code, _, err = run(capsys, "brute", str(path))
         assert code == 3
 
+    def test_master_point_budget_exit_code(self, capsys, tmp_path):
+        # the whole cube over 40 fragile edges passes master.POINTS_MAX_BYTES
+        pairs = [(i, j) for i in range(8) for j in range(8) if i != j and (i, j) != (0, 1)]
+        data = {"n": 8, "target": 0, "edges": [[0, 1]], "fragile": [list(p) for p in pairs[:40]], "damping": 0.85}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("limit: 40 fragile edges") and "MiB" in err
+        assert "Traceback" not in err
+
     def test_dense_size_limit_is_an_input_error(self, capsys, tmp_path):
         # no edges, so the refused n-by-n array is never allocated
         path = tmp_path / "wide.json"

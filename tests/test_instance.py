@@ -1,4 +1,5 @@
 import json
+import time
 from itertools import product
 
 import pytest
@@ -71,6 +72,24 @@ class TestValidate:
             ps.validate(minimal_dict(edges=[[0, 1], [0, 1]]))
         with pytest.raises(DuplicateEdgeError):
             ps.validate(minimal_dict(edges=[], fragile=[[0, 1], [0, 1]]))
+
+    def test_duplicate_in_a_large_file_is_found_in_linear_time(self, tmp_path):
+        # 29,995 distinct fixed edges plus one repeat: at this size a
+        # quadratic duplicate count takes tens of seconds
+        n = 3000
+        edges = [[i, (i + k) % n] for k in range(1, 11) for i in range(n)][:29995]
+        data = {"n": n, "target": 0, "edges": edges + [edges[1234]], "fragile": [[0, 20], [5, 17], [0, 20]]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data))
+        begin = time.perf_counter()
+        with pytest.raises(DuplicateEdgeError) as caught:
+            ps.read_instance(path)
+        assert str(caught.value) == "duplicate fixed edge(s): [(1234, 1235)]"
+        assert ps.validation_errors(data) == [
+            "duplicate fixed edge(s): [(1234, 1235)]",
+            "duplicate fragile edge(s): [(0, 20)]",
+        ]
+        assert time.perf_counter() - begin < 10.0
 
     def test_missing_field(self):
         data = minimal_dict()

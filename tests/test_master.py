@@ -1,20 +1,14 @@
 import math
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
 import pagerank_select as ps
-from pagerank_select import ConstraintSet, Cut, Row
-from pagerank_select.errors import DimensionMismatch, ParseError
-from pagerank_select.master import (
-    EXHAUSTIVE_MAX,
-    INFEASIBLE,
-    OPTIMAL,
-    _solve_branch_bound,
-    _solve_exhaustive,
-    feasible_set,
-    solve_master,
-)
+from pagerank_select import ConstraintSet, Cut, Row, master as master_mod
+from pagerank_select.errors import DimensionMismatch, ParseError, TooLargeToEnumerate
+from pagerank_select.master import INFEASIBLE, OPTIMAL, feasible_set, solve_master
 
 
 def random_pool(rng, z_count, cut_count):
@@ -33,16 +27,50 @@ def random_pool(rng, z_count, cut_count):
     return cuts
 
 
+SENSES = ("<=", ">=", "=")
+
+
 def random_constraints(rng, z_count):
-    kind = int(rng.integers(0, 4))
+    """None, a cardinality bound of each sense, or mixed-sign rows of every sense."""
+    kind = int(rng.integers(0, 5))
     if kind == 0:
         return ps.EMPTY_CONSTRAINTS
-    if kind == 1:
-        return ConstraintSet(cardinality=("<=", int(rng.integers(0, z_count + 1))))
-    if kind == 2 and z_count:
-        coeffs = tuple(int(x) for x in rng.integers(-2, 3, size=z_count))
-        return ConstraintSet(rows=(Row(coeffs, ">=", int(rng.integers(-2, 3))),))
-    return ConstraintSet(cardinality=("=", int(rng.integers(0, z_count + 1))))
+    if kind in (1, 2, 3):
+        sense = SENSES[kind - 1]
+        return ConstraintSet(cardinality=(sense, int(rng.integers(0, z_count + 1))))
+    rows = tuple(
+        Row(
+            tuple(int(x) for x in rng.integers(-2, 3, size=z_count)),
+            SENSES[int(rng.integers(0, 3))],
+            int(rng.integers(-2, 3)),
+        )
+        for _ in range(int(rng.integers(1, 3)))
+    )
+    return ConstraintSet(rows=rows)
+
+
+def reference_points(constraints, z_count):
+    """The feasible selections in lexicographic order, from the whole cube."""
+    cube = np.array(list(product((0, 1), repeat=z_count)), dtype=np.int64).reshape(2**z_count, z_count)
+    keep = np.ones(len(cube), dtype=bool)
+    for row in constraints.compiled_rows(z_count):
+        lhs = cube @ np.array(row.coeffs, dtype=np.int64)
+        keep &= {"<=": lhs <= row.rhs, ">=": lhs >= row.rhs, "=": lhs == row.rhs}[row.sense]
+    return cube[keep].astype(float)
+
+
+def reference_master(cuts, points):
+    """(y, theta) of the master by a dense evaluation of the whole pool."""
+    if len(points) == 0:
+        return None, math.inf
+    if cuts:
+        A = np.array([cut.coeffs for cut in cuts], dtype=float)
+        a0 = np.array([cut.constant for cut in cuts])
+        theta = np.maximum((points @ A.T + a0).max(axis=1), 0.0)
+    else:
+        theta = np.zeros(len(points))
+    best = int(np.argmin(theta))
+    return tuple(int(b) for b in points[best]), float(theta[best])
 
 
 class TestTrivialCases:
@@ -106,28 +134,54 @@ class TestAgainstEnumeration:
             assert abs(result.theta - direct) <= 1e-12
 
 
-class TestBranchAndBound:
-    def test_agrees_with_exhaustive(self):
-        # branch and bound never reads the enumerated points, so it is the
-        # independent check of feasible_set's enumeration
+class TestAgainstReference:
+    def test_matches_reference_one_cut_at_a_time(self):
         rng = np.random.default_rng(12)
-        for _ in range(150):
-            z = int(rng.integers(0, 9))
-            cuts = random_pool(rng, z, int(rng.integers(0, 5)))
+        for _ in range(60):
+            z = int(rng.integers(0, 17))
             cons = random_constraints(rng, z)
-            a = _solve_exhaustive(cuts, feasible_set(cons, z).points)
-            b = _solve_branch_bound(cuts, cons.compiled_rows(z), z)
-            assert a.status == b.status
-            if a.status == OPTIMAL:
-                assert abs(a.theta - b.theta) <= 1e-12
-                assert a.y == b.y
+            feasible = feasible_set(cons, z)
+            points = reference_points(cons, z)
+            cuts = random_pool(rng, z, int(rng.integers(1, 7)))
+            for count in range(len(cuts) + 1):
+                result = solve_master(cuts[:count], feasible)
+                y, theta = reference_master(cuts[:count], points)
+                if y is None:
+                    assert result.status == INFEASIBLE
+                    continue
+                assert result.status == OPTIMAL
+                assert result.y == y
+                assert abs(result.theta - theta) <= 1e-12
+                assert result.nodes_explored == len(points)
+
+    def test_past_the_old_enumeration_cutoff(self):
+        rng = np.random.default_rng(15)
+        for z in (13, 14, 15, 16):
+            cons = ConstraintSet(cardinality=("<=", 3))
+            cuts = random_pool(rng, z, 5)
+            result = solve_master(cuts, feasible_set(cons, z))
+            y, theta = reference_master(cuts, reference_points(cons, z))
+            assert result.y == y
+            assert abs(result.theta - theta) <= 1e-12
+
+    def test_theta_is_each_points_cut_evaluation_bitwise(self):
+        # the fold sums each cut in edge order, exactly as eval_cut does
+        rng = np.random.default_rng(16)
+        cases = [(1, ps.EMPTY_CONSTRAINTS), (12, ps.EMPTY_CONSTRAINTS), (16, ConstraintSet(cardinality=("<=", 3)))]
+        for z, cons in cases:
+            feasible = feasible_set(cons, z)
+            cuts = random_pool(rng, z, 4)
+            solve_master(cuts, feasible)
+            for point, theta in zip(feasible.points, feasible.theta):
+                y = tuple(int(b) for b in point)
+                assert theta == max([0.0] + [ps.eval_cut(c, y) for c in cuts])
 
     def test_root_bound_is_a_relaxation(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             z = int(rng.integers(1, 8))
             cuts = random_pool(rng, z, 3)
-            result = _solve_branch_bound(cuts, (), z)
+            result = solve_master(cuts, feasible_set(ps.EMPTY_CONSTRAINTS, z))
             root = max(
                 [0.0]
                 + [c.constant + sum(min(a, 0.0) for a in c.coeffs) for c in cuts]
@@ -137,31 +191,79 @@ class TestBranchAndBound:
     def test_deterministic(self):
         rng = np.random.default_rng(14)
         cuts = random_pool(rng, 6, 4)
-        rows = ConstraintSet(cardinality=("<=", 3)).compiled_rows(6)
-        first = _solve_branch_bound(cuts, rows, 6)
-        second = _solve_branch_bound(cuts, rows, 6)
+        cons = ConstraintSet(cardinality=("<=", 3))
+        first = solve_master(cuts, feasible_set(cons, 6))
+        second = solve_master(cuts, feasible_set(cons, 6))
         assert first == second
 
-    def test_auto_dispatch(self):
-        rng = np.random.default_rng(15)
-        z = EXHAUSTIVE_MAX + 1
-        cuts = random_pool(rng, z, 2)
-        auto = solve_master(cuts, feasible_set(ps.EMPTY_CONSTRAINTS, z))
-        bnb = _solve_branch_bound(cuts, (), z)
-        assert auto == bnb
+
+class TestPoolState:
+    @pytest.fixture()
+    def folded(self):
+        rng = np.random.default_rng(17)
+        cuts = random_pool(rng, 4, 3)
+        feasible = feasible_set(ps.EMPTY_CONSTRAINTS, 4)
+        solve_master(cuts, feasible)
+        return cuts, feasible
+
+    def test_fresh_set_has_zero_theta_and_nothing_folded(self):
+        feasible = feasible_set(ps.EMPTY_CONSTRAINTS, 3)
+        assert feasible.folded == 0
+        assert np.array_equal(feasible.theta, np.zeros(8))
+
+    def test_same_pool_again_gives_the_same_answer(self, folded):
+        cuts, feasible = folded
+        theta = feasible.theta.copy()
+        again = solve_master(list(cuts), feasible)
+        assert again == solve_master(cuts, feasible_set(ps.EMPTY_CONSTRAINTS, 4))
+        assert np.array_equal(feasible.theta, theta)
+        assert feasible.folded == 3
+
+    def test_shrunk_pool_rejected(self, folded):
+        cuts, feasible = folded
+        with pytest.raises(ValueError, match="does not extend"):
+            solve_master(cuts[:2], feasible)
+
+    def test_swapped_pool_rejected(self, folded):
+        cuts, feasible = folded
+        twin = Cut(
+            constant=cuts[2].constant,
+            coeffs=cuts[2].coeffs,
+            family=cuts[2].family,
+            incumbent=cuts[2].incumbent,
+            gamma_calls=0,
+        )
+        with pytest.raises(ValueError, match="does not extend"):
+            solve_master(cuts[:2] + [twin], feasible)
+
+    def test_arity_checked_on_new_cuts_before_any_fold(self, folded):
+        cuts, feasible = folded
+        theta = feasible.theta.copy()
+        good = random_pool(np.random.default_rng(18), 4, 1)
+        short = Cut(constant=1.0, coeffs=(1.0, 2.0), family="new", incumbent=(0, 0), gamma_calls=0)
+        with pytest.raises(DimensionMismatch):
+            solve_master(cuts + good + [short], feasible)
+        assert feasible.folded == 3
+        assert np.array_equal(feasible.theta, theta)
+        result = solve_master(cuts + good, feasible)
+        assert result == solve_master(cuts + good, feasible_set(ps.EMPTY_CONSTRAINTS, 4))
 
 
 class TestFeasibleSet:
     def test_points_are_the_enumerated_selections_in_order(self):
         rng = np.random.default_rng(16)
-        for _ in range(60):
-            z = int(rng.integers(0, EXHAUSTIVE_MAX + 1))
+        for z in [z for z in range(17) for _ in range(2)]:
             cons = random_constraints(rng, z)
             points = feasible_set(cons, z).points
             expected = list(ps.enumerate_feasible(cons, z))
             assert points.dtype == float
             assert points.shape == (len(expected), z)
             assert [tuple(int(b) for b in p) for p in points] == expected
+
+    def test_points_past_the_old_enumeration_cutoff(self):
+        cons = ConstraintSet(cardinality=("<=", 2))
+        points = feasible_set(cons, 13).points
+        assert [tuple(int(b) for b in p) for p in points] == list(ps.enumerate_feasible(cons, 13))
 
     def test_zero_fragile_edges_has_one_empty_point(self):
         assert feasible_set(ps.EMPTY_CONSTRAINTS, 0).points.shape == (1, 0)
@@ -175,19 +277,35 @@ class TestFeasibleSet:
         with pytest.raises(ValueError):
             points[0, 0] = 1.0
 
-    def test_no_points_above_the_enumeration_cutoff(self):
-        cons = ConstraintSet(cardinality=("<=", 2))
-        feasible = feasible_set(cons, EXHAUSTIVE_MAX + 1)
-        assert feasible.points is None
-        assert feasible.rows == cons.compiled_rows(EXHAUSTIVE_MAX + 1)
+    def test_over_budget_raises_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(master_mod, "POINTS_MAX_BYTES", 4096)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeToEnumerate, match="40 fragile edges"):
+                feasible_set(ps.EMPTY_CONSTRAINTS, 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
-    @pytest.mark.parametrize("z", [3, EXHAUSTIVE_MAX + 1])
+    def test_pruned_sets_fit_where_the_cube_does_not(self):
+        with pytest.raises(TooLargeToEnumerate):
+            feasible_set(ps.EMPTY_CONSTRAINTS, 19)
+        assert len(feasible_set(ConstraintSet(cardinality=("<=", 2)), 40).points) == 821
+
+    @pytest.mark.parametrize("z", [3, 13])
     def test_wrong_arity_row_rejected(self, z):
         cons = ConstraintSet(rows=(Row((1,) * (z - 1), "<=", 1),))
         with pytest.raises(DimensionMismatch):
             feasible_set(cons, z)
 
-    @pytest.mark.parametrize("z", [3, EXHAUSTIVE_MAX + 1])
+    def test_rows_past_exact_integer_arithmetic_rejected(self):
+        cons = ConstraintSet(rows=(Row((2**52, 2**52, 0), "<=", 1),))
+        with pytest.raises(ParseError, match="2\\*\\*53"):
+            feasible_set(cons, 3)
+        assert len(feasible_set(ConstraintSet(rows=(Row((2**51, 2**51, 0), "<=", 1),)), 3).points) == 2
+
+    @pytest.mark.parametrize("z", [3, 13])
     def test_unknown_sense_rejected(self, z):
         cons = ConstraintSet(rows=(Row((1,) * z, "<", 1),))
         with pytest.raises(ParseError):

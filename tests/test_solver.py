@@ -93,6 +93,16 @@ class TestExactness:
                 report = ps.solve(inst, cons, family=family)
                 assert abs(report.best_value - best) <= 1e-9, (family, inst)
 
+    @pytest.mark.parametrize("n, z_count, seed", [(20, 15, 3), (30, 16, 4)])
+    def test_matches_brute_force_past_the_old_enumeration_cutoff(self, n, z_count, seed):
+        inst, cons = ps.generate_random(n, 0.1, z_count, "card_le:3", seed=seed)
+        best_y, best = ps.bf_min(inst, cons)
+        for family, strategy in [(L_SHAPED, BY_INDEX), (NEW, BY_INDEX), (LIFTED, BY_INDEX), (LIFTED, BY_GAMMA)]:
+            report = ps.solve(inst, cons, family=family, ordering_strategy=strategy)
+            assert report.status == OPTIMAL
+            assert abs(report.best_value - best) <= 1e-9, (family, strategy)
+            assert report.best_y == best_y, (family, strategy)
+
     def test_gamma_ordering_strategy(self, frozen):
         report = ps.solve(frozen, family=LIFTED, ordering_strategy=BY_GAMMA)
         assert abs(report.best_value - ps.min_unconstrained(frozen)) <= 1e-9
