@@ -9,7 +9,7 @@ cutting-plane solver, exhaustive reference twins, and a CLI.
 """
 
 from .bruteforce import bf_exact_lift, bf_gamma, bf_min
-from .chain import HittingProfile, first_return_time, hitting_times, stationary, transition_matrix, transition_row
+from .chain import HittingProfile, hitting_times, stationary, transition_matrix, transition_row
 from .cuts import (
     BY_GAMMA,
     BY_INDEX,
@@ -76,7 +76,6 @@ __all__ = [
     "enumerate_feasible",
     "eval_cut",
     "feasible_set",
-    "first_return_time",
     "from_support",
     "gamma",
     "generate_random",

@@ -9,15 +9,14 @@ uniformly.  All functions here are pure and safe for concurrent use.
 Two hitting-time paths give the same answers to rounding.  ``hitting_times``
 builds P and solves densely: the reference twin, the all-off base of the
 factor, the fallback, and the only path at damping 1.  ``factor_walk``
-factors the walk once, at the all-off selection, and
-``low_rank_hitting_times`` then evaluates any selection by a low-rank
+factors the walk once, at the all-off selection and for damping < 1 only,
+and ``low_rank_hitting_times`` then evaluates any selection by a low-rank
 (Woodbury) update over the rows of its selected fragile edges' sources, in
 time linear in n.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,11 +173,6 @@ def hitting_times(instance: Instance, y: Selection) -> HittingProfile:
     return HittingProfile(h=h, fr=fr)
 
 
-def first_return_time(instance: Instance, y: Selection) -> float:
-    """Expected first return time to the target; the solver's objective."""
-    return hitting_times(instance, y).fr
-
-
 @dataclass(frozen=True, eq=False)
 class WalkFactor:
     """The walk of one instance factored once, at the all-off selection; it
@@ -192,19 +186,17 @@ class WalkFactor:
     sources other than the target, ascending; ``columns[r]`` is M's column
     at ``sources[r]`` as a length-n vector that is zero at the target;
     ``base_rows[r]`` the all-off transition row out of ``sources[r]``; and
-    ``target_row`` the all-off row out of the target.  At damping 1 there is
-    no factor: the arrays other than ``fixed_edges`` are None and every
-    evaluation is dense.
+    ``target_row`` the all-off row out of the target.
     """
 
     instance: Instance
-    h0: np.ndarray | None
+    h0: np.ndarray
     fr0: float
     fixed_edges: np.ndarray
-    sources: np.ndarray | None
-    columns: np.ndarray | None
-    base_rows: np.ndarray | None
-    target_row: np.ndarray | None
+    sources: np.ndarray
+    columns: np.ndarray
+    base_rows: np.ndarray
+    target_row: np.ndarray
 
 
 def factor_walk(instance: Instance) -> WalkFactor:
@@ -217,14 +209,15 @@ def factor_walk(instance: Instance) -> WalkFactor:
     say) equal it bitwise, and keeps one ``chain.hitting_times`` call per
     solve where perfbench's tracer counts the chain layer.
 
-    Raises TooLargeForDense for n > 4096 and SingularSystem when the system
-    is singular.
+    Raises DampingRangeError at damping 1, before any other work;
+    TooLargeForDense for n > 4096; and SingularSystem when the system is
+    singular.
     """
+    if instance.damping >= 1.0:
+        raise DampingRangeError("the factored walk requires damping < 1")
     from_fragile = {i for i, _ in instance.fragile}
     fixed_edges = np.array([e for e in instance.edges if e[0] in from_fragile], dtype=np.intp).reshape(-1, 2)
     fixed_edges.setflags(write=False)
-    if instance.damping >= 1.0:
-        return WalkFactor(instance, None, math.nan, fixed_edges, None, None, None, None)
     n, v = instance.n, instance.target
     off = (0,) * instance.z_count
     base = hitting_times(instance, off)
@@ -271,12 +264,10 @@ def low_rank_hitting_times(factor: WalkFactor, y: Selection) -> HittingProfile:
     ch. 7).  The bound is large when the update cancels, as it does near
     damping 1 when the selection moves the hitting times far from h0.  When
     it exceeds ``UPDATE_RTOL * h`` anywhere, or C is singular, the dense
-    ``hitting_times`` answers instead, as it always does at damping 1.
+    ``hitting_times`` answers instead.
     """
     instance = factor.instance
     _check_selection(instance, y)
-    if factor.h0 is None:
-        return hitting_times(instance, y)
     sources = {instance.fragile[k][0] for k, bit in enumerate(y) if bit}
     if not sources:
         return HittingProfile(h=factor.h0.copy(), fr=factor.fr0)

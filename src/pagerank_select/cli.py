@@ -15,11 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bruteforce, cuts as cut_families, oracle, solver
+from . import bruteforce, cuts as cut_families, master, oracle, solver
 from .errors import Infeasible, PagerankSelectError, TooLargeToEnumerate
 from .instance import (
     EMPTY_CONSTRAINTS,
-    enumerate_feasible,
     generate_random,
     instance_from_json,
     read_instance,
@@ -103,6 +102,11 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _selections(constraints, z_count):
+    """The feasible selections as int tuples, in lexicographic order."""
+    return list(map(tuple, master.feasible_set(constraints, z_count).points.astype(np.int64).tolist()))
+
+
 def _sample_incumbents(feasible, trials, rng):
     picks = rng.choice(len(feasible), size=min(trials, len(feasible)), replace=False)
     return sorted({feasible[int(i)] for i in picks})
@@ -113,10 +117,8 @@ def cmd_compare_cuts(args) -> int:
         raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     inst, constraints = read_instance(args.file)
     z_count = inst.z_count
-    feasible = list(enumerate_feasible(constraints, z_count))
-    if not feasible:
-        raise Infeasible("constraint set admits no selection")
-    cube = list(enumerate_feasible(EMPTY_CONSTRAINTS, z_count))
+    feasible = _selections(constraints, z_count)
+    cube = _selections(EMPTY_CONSTRAINTS, z_count)
     memo = oracle.Memo(inst)  # one per run, shared by every cut built below
     fr_at = {y: memo.fr(y) for y in cube}
 

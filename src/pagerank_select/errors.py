@@ -38,7 +38,8 @@ class TooLargeForDense(PagerankSelectError):
 
 
 class InfeasibleSpec(PagerankSelectError):
-    """Random-instance spec asks for more fragile edges than non-edges exist."""
+    """Random-instance spec asks for a negative number of fragile edges, or for
+    more fragile edges than non-edges exist."""
 
 
 class SingularSystem(PagerankSelectError):

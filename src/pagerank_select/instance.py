@@ -304,11 +304,14 @@ def generate_random(
     """Seeded random instance: fixed edges drawn Bernoulli over ordered pairs,
     fragile edges sampled from the remaining non-edges, target drawn uniformly.
 
-    Deterministic for a fixed seed.  Raises InfeasibleSpec when fewer than
-    fragile_count non-edges remain after the fixed draw.
+    Deterministic for a fixed seed.  Raises InfeasibleSpec for a negative
+    fragile_count, or when fewer than fragile_count non-edges remain after
+    the fixed draw.
     """
     if n < 1:
         raise NodeIndexError(f"node count must be positive, got {n}")
+    if fragile_count < 0:
+        raise InfeasibleSpec(f"fragile edge count must be nonnegative, got {fragile_count}")
     rng = np.random.default_rng(seed)
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     if fragile_count > len(pairs):

@@ -5,10 +5,11 @@ its global minimum and the lexicographically smallest minimizer.  Theta is
 the only continuous variable and every cut is affine in y, so once the
 feasible selections are listed the master is a running maximum over them
 (Kelley 1960; Laporte & Louveaux 1993): ``feasible_set`` enumerates them once
-per solve, level by level in numpy, and each ``solve_master`` call folds in
-only the cuts added since the previous call.  An enumeration whose points
-would take more than ``POINTS_MAX_BYTES`` raises TooLargeToEnumerate (CLI
-exit 3) before that level is allocated.
+per solve, level by level in numpy, and each ``solve_master`` call folds the
+cuts it is given into a running theta.  An empty set raises Infeasible (CLI
+exit 2) and an enumeration whose points would take more than
+``POINTS_MAX_BYTES`` raises TooLargeToEnumerate (CLI exit 3) before that
+level is allocated.
 """
 
 from __future__ import annotations
@@ -20,11 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .cuts import Cut
-from .errors import DimensionMismatch, ParseError, TooLargeToEnumerate
+from .errors import DimensionMismatch, Infeasible, ParseError, TooLargeToEnumerate
 from .instance import ConstraintSet, Selection
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 
 # Largest enumeration level that feasible_set builds, at 8 bytes per fragile
 # edge and per constraint row of each candidate.  64 MiB admits the whole
@@ -37,8 +35,7 @@ POINTS_MAX_BYTES = 2**26
 
 @dataclass(frozen=True)
 class MasterResult:
-    status: str
-    y: Selection | None
+    y: Selection
     theta: float
     nodes_explored: int  # feasible points scanned
 
@@ -48,14 +45,12 @@ class FeasibleSet:
     """What the master minimizes over, with its state across one solve's rounds.
 
     ``points`` holds the feasible selections in lexicographic order (read-only
-    floats); ``theta`` holds, per point, the maximum of zero and the first
-    ``folded`` cuts of the pool, the last of which is ``last_cut``."""
+    floats, at least one); ``theta`` holds, per point, the maximum of zero and
+    every cut folded in so far."""
 
     z_count: int
     points: np.ndarray
     theta: np.ndarray
-    folded: int = 0
-    last_cut: Cut | None = None
 
 
 def feasible_set(constraints: ConstraintSet, z_count: int) -> FeasibleSet:
@@ -63,8 +58,9 @@ def feasible_set(constraints: ConstraintSet, z_count: int) -> FeasibleSet:
 
     Each level extends every surviving prefix by bit 0, then bit 1, and drops
     the prefixes that no completion can bring inside some row's bounds, so
-    the points come out in lexicographic order.  Raises TooLargeToEnumerate
-    when a level's candidates would pass POINTS_MAX_BYTES."""
+    the points come out in lexicographic order.  Raises Infeasible when no
+    selection satisfies the rows, and TooLargeToEnumerate when a level's
+    candidates would pass POINTS_MAX_BYTES."""
     rows = constraints.compiled_rows(z_count)
     if any(sum(map(abs, row.coeffs)) + abs(row.rhs) >= 2**53 for row in rows):
         raise ParseError("constraint rows with coefficients or bounds of 2**53 and more are not supported")
@@ -95,6 +91,8 @@ def feasible_set(constraints: ConstraintSet, z_count: int) -> FeasibleSet:
         keep = np.flatnonzero(inside(lhs, depth + 1))
         kept.append(keep)
         lhs = lhs[keep]
+    if not len(lhs):
+        raise Infeasible("constraint set admits no selection")
 
     # Fortran order, so that points.T is C-contiguous for solve_master
     points = np.empty((len(lhs), z_count), order="F")
@@ -108,35 +106,28 @@ def feasible_set(constraints: ConstraintSet, z_count: int) -> FeasibleSet:
 
 
 def solve_master(cuts: Sequence[Cut], feasible: FeasibleSet) -> MasterResult:
-    """Globally minimize ``max(0, max_k cut_k(y))`` over the feasible set.
+    """Fold ``cuts`` into the feasible set's running theta and globally
+    minimize ``max(0, max_k cut_k(y))`` over every cut folded so far.
 
-    ``cuts`` must extend the pool of the previous call on ``feasible``: only
-    the cuts past it are checked and folded in, and a pool that shrank or
-    was swapped raises ValueError.  Deterministic: among equal-theta optima
-    the lexicographically smallest selection is returned.
+    A running maximum is idempotent, so a cut passed again changes nothing;
+    the solver passes each round's one new cut.  Every arity is checked
+    before any fold.  Deterministic: among equal-theta optima the
+    lexicographically smallest selection is returned.
     """
-    seen = feasible.folded
-    if len(cuts) < seen or (seen and cuts[seen - 1] is not feasible.last_cut):
-        raise ValueError(f"the cut pool does not extend the {seen} cut(s) already folded in")
-    fresh = cuts[seen:]
-    for cut in fresh:
+    for cut in cuts:
         if len(cut.coeffs) != feasible.z_count:
             raise DimensionMismatch(
                 f"cut arity {len(cut.coeffs)} does not match {feasible.z_count} fragile edges"
             )
     columns = feasible.points.T
-    for cut in fresh:
+    for cut in cuts:
         # Reducing over the leading axis of a C-contiguous array adds row
         # after row, so each point's sum runs in edge order, as eval_cut sums
         # it; a BLAS product regroups the terms and can move a tie by an ulp.
         lhs = np.add.reduce(columns * np.array(cut.coeffs, dtype=float)[:, None], axis=0)
         np.maximum(feasible.theta, cut.constant + lhs, out=feasible.theta)
-    if fresh:
-        feasible.folded, feasible.last_cut = len(cuts), cuts[-1]
 
     points, theta = feasible.points, feasible.theta
-    if len(points) == 0:
-        return MasterResult(status=INFEASIBLE, y=None, theta=math.inf, nodes_explored=0)
     best = int(np.argmin(theta))  # first minimum; the points are in lexicographic order
     y = tuple(int(b) for b in points[best])
-    return MasterResult(status=OPTIMAL, y=y, theta=float(theta[best]), nodes_explored=len(points))
+    return MasterResult(y=y, theta=float(theta[best]), nodes_explored=len(points))

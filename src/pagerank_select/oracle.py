@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import chain
-from .errors import DampingRangeError, DimensionMismatch, OverlapError
+from .errors import DimensionMismatch, OverlapError
 from .instance import Instance, Selection
 
 MEAN_IMPROVEMENT = 1e-12
@@ -76,7 +76,8 @@ def gamma(instance: Instance, query: GammaQuery, *, walk: chain.WalkFactor | Non
     greedy step cycle; when it returns a selection already evaluated, the
     lowest-``fr`` selection seen is returned (ties by the selection tuple).
     Every evaluation is ``chain.low_rank_hitting_times`` on ``walk``, the
-    instance's factored walk (one solve shares one; a fresh one when None).
+    instance's factored walk (one solve shares one; a fresh one when None,
+    which raises DampingRangeError at damping 1).
     """
     forced_on = frozenset(query.forced_on)
     forced_off = frozenset(query.forced_off)
@@ -87,8 +88,6 @@ def gamma(instance: Instance, query: GammaQuery, *, walk: chain.WalkFactor | Non
     for k in forced_on | forced_off:
         if not 0 <= k < z_count:
             raise DimensionMismatch(f"fragile edge id {k} outside [0, {z_count})")
-    if instance.damping >= 1.0:
-        raise DampingRangeError("the minimization oracle requires damping < 1")
     if walk is None:
         walk = chain.factor_walk(instance)
     elif walk.instance is not instance:
@@ -153,7 +152,8 @@ class Memo:
     a memo that outlived its solve would grow without bound.  Only results are
     stored: a query that raises is asked again, and raises again, next time.
     Every answer is computed from one factored walk (``walk``), the solve's
-    only factorisation.
+    only factorisation.  ``gamma_calls`` counts the queries asked, repeats
+    included; ``gamma_solves`` the distinct ones.
     """
 
     def __init__(self, instance: Instance):
@@ -161,6 +161,7 @@ class Memo:
         self._gamma: dict[tuple[frozenset[int], frozenset[int]], GammaResult] = {}
         self._fr: dict[Selection, float] = {}
         self._walk: chain.WalkFactor | None = None
+        self.gamma_calls = 0
 
     @property
     def walk(self) -> chain.WalkFactor:
@@ -177,6 +178,7 @@ class Memo:
 
     def gamma(self, query: GammaQuery) -> GammaResult:
         """``gamma(instance, query)``, run once per distinct forced pair."""
+        self.gamma_calls += 1
         key = (frozenset(query.forced_on), frozenset(query.forced_off))
         result = self._gamma.get(key)
         if result is None:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import cuts as cut_families, master as master_mod, oracle
-from .errors import DampingRangeError, Infeasible, NoConvergence
+from .errors import DampingRangeError, NoConvergence
 from .instance import ConstraintSet, EMPTY_CONSTRAINTS, Instance, Selection
 
 OPTIMAL = "optimal"
@@ -32,8 +32,8 @@ class SolveReport:
     ``lower_bounds``/``upper_bounds`` hold one entry per master solve (the
     master bound and the best incumbent value so far); ``iterations`` counts
     separation rounds, so it equals ``cuts_added``.  ``gamma_calls_total``
-    counts the oracle queries the cuts asked; ``gamma_solves`` the policy
-    iterations actually run, one per distinct query of the solve.
+    counts the oracle queries the solve asked its memo; ``gamma_solves`` the
+    policy iterations actually run, one per distinct query of the solve.
     """
 
     status: str
@@ -77,7 +77,8 @@ def solve(
     max_iters cuts have been separated without closing the gap.  One
     ``master.FeasibleSet`` and one ``oracle.Memo`` serve the whole solve: each
     round folds only its new cut into the master, and each distinct oracle
-    query and each incumbent's value is computed once.
+    query and each incumbent's value is computed once; the memo counts the
+    queries.
     """
     if family not in cut_families.FAMILIES:
         raise ValueError(f"unknown cut family {family!r}")
@@ -92,24 +93,19 @@ def solve(
 
     feasible = master_mod.feasible_set(constraints, instance.z_count)
     memo = oracle.Memo(instance)
-    gamma_calls = 0
     shared_lower = None
     if family == cut_families.L_SHAPED:
         shared_lower = oracle.min_unconstrained(instance, memo=memo)
-        gamma_calls += 1
 
-    pool: list[cut_families.Cut] = []
+    fresh: list[cut_families.Cut] = []  # the cut separated last round
     lower: list[float] = []
     upper: list[float] = []
     best_y: Selection | None = None
     best_val = math.inf
     separated: set[Selection] = set()
-    iterations = 0
 
     while True:
-        result = master_mod.solve_master(pool, feasible)
-        if result.status == master_mod.INFEASIBLE:
-            raise Infeasible("constraint set admits no selection")
+        result = master_mod.solve_master(fresh, feasible)
         incumbent = result.y
         value = memo.fr(incumbent)
         if value < best_val:
@@ -119,7 +115,7 @@ def solve(
         if best_val - result.theta <= eps:
             status = OPTIMAL
             break
-        if iterations >= max_iters:
+        if len(separated) >= max_iters:
             status = ITER_LIMIT
             break
         if incumbent in separated:
@@ -133,14 +129,9 @@ def solve(
         elif family == cut_families.NEW:
             cut = cut_families.new_cut(instance, incumbent, memo=memo)
         else:
-            ordering, ordering_calls = cut_families.make_lift_ordering(
-                instance, incumbent, ordering_strategy, memo=memo
-            )
-            gamma_calls += ordering_calls
+            ordering, _ = cut_families.make_lift_ordering(instance, incumbent, ordering_strategy, memo=memo)
             cut = cut_families.lifted_cut(instance, incumbent, ordering, memo=memo)
-        gamma_calls += cut.gamma_calls
-        pool.append(cut)
-        iterations += 1
+        fresh = [cut]
 
     return SolveReport(
         status=status,
@@ -148,8 +139,8 @@ def solve(
         best_value=best_val,
         lower_bounds=tuple(lower),
         upper_bounds=tuple(upper),
-        cuts_added=len(pool),
-        gamma_calls_total=gamma_calls,
+        cuts_added=len(separated),
+        gamma_calls_total=memo.gamma_calls,
         gamma_solves=memo.gamma_solves,
-        iterations=iterations,
+        iterations=len(separated),
     )

@@ -337,13 +337,14 @@ class TestLowRankHittingTimes:
             assert np.array_equal(got.h, want.h)
             assert got.fr == want.fr
 
-    def test_damping_one_takes_the_dense_path(self):
+    def test_damping_one_rejected_before_any_work(self, monkeypatch):
         inst = make(2, 0, [(0, 1), (1, 1)], fragile=[(1, 0)], damping=1.0)
-        walk = chain.factor_walk(inst)
-        with pytest.raises(SingularSystem, match="unreachable from node 1"):
-            chain.low_rank_hitting_times(walk, (0,))
-        got, want = chain.low_rank_hitting_times(walk, (1,)), ps.hitting_times(inst, (1,))
-        assert np.array_equal(got.h, want.h) and got.fr == want.fr == pytest.approx(3.0)
+        calls = []
+        for name in ("hitting_times", "transition_matrix", "_transition_rows"):
+            monkeypatch.setattr(chain, name, lambda *args, name=name: calls.append(name))
+        with pytest.raises(DampingRangeError, match="damping < 1"):
+            chain.factor_walk(inst)
+        assert calls == []
 
     def test_selection_length_checked(self):
         inst = make(2, 0, [(0, 1)], fragile=[(1, 0)])

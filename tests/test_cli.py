@@ -5,7 +5,7 @@ import json
 import pytest
 
 import pagerank_select as ps
-from pagerank_select import cli
+from pagerank_select import chain, cli
 
 
 def run(capsys, *argv):
@@ -102,6 +102,16 @@ class TestGen:
             "--seed", "0", "--out", str(tmp_path / "x.json"),
         )
         assert code == 1
+
+    def test_negative_fragile_count_is_an_input_error(self, capsys, tmp_path):
+        out_file = tmp_path / "x.json"
+        code, out, err = run(
+            capsys, "gen", "--n", "6", "--density", "0.3", "--fragile", "-2", "--out", str(out_file)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: fragile edge count must be nonnegative, got -2")
+        assert not out_file.exists()
 
 
 class TestSolveAndBrute:
@@ -231,3 +241,35 @@ class TestCompareCuts:
         assert out == ""
         assert err.startswith("error:") and "--trials" in err
         assert "Traceback" not in err
+
+    def test_damping_one_fails_before_any_return_time(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "damp1.json"
+        inst, cons = ps.generate_random(8, 0.3, 5, None, seed=3, damping=1.0)
+        ps.write_instance(path, inst, cons)
+        calls = []
+        monkeypatch.setattr(chain, "hitting_times", lambda *args: calls.append(args))
+        code, out, err = run(capsys, "compare-cuts", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "damping < 1" in err
+        assert calls == []
+
+    def test_infeasible_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "infeasible.json"
+        inst, _ = ps.generate_random(6, 0.3, 3, None, seed=5)
+        cons = ps.ConstraintSet(rows=(ps.Row((1, 0, 0), "=", 1), ps.Row((1, 0, 0), "=", 0)))
+        ps.write_instance(path, inst, cons)
+        code, out, err = run(capsys, "compare-cuts", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("infeasible: constraint set admits no selection")
+
+    def test_cube_past_the_point_budget_is_a_limit(self, capsys, tmp_path):
+        # feasible under the row, but the whole cube over 19 fragile edges is not enumerated
+        path = tmp_path / "wide.json"
+        inst, _ = ps.generate_random(8, 0.1, 19, None, seed=2)
+        ps.write_instance(path, inst, ps.ConstraintSet(cardinality=("<=", 1)))
+        code, out, err = run(capsys, "compare-cuts", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("limit: 19 fragile edges")

@@ -6,7 +6,7 @@ import pytest
 import pagerank_select as ps
 from pagerank_select import LiftOrdering
 from pagerank_select.cuts import BY_GAMMA, BY_INDEX, NEW, construction_coefficient
-from pagerank_select.errors import DimensionMismatch, InvalidOrdering, LTooLarge
+from pagerank_select.errors import DampingRangeError, DimensionMismatch, InvalidOrdering, LTooLarge
 from conftest import build_corpus, fr_table, random_selection
 
 
@@ -65,6 +65,11 @@ class TestLShaped:
         cut = ps.l_shaped_cut(inst, argmin, value)
         for bits in product((0, 1), repeat=4):
             assert ps.eval_cut(cut, bits) == pytest.approx(value, abs=1e-9)
+
+    def test_damping_one_rejected(self):
+        inst = ps.validate({"n": 2, "target": 0, "edges": [[0, 1], [1, 0]], "fragile": [[0, 0]], "damping": 1.0})
+        with pytest.raises(DampingRangeError):
+            ps.l_shaped_cut(inst, (0,), 0.0)
 
 
 class TestNewCut:

@@ -2,6 +2,7 @@ import json
 import time
 from itertools import product
 
+import numpy as np
 import pytest
 
 import pagerank_select as ps
@@ -184,6 +185,11 @@ class TestGenerator:
     def test_counting_guard(self):
         with pytest.raises(InfeasibleSpec):
             ps.generate_random(3, 0.0, 7, None, seed=0)  # 7 > 3*2
+
+    def test_negative_fragile_count_rejected_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew a random number"))
+        with pytest.raises(InfeasibleSpec, match="-2"):
+            ps.generate_random(6, 0.3, -2, None, seed=0)
 
     def test_requested_shape(self):
         inst, cons = ps.generate_random(5, 0.3, 4, None, seed=1)

@@ -7,8 +7,8 @@ import pytest
 
 import pagerank_select as ps
 from pagerank_select import ConstraintSet, Cut, Row, master as master_mod
-from pagerank_select.errors import DimensionMismatch, ParseError, TooLargeToEnumerate
-from pagerank_select.master import INFEASIBLE, OPTIMAL, feasible_set, solve_master
+from pagerank_select.errors import DimensionMismatch, Infeasible, ParseError, TooLargeToEnumerate
+from pagerank_select.master import feasible_set, solve_master
 
 
 def random_pool(rng, z_count, cut_count):
@@ -50,7 +50,8 @@ def random_constraints(rng, z_count):
 
 
 def reference_points(constraints, z_count):
-    """The feasible selections in lexicographic order, from the whole cube."""
+    """The feasible selections in lexicographic order, from the whole cube
+    (none when the rows contradict)."""
     cube = np.array(list(product((0, 1), repeat=z_count)), dtype=np.int64).reshape(2**z_count, z_count)
     keep = np.ones(len(cube), dtype=bool)
     for row in constraints.compiled_rows(z_count):
@@ -61,8 +62,6 @@ def reference_points(constraints, z_count):
 
 def reference_master(cuts, points):
     """(y, theta) of the master by a dense evaluation of the whole pool."""
-    if len(points) == 0:
-        return None, math.inf
     if cuts:
         A = np.array([cut.coeffs for cut in cuts], dtype=float)
         a0 = np.array([cut.constant for cut in cuts])
@@ -76,7 +75,6 @@ def reference_master(cuts, points):
 class TestTrivialCases:
     def test_no_cuts_theta_zero_lex_smallest(self):
         result = solve_master([], feasible_set(ps.EMPTY_CONSTRAINTS, 3))
-        assert result.status == OPTIMAL
         assert result.theta == 0.0
         assert result.y == (0, 0, 0)
 
@@ -88,11 +86,11 @@ class TestTrivialCases:
 
     def test_contradictory_rows(self):
         cons = ConstraintSet(rows=(Row((1,), "=", 1), Row((1,), "=", 0)))
-        assert solve_master([], feasible_set(cons, 1)).status == INFEASIBLE
+        with pytest.raises(Infeasible, match="admits no selection"):
+            feasible_set(cons, 1)
 
     def test_zero_fragile_edges(self):
         result = solve_master([], feasible_set(ps.EMPTY_CONSTRAINTS, 0))
-        assert result.status == OPTIMAL
         assert result.y == ()
         assert result.theta == 0.0
 
@@ -114,15 +112,15 @@ class TestAgainstEnumeration:
             z = int(rng.integers(0, 9))
             cuts = random_pool(rng, z, int(rng.integers(0, 5)))
             cons = random_constraints(rng, z)
-            result = solve_master(cuts, feasible_set(cons, z))
             best = math.inf
             for bits in ps.enumerate_feasible(cons, z):
                 theta = max([0.0] + [ps.eval_cut(c, bits) for c in cuts])
                 best = min(best, theta)
             if math.isinf(best):
-                assert result.status == INFEASIBLE
+                with pytest.raises(Infeasible):
+                    feasible_set(cons, z)
             else:
-                assert abs(result.theta - best) <= 1e-12
+                assert abs(solve_master(cuts, feasible_set(cons, z)).theta - best) <= 1e-12
 
     def test_theta_matches_cut_evaluation_at_returned_point(self):
         rng = np.random.default_rng(11)
@@ -140,16 +138,16 @@ class TestAgainstReference:
         for _ in range(60):
             z = int(rng.integers(0, 17))
             cons = random_constraints(rng, z)
-            feasible = feasible_set(cons, z)
             points = reference_points(cons, z)
             cuts = random_pool(rng, z, int(rng.integers(1, 7)))
+            if len(points) == 0:
+                with pytest.raises(Infeasible):
+                    feasible_set(cons, z)
+                continue
+            feasible = feasible_set(cons, z)
             for count in range(len(cuts) + 1):
-                result = solve_master(cuts[:count], feasible)
+                result = solve_master(cuts[max(count - 1, 0) : count], feasible)  # the newest cut only
                 y, theta = reference_master(cuts[:count], points)
-                if y is None:
-                    assert result.status == INFEASIBLE
-                    continue
-                assert result.status == OPTIMAL
                 assert result.y == y
                 assert abs(result.theta - theta) <= 1e-12
                 assert result.nodes_explored == len(points)
@@ -208,7 +206,6 @@ class TestPoolState:
 
     def test_fresh_set_has_zero_theta_and_nothing_folded(self):
         feasible = feasible_set(ps.EMPTY_CONSTRAINTS, 3)
-        assert feasible.folded == 0
         assert np.array_equal(feasible.theta, np.zeros(8))
 
     def test_same_pool_again_gives_the_same_answer(self, folded):
@@ -217,24 +214,24 @@ class TestPoolState:
         again = solve_master(list(cuts), feasible)
         assert again == solve_master(cuts, feasible_set(ps.EMPTY_CONSTRAINTS, 4))
         assert np.array_equal(feasible.theta, theta)
-        assert feasible.folded == 3
 
-    def test_shrunk_pool_rejected(self, folded):
-        cuts, feasible = folded
-        with pytest.raises(ValueError, match="does not extend"):
-            solve_master(cuts[:2], feasible)
+    def test_whole_pool_every_round_equals_each_cut_once(self):
+        rng = np.random.default_rng(19)
+        for z, cons in [(5, ps.EMPTY_CONSTRAINTS), (12, ConstraintSet(cardinality=("<=", 4)))]:
+            cuts = random_pool(rng, z, 6)
+            whole, once = feasible_set(cons, z), feasible_set(cons, z)
+            for count in range(1, len(cuts) + 1):
+                by_pool = solve_master(cuts[:count], whole)
+                by_cut = solve_master(cuts[count - 1 : count], once)
+                assert by_pool == by_cut
+                assert whole.theta.tobytes() == once.theta.tobytes()
 
-    def test_swapped_pool_rejected(self, folded):
+    def test_a_cut_passed_again_changes_no_bit(self, folded):
         cuts, feasible = folded
-        twin = Cut(
-            constant=cuts[2].constant,
-            coeffs=cuts[2].coeffs,
-            family=cuts[2].family,
-            incumbent=cuts[2].incumbent,
-            gamma_calls=0,
-        )
-        with pytest.raises(ValueError, match="does not extend"):
-            solve_master(cuts[:2] + [twin], feasible)
+        theta = feasible.theta.tobytes()
+        for cut in cuts + cuts[::-1]:
+            solve_master([cut], feasible)
+            assert feasible.theta.tobytes() == theta
 
     def test_arity_checked_on_new_cuts_before_any_fold(self, folded):
         cuts, feasible = folded
@@ -242,10 +239,9 @@ class TestPoolState:
         good = random_pool(np.random.default_rng(18), 4, 1)
         short = Cut(constant=1.0, coeffs=(1.0, 2.0), family="new", incumbent=(0, 0), gamma_calls=0)
         with pytest.raises(DimensionMismatch):
-            solve_master(cuts + good + [short], feasible)
-        assert feasible.folded == 3
+            solve_master(good + [short], feasible)
         assert np.array_equal(feasible.theta, theta)
-        result = solve_master(cuts + good, feasible)
+        result = solve_master(good, feasible)
         assert result == solve_master(cuts + good, feasible_set(ps.EMPTY_CONSTRAINTS, 4))
 
 
@@ -268,9 +264,11 @@ class TestFeasibleSet:
     def test_zero_fragile_edges_has_one_empty_point(self):
         assert feasible_set(ps.EMPTY_CONSTRAINTS, 0).points.shape == (1, 0)
 
-    def test_infeasible_set_has_no_points(self):
-        cons = ConstraintSet(rows=(Row((1, 0, 0), "=", 1), Row((1, 0, 0), "=", 0)))
-        assert feasible_set(cons, 3).points.shape == (0, 3)
+    @pytest.mark.parametrize("z", [0, 3])
+    def test_contradictory_rows_raise_infeasible(self, z):
+        rows = (Row((1, 0, 0), "=", 1), Row((1, 0, 0), "=", 0)) if z else (Row((), ">=", 1),)
+        with pytest.raises(Infeasible, match="constraint set admits no selection"):
+            feasible_set(ConstraintSet(rows=rows), z)
 
     def test_points_are_read_only(self):
         points = feasible_set(ps.EMPTY_CONSTRAINTS, 2).points

@@ -176,6 +176,19 @@ class TestGammaAccounting:
         report = ps.solve(frozen, family=LIFTED, ordering_strategy=BY_INDEX)
         assert report.gamma_calls_total == report.iterations * frozen.z_count
 
+    @pytest.mark.parametrize(
+        "family, strategy", [(L_SHAPED, BY_INDEX), (NEW, BY_INDEX), (LIFTED, BY_INDEX), (LIFTED, BY_GAMMA)]
+    )
+    def test_total_is_the_queries_the_memo_was_asked(self, monkeypatch, family, strategy):
+        asked = []
+        real = oracle.Memo.gamma
+        monkeypatch.setattr(oracle.Memo, "gamma", lambda memo, query: asked.append(query) or real(memo, query))
+        for inst in build_corpus(4, seed0=31, z_lo=3, z_hi=7):
+            for cons in (ps.EMPTY_CONSTRAINTS, ConstraintSet(cardinality=("<=", 2))):
+                asked.clear()
+                report = ps.solve(inst, cons, family=family, ordering_strategy=strategy)
+                assert report.gamma_calls_total == len(asked)
+
 
 class TestGammaSolves:
     @pytest.fixture()
@@ -200,6 +213,12 @@ class TestGammaSolves:
         assert len(spy) == report.gamma_solves == len(set(spy))
         assert report.gamma_solves < report.gamma_calls_total or report.gamma_calls_total == 1
         assert report.to_json()["gamma_solves"] == report.gamma_solves
+
+    def test_infeasible_lshaped_solve_asks_no_query(self, spy, frozen):
+        cons = ConstraintSet(rows=(Row((1, 0, 0, 0), "=", 1), Row((1, 0, 0, 0), "=", 0)))
+        with pytest.raises(Infeasible):
+            ps.solve(frozen, cons, family=L_SHAPED)
+        assert spy == []
 
     def test_no_answer_outlives_its_solve(self, spy):
         inst, cons = ps.generate_random(10, 0.3, 7, "card_le:3", seed=5)
