@@ -94,7 +94,7 @@ def l_shaped_cut(
     fresh one when None) supplies the incumbent's return time.
     """
     incumbent = tuple(int(b) for b in incumbent)
-    fr_bar = oracle.memo_for(instance, memo).fr(incumbent)
+    fr_bar = oracle.memo_for(instance, memo).evaluate(incumbent).fr
     if lower_bound > fr_bar + L_GUARD:
         raise LTooLarge(
             f"lower bound {lower_bound} exceeds the incumbent value {fr_bar}"
@@ -130,7 +130,7 @@ def new_cut(instance: Instance, incumbent: Selection, memo: oracle.Memo | None =
     """
     incumbent = tuple(int(b) for b in incumbent)
     memo = oracle.memo_for(instance, memo)
-    fr_bar = memo.fr(incumbent)
+    fr_bar = memo.evaluate(incumbent).fr
     sel = support(incumbent)
     constant, coeffs = _supported_half(memo, sel, fr_bar)
     for k in range(instance.z_count):
@@ -180,7 +180,7 @@ def lifted_cut(
     if sorted(ordering.order) != unselected:
         raise InvalidOrdering("ordering is not a permutation of the unselected fragile edges")
     memo = oracle.memo_for(instance, memo)
-    fr_bar = memo.fr(incumbent)
+    fr_bar = memo.evaluate(incumbent).fr
     constant, coeffs = _supported_half(memo, sel, fr_bar)
     order = ordering.order
     for pos, k in enumerate(order):

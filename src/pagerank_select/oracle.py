@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import chain
 from .errors import DimensionMismatch, OverlapError
 from .instance import Instance, Selection
@@ -67,7 +69,7 @@ def _greedy_subset(h, base_targets, free_edges, mean_all):
     return chosen
 
 
-def gamma(instance: Instance, query: GammaQuery, *, walk: chain.WalkFactor | None = None) -> GammaResult:
+def gamma(instance: Instance, query: GammaQuery, *, memo: Memo | None = None) -> GammaResult:
     """Minimize the first return time subject to the forced edges.
 
     Policy iteration: start with every free edge activated; alternate exact
@@ -75,9 +77,9 @@ def gamma(instance: Instance, query: GammaQuery, *, walk: chain.WalkFactor | Non
     node changes.  Rounding noise in h above ``MEAN_IMPROVEMENT`` can make the
     greedy step cycle; when it returns a selection already evaluated, the
     lowest-``fr`` selection seen is returned (ties by the selection tuple).
-    Every evaluation is ``chain.low_rank_hitting_times`` on ``walk``, the
-    instance's factored walk (one solve shares one; a fresh one when None,
-    which raises DampingRangeError at damping 1).
+    Every evaluation goes through ``memo`` (one solve shares one; a fresh one
+    when None, whose walk raises DampingRangeError at damping 1), so a
+    selection another query already evaluated is not evaluated again.
     """
     forced_on = frozenset(query.forced_on)
     forced_off = frozenset(query.forced_off)
@@ -88,25 +90,21 @@ def gamma(instance: Instance, query: GammaQuery, *, walk: chain.WalkFactor | Non
     for k in forced_on | forced_off:
         if not 0 <= k < z_count:
             raise DimensionMismatch(f"fragile edge id {k} outside [0, {z_count})")
-    if walk is None:
-        walk = chain.factor_walk(instance)
-    elif walk.instance is not instance:
-        raise ValueError("the factored walk was made for another instance")
+    memo = memo_for(instance, memo)
+    fixed_at, fragile_at = memo.places
 
     # Only the sources of free edges re-select; their fixed and forced-on
-    # targets keep the order of instance.edges, then of forced_on.
+    # targets keep the order of instance.edges, then of forced_on.  Targets
+    # are named by their place in Evaluation.h.
     free_by_node: dict[int, list[tuple[int, int]]] = {}
-    for k, (i, j) in enumerate(instance.fragile):
+    for k, (i, _) in enumerate(instance.fragile):
         if k not in forced_on and k not in forced_off:
-            free_by_node.setdefault(i, []).append((k, j))
-    base_targets: dict[int, list[int]] = {i: [] for i in free_by_node}
-    for i, j in walk.fixed_edges.tolist():
-        if i in base_targets:
-            base_targets[i].append(j)
+            free_by_node.setdefault(i, []).append((k, fragile_at[k]))
+    base_targets = {i: list(fixed_at.get(i, ())) for i in free_by_node}
     for k in forced_on:
-        i, j = instance.fragile[k]
+        i = instance.fragile[k][0]
         if i in base_targets:
-            base_targets[i].append(j)
+            base_targets[i].append(fragile_at[k])
     nodes = sorted(free_by_node.items())
 
     y = [0] * z_count
@@ -119,10 +117,10 @@ def gamma(instance: Instance, query: GammaQuery, *, walk: chain.WalkFactor | Non
     evaluated: dict[Selection, float] = {}
     while True:
         current = tuple(y)
-        profile = chain.low_rank_hitting_times(walk, current)
+        profile = memo.evaluate(current)
         evaluated[current] = profile.fr
         h = profile.h
-        mean_all = float(h.sum()) / instance.n
+        mean_all = profile.h_sum / instance.n
         changed = False
         for node, node_free in nodes:
             chosen = _greedy_subset(h, base_targets[node], node_free, mean_all)
@@ -144,22 +142,36 @@ def min_unconstrained(instance: Instance, memo: Memo | None = None) -> float:
     return memo_for(instance, memo).gamma(GammaQuery()).value
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """What policy iteration reads of the hitting times at one selection: the
+    return time, ``h`` at the nodes the greedy step weighs (``Memo.places``
+    says where each is) and the sum of all of ``h``."""
+
+    fr: float
+    h: list[float]
+    h_sum: float
+
+
 class Memo:
-    """The answers of one solve: each distinct oracle query and each return
-    time at a selection is computed once.
+    """The answers of one solve: each distinct oracle query and each
+    selection is evaluated once.
 
     Create one per solve and drop it with the solve; it keeps every answer, so
     a memo that outlived its solve would grow without bound.  Only results are
     stored: a query that raises is asked again, and raises again, next time.
     Every answer is computed from one factored walk (``walk``), the solve's
-    only factorisation.  ``gamma_calls`` counts the queries asked, repeats
-    included; ``gamma_solves`` the distinct ones.
+    only factorisation, by ``chain.low_rank_hitting_times``.  A selection's
+    cache entry holds no n-vector: an ``Evaluation`` (``evaluate``), or the
+    return time alone while only ``fr`` has asked for it (a later
+    ``evaluate`` evaluates it again).  ``gamma_calls`` counts the
+    queries asked, repeats included; ``gamma_solves`` the distinct ones.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self._gamma: dict[tuple[frozenset[int], frozenset[int]], GammaResult] = {}
-        self._fr: dict[Selection, float] = {}
+        self._evaluations: dict[Selection, Evaluation | float] = {}
         self._walk: chain.WalkFactor | None = None
         self.gamma_calls = 0
 
@@ -168,8 +180,31 @@ class Memo:
         """The instance's factored walk, built when first needed and shared
         by every return time and every policy-iteration sweep of the solve."""
         if self._walk is None:
-            self._walk = chain.factor_walk(self.instance)
+            self._factor()
         return self._walk
+
+    @property
+    def places(self) -> tuple[dict[int, list[int]], list[int]]:
+        """Where ``Evaluation.h`` holds each node the greedy step weighs: the
+        places of the fixed targets out of each fragile source, in
+        ``walk.fixed_edges`` order, and the place of each fragile edge's
+        target, by edge id."""
+        if self._walk is None:
+            self._factor()
+        return self._places
+
+    def _factor(self) -> None:
+        # The watched nodes, ascending: the fragile targets and the fixed
+        # targets out of the fragile sources; once per walk.
+        walk = chain.factor_walk(self.instance)
+        fragile_targets = [j for _, j in self.instance.fragile]
+        self._watched = np.unique(np.concatenate((fragile_targets, walk.fixed_edges[:, 1])).astype(np.intp))
+        place = {j: at for at, j in enumerate(self._watched.tolist())}
+        fixed_at: dict[int, list[int]] = {}
+        for i, j in walk.fixed_edges.tolist():
+            fixed_at.setdefault(i, []).append(place[j])
+        self._places = (fixed_at, [place[j] for j in fragile_targets])
+        self._walk = walk
 
     @property
     def gamma_solves(self) -> int:
@@ -182,16 +217,30 @@ class Memo:
         key = (frozenset(query.forced_on), frozenset(query.forced_off))
         result = self._gamma.get(key)
         if result is None:
-            result = self._gamma[key] = gamma(self.instance, query, walk=self.walk)
+            result = self._gamma[key] = gamma(self.instance, query, memo=self)
         return result
 
-    def fr(self, y: Selection) -> float:
-        """First return time at a selection, evaluated once per selection."""
+    def evaluate(self, y: Selection) -> Evaluation:
+        """What a policy-iteration sweep reads at selection ``y``, evaluated
+        once per selection.  A solve reads its incumbents' return times
+        here too, so that a later sweep through an incumbent finds it."""
         y = tuple(int(b) for b in y)
-        value = self._fr.get(y)
-        if value is None:
-            value = self._fr[y] = chain.low_rank_hitting_times(self.walk, y).fr
-        return value
+        entry = self._evaluations.get(y)
+        if not isinstance(entry, Evaluation):
+            profile = chain.low_rank_hitting_times(self.walk, y)
+            entry = Evaluation(profile.fr, profile.h[self._watched].tolist(), float(profile.h.sum()))
+            self._evaluations[y] = entry
+        return entry
+
+    def fr(self, y: Selection) -> float:
+        """First return time at a selection, evaluated once per selection;
+        a new selection's entry keeps this one float, for callers that
+        evaluate many selections no sweep will read (compare-cuts' cube)."""
+        y = tuple(int(b) for b in y)
+        entry = self._evaluations.get(y)
+        if entry is None:
+            entry = self._evaluations[y] = chain.low_rank_hitting_times(self.walk, y).fr
+        return entry if isinstance(entry, float) else entry.fr
 
 
 def memo_for(instance: Instance, memo: Memo | None) -> Memo:

@@ -107,7 +107,7 @@ def solve(
     while True:
         result = master_mod.solve_master(fresh, feasible)
         incumbent = result.y
-        value = memo.fr(incumbent)
+        value = memo.evaluate(incumbent).fr
         if value < best_val:
             best_y, best_val = incumbent, value
         lower.append(result.theta)

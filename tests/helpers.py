@@ -1,5 +1,7 @@
 """Shared helpers for the test suite: deterministic instance corpora and
-exhaustive objective tables."""
+exhaustive objective tables.  Test modules import them by name; this is not a
+``conftest`` module, so ``python -m pytest tests perfbench`` runs as one
+session."""
 
 from __future__ import annotations
 

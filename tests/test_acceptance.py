@@ -15,7 +15,7 @@ import pytest
 import pagerank_select as ps
 from pagerank_select import ConstraintSet, GammaQuery, Row
 from pagerank_select.cuts import BY_GAMMA, BY_INDEX, construction_coefficient
-from conftest import build_corpus, random_selection
+from helpers import build_corpus, random_selection
 
 
 def _stopwatch():

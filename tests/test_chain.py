@@ -13,7 +13,7 @@ from pagerank_select.errors import (
     SingularSystem,
     TooLargeForDense,
 )
-from conftest import build_corpus, random_selection
+from helpers import build_corpus, random_selection
 
 
 def make(n, target, edges, fragile=(), damping=0.85):

@@ -7,7 +7,7 @@ import pagerank_select as ps
 from pagerank_select import LiftOrdering
 from pagerank_select.cuts import BY_GAMMA, BY_INDEX, NEW, construction_coefficient
 from pagerank_select.errors import DampingRangeError, DimensionMismatch, InvalidOrdering, LTooLarge
-from conftest import build_corpus, fr_table, random_selection
+from helpers import build_corpus, fr_table, random_selection
 
 
 def no_fragile_instance():

@@ -17,7 +17,7 @@ from pagerank_select.errors import (
     ParseError,
     TooLargeToEnumerate,
 )
-from conftest import build_corpus
+from helpers import build_corpus
 
 
 def minimal_dict(**overrides):

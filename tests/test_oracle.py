@@ -4,7 +4,7 @@ import pytest
 import pagerank_select as ps
 from pagerank_select import GammaQuery, chain, oracle
 from pagerank_select.errors import DampingRangeError, DimensionMismatch, OverlapError
-from conftest import build_corpus
+from helpers import build_corpus
 
 
 def random_disjoint_query(rng, z_count):
@@ -159,20 +159,20 @@ class TestGammaProperties:
         assert trace[-1] == res.value
 
 
-class TestGammaWalk:
-    def test_shared_walk_gives_the_standalone_result(self):
+class TestGammaMemo:
+    def test_shared_memo_gives_the_standalone_result(self):
         rng = np.random.default_rng(13)
         for inst in build_corpus(6, seed0=144, z_lo=1, z_hi=8):
-            walk = chain.factor_walk(inst)
+            memo = oracle.Memo(inst)
             for _ in range(4):
                 q = random_disjoint_query(rng, inst.z_count)
-                assert ps.gamma(inst, q, walk=walk) == ps.gamma(inst, q)
+                assert ps.gamma(inst, q, memo=memo) == ps.gamma(inst, q)
 
-    def test_walk_of_another_instance_rejected(self):
+    def test_memo_of_another_instance_rejected(self):
         inst = ps.generate_random(8, 0.3, 6, None, seed=9)[0]
         other = ps.generate_random(8, 0.3, 6, None, seed=10)[0]
         with pytest.raises(ValueError):
-            ps.gamma(inst, GammaQuery(), walk=chain.factor_walk(other))
+            ps.gamma(inst, GammaQuery(), memo=oracle.Memo(other))
 
 
 class TestGammaRoundingCycle:

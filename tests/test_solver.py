@@ -8,7 +8,7 @@ from pagerank_select import cuts as cut_families, master as master_mod, oracle
 from pagerank_select.cuts import BY_GAMMA, BY_INDEX, FAMILIES, L_SHAPED, LIFTED, NEW
 from pagerank_select.errors import DampingRangeError, Infeasible, NoConvergence
 from pagerank_select.solver import ITER_LIMIT, OPTIMAL
-from conftest import build_corpus
+from helpers import build_corpus
 
 
 @pytest.fixture(scope="module")
