@@ -4,7 +4,8 @@ The walk follows the standard damped convention.  From a node with active
 out-neighbor set O (fixed edges plus activated fragile edges) it moves to a
 uniform member of O with probability c and teleports uniformly over all n
 nodes with probability 1-c.  A node with no active out-edges teleports
-uniformly.  All functions here are pure and safe for concurrent use.
+uniformly.  All functions here are safe for concurrent use; the only state
+is a factor's cache of row deltas, whose entries depend only on their key.
 
 Two hitting-time paths give the same answers to rounding.  ``hitting_times``
 builds P and solves densely: the reference twin, the all-off base of the
@@ -17,7 +18,7 @@ time linear in n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -184,9 +185,16 @@ class WalkFactor:
     fixed edges out of the fragile sources, as an (m, 2) array in the
     iteration order of ``instance.edges``; ``sources`` the distinct fragile
     sources other than the target, ascending; ``columns[r]`` is M's column
-    at ``sources[r]`` as a length-n vector that is zero at the target;
-    ``base_rows[r]`` the all-off transition row out of ``sources[r]``; and
-    ``target_row`` the all-off row out of the target.
+    at ``sources[r]`` as a length-n vector that is zero at the target, and
+    ``abs_columns`` its absolute value; ``base_rows[r]`` the all-off
+    transition row out of ``sources[r]``; and ``target_row`` the all-off row
+    out of the target; ``edge_places[k]`` is the place in ``sources`` of
+    fragile edge k's source, or -1 when that source is the target.
+
+    ``deltas`` caches, per source and set of selected fragile edges out of
+    it (keyed by those edge ids, which name the source), what the update
+    reads of that source's row (``_row_delta``).  It fills as selections are
+    evaluated, at most one entry per edge subset of each source.
     """
 
     instance: Instance
@@ -195,8 +203,11 @@ class WalkFactor:
     fixed_edges: np.ndarray
     sources: np.ndarray
     columns: np.ndarray
+    abs_columns: np.ndarray
     base_rows: np.ndarray
     target_row: np.ndarray
+    edge_places: tuple[int, ...]
+    deltas: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict, repr=False)
 
 
 def factor_walk(instance: Instance) -> WalkFactor:
@@ -241,9 +252,41 @@ def factor_walk(instance: Instance) -> WalkFactor:
         fixed_edges=fixed_edges,
         sources=sources,
         columns=columns.T.copy(),
+        abs_columns=np.abs(columns.T),
         base_rows=P[sources],
         target_row=P[v].copy(),
+        edge_places=tuple(-1 if i == v else int(np.searchsorted(sources, i)) for i, _ in instance.fragile),
     )
+
+
+def _row_delta(factor: WalkFactor, edges: tuple[int, ...]) -> np.ndarray:
+    """What the update reads of the row out of the source of ``edges`` (one
+    source's fragile edge ids, ascending) when exactly those of its fragile
+    edges are selected; built once per walk, by the walk builder.
+
+    For the target, the row itself.  For another source, with d the change
+    of its row from the all-off row and s fragile sources: ``d M`` and
+    ``|d| |M|`` at the s sources, then ``d h0`` and ``|d| h0``, 2s + 2
+    floats.  h0 and M's columns are zero at the target, so d's target
+    entry drops out of every product.
+    """
+    entry = factor.deltas.get(edges)
+    if entry is None:
+        instance = factor.instance
+        y = np.zeros(instance.z_count, dtype=bool)
+        y[list(edges)] = True
+        source = instance.fragile[edges[0]][0]
+        row = _transition_rows(instance, y, [source], factor.fixed_edges)[0]
+        if source == instance.target:
+            entry = row
+        else:
+            d = row - factor.base_rows[factor.edge_places[edges[0]]]
+            abs_d = np.abs(d)
+            entry = np.concatenate(
+                (factor.columns @ d, factor.abs_columns @ abs_d, [d @ factor.h0, abs_d @ factor.h0])
+            )
+        factor.deltas[edges] = entry
+    return entry
 
 
 def low_rank_hitting_times(factor: WalkFactor, y: Selection) -> HittingProfile:
@@ -253,49 +296,55 @@ def low_rank_hitting_times(factor: WalkFactor, y: Selection) -> HittingProfile:
     A selection changes only the rows out of the sources of its selected
     fragile edges.  With D the changes of those rows that lie in Q (the
     target's row and column dropped) and U the unit columns at their sources,
-    Woodbury gives ``h = h0 + (M U) (I - D M U)^-1 D h0``; the rows come from
-    the walk builder.  Then ``fr = 1 + P(y)[target] @ h``, with the target's
-    row rebuilt when one of its fragile edges is selected.
+    Woodbury gives ``h = h0 + (M U) (I - D M U)^-1 D h0``.  Each source's
+    part of D M U and D h0 comes from ``_row_delta``, so past the first
+    evaluation of a source's edge subset the update touches n-vectors only
+    to form h, to check it, and for ``fr = 1 + P(y)[target] @ h``, with the
+    target's own row cached the same way when one of its fragile edges is
+    selected.
 
     Check: with C = I - D M U and w = C^-1 D h0, rounding perturbs D h0 by
     up to eps |D| |h0| and C by up to eps |D| |M U|, so to first order w is
-    off by at most ``dw = eps |C^-1| |D| (|h0| + |M U| |w|)`` and h by
+    off by at most ``dw = eps |C^-1| (|D| |h0| + (|D| |M U|) |w|)`` and h by
     ``|M U| dw`` (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 7).  The bound is large when the update cancels, as it does near
+    ch. 7); this is ``eps |C^-1| |D| (|h0| + |M U| |w|)`` grouped so that
+    only r-by-r pieces of it are formed.  The bound is large when the update cancels, as it does near
     damping 1 when the selection moves the hitting times far from h0.  When
     it exceeds ``UPDATE_RTOL * h`` anywhere, or C is singular, the dense
     ``hitting_times`` answers instead.
     """
     instance = factor.instance
     _check_selection(instance, y)
-    sources = {instance.fragile[k][0] for k, bit in enumerate(y) if bit}
-    if not sources:
+    places = factor.edge_places
+    picked: dict[int, list[int]] = {}  # selected edge ids by their source's place
+    for k, bit in enumerate(y):
+        if bit:
+            picked.setdefault(places[k], []).append(k)
+    if not picked:
         return HittingProfile(h=factor.h0.copy(), fr=factor.fr0)
-    picked = np.array(sorted(sources), dtype=np.intp)
-    rows = _transition_rows(instance, y, picked, factor.fixed_edges)
     target_row = factor.target_row
-    if instance.target in sources:
-        moved = picked != instance.target
-        target_row = rows[~moved][0]
-        rows, picked = rows[moved], picked[moved]
-    h = factor.h0.copy()
-    if len(picked):
-        at = np.searchsorted(factor.sources, picked)
-        # h0 and M's columns are zero at the target, so D's target column
-        # drops out of both products below.
-        D = rows - factor.base_rows[at]
-        MU = factor.columns[at]
-        C = np.eye(len(picked)) - D @ MU.T
+    if -1 in picked:
+        target_row = _row_delta(factor, tuple(picked.pop(-1)))
+    h = factor.h0
+    if picked:
+        at = sorted(picked)
+        r, s = len(at), len(factor.sources)
+        parts = np.array([_row_delta(factor, tuple(picked[p])) for p in at])
+        # r-by-(2r + 2): D M U, |D| |M U|, D h0 and |D| h0
+        parts = parts[:, at + [s + p for p in at] + [2 * s, 2 * s + 1]]
+        C = -parts[:, :r]
+        C.flat[:: r + 1] += 1.0
         try:
             C_inv = np.linalg.inv(C)
         except np.linalg.LinAlgError:
             return hitting_times(instance, y)
-        w = C_inv @ (D @ factor.h0)
-        abs_MU = np.abs(MU)
-        dw = np.abs(C_inv) @ (np.abs(D) @ (factor.h0 + np.abs(w) @ abs_MU))
-        h += w @ MU
-        if not (EPS * (dw @ abs_MU) <= UPDATE_RTOL * h).all():
+        w = C_inv @ parts[:, 2 * r]
+        dw = EPS * (np.abs(C_inv) @ (parts[:, 2 * r + 1] + parts[:, r : 2 * r] @ np.abs(w)))
+        h = h + w @ factor.columns[at]
+        if not (dw @ factor.abs_columns[at] <= UPDATE_RTOL * h).all():
             return hitting_times(instance, y)
+    else:
+        h = h.copy()
     return HittingProfile(h=h, fr=1.0 + float(target_row @ h))
 
 
