@@ -352,6 +352,43 @@ class TestLowRankHittingTimes:
             chain.low_rank_hitting_times(chain.factor_walk(inst), ())
 
 
+class TestRowDeltas:
+    def test_each_source_subset_built_once_per_walk(self, monkeypatch):
+        built = []
+        real = chain._transition_rows
+
+        def spy(instance, y, nodes=None, fixed=None):
+            if nodes is not None:
+                built.append((tuple(nodes), tuple(k for k, bit in enumerate(y) if bit)))
+            return real(instance, y, nodes, fixed)
+
+        rng = np.random.default_rng(21)
+        inst = walk_instance(rng, 40, 0.85)
+        walk = chain.factor_walk(inst)
+        monkeypatch.setattr(chain, "_transition_rows", spy)
+        selections = [random_selection(rng, inst.z_count) for _ in range(30)]
+        for _ in range(3):
+            for y in selections:
+                chain.low_rank_hitting_times(walk, y)
+        assert len(built) == len(set(built)) == len(walk.deltas)
+        for (node,), edges in built:
+            assert {inst.fragile[k][0] for k in edges} == {node}
+            assert edges in walk.deltas
+
+    def test_cached_and_fresh_entries_give_bitwise_equal_answers(self):
+        rng = np.random.default_rng(22)
+        for damping in (0.5, 0.99):
+            inst = walk_instance(rng, 60, damping)
+            selections = [random_selection(rng, inst.z_count) for _ in range(20)]
+            warm = chain.factor_walk(inst)
+            for y in selections:
+                chain.low_rank_hitting_times(warm, y)
+            for y in selections[::-1]:
+                got = chain.low_rank_hitting_times(warm, y)
+                want = chain.low_rank_hitting_times(chain.factor_walk(inst), y)
+                assert np.array_equal(got.h, want.h) and got.fr == want.fr
+
+
 class TestDenseSizeGuard:
     @pytest.fixture()
     def wide(self):

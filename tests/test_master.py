@@ -174,6 +174,23 @@ class TestAgainstReference:
                 y = tuple(int(b) for b in point)
                 assert theta == max([0.0] + [ps.eval_cut(c, y) for c in cuts])
 
+    def test_fold_temporaries_stay_within_one_block(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        cuts = random_pool(rng, 14, 2)
+        whole = feasible_set(ps.EMPTY_CONSTRAINTS, 14)  # 1.75 MiB of points
+        solve_master(cuts, whole)
+        monkeypatch.setattr(master_mod, "FOLD_BLOCK_BYTES", 8 * 14 * 100)  # 100 points
+        blocked = feasible_set(ps.EMPTY_CONSTRAINTS, 14)
+        tracemalloc.start()
+        try:
+            result = solve_master(cuts, blocked)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert blocked.theta.tobytes() == whole.theta.tobytes()
+        assert result == solve_master([], whole)
+
     def test_root_bound_is_a_relaxation(self):
         rng = np.random.default_rng(13)
         for _ in range(20):

@@ -4,7 +4,7 @@ import pytest
 
 import pagerank_select as ps
 from pagerank_select import ConstraintSet, Row
-from pagerank_select import cuts as cut_families, master as master_mod, oracle
+from pagerank_select import chain, cuts as cut_families, master as master_mod, oracle
 from pagerank_select.cuts import BY_GAMMA, BY_INDEX, FAMILIES, L_SHAPED, LIFTED, NEW
 from pagerank_select.errors import DampingRangeError, Infeasible, NoConvergence
 from pagerank_select.solver import ITER_LIMIT, OPTIMAL
@@ -226,6 +226,64 @@ class TestGammaSolves:
         second = ps.solve(inst, cons, family=NEW)
         assert first == second
         assert len(spy) == 2 * first.gamma_solves
+
+
+class TestOneEvaluationPerSelection:
+    @pytest.fixture()
+    def spies(self, monkeypatch):
+        evaluated, rows = [], []
+        real_evaluate, real_rows = chain.low_rank_hitting_times, chain._transition_rows
+
+        def evaluate(walk, y):
+            evaluated.append(tuple(y))
+            return real_evaluate(walk, y)
+
+        def transition_rows(instance, y, nodes=None, fixed=None):
+            if nodes is not None:
+                rows.append((tuple(nodes), tuple(k for k, bit in enumerate(y) if bit)))
+            return real_rows(instance, y, nodes, fixed)
+
+        monkeypatch.setattr(chain, "low_rank_hitting_times", evaluate)
+        monkeypatch.setattr(chain, "_transition_rows", transition_rows)
+        return evaluated, rows
+
+    @pytest.mark.parametrize("family, strategy", [(NEW, BY_INDEX), (LIFTED, BY_INDEX), (LIFTED, BY_GAMMA)])
+    def test_each_selection_and_each_source_row_once_per_solve(self, spies, family, strategy):
+        evaluated, rows = spies
+        cases = [(inst, cons) for inst in build_corpus(4, seed0=611, n_lo=10, n_hi=40, z_lo=6, z_hi=10)
+                 for cons in (ps.EMPTY_CONSTRAINTS, ConstraintSet(cardinality=("<=", 2)))]
+        for inst, cons in cases:
+            evaluated.clear()
+            rows.clear()
+            assert ps.solve(inst, cons, family=family, ordering_strategy=strategy).status == OPTIMAL
+            assert evaluated and len(evaluated) == len(set(evaluated))
+            # one source's row per subset of its selected fragile edges
+            assert len(rows) == len(set(rows))
+            assert all(len(nodes) == 1 for nodes, _ in rows)
+
+    def test_no_cache_entry_holds_an_n_vector(self, monkeypatch):
+        memos = []
+
+        class Recording(oracle.Memo):
+            def __init__(self, instance):
+                super().__init__(instance)
+                memos.append(self)
+
+        monkeypatch.setattr(oracle, "Memo", Recording)
+        inst, cons = ps.generate_random(300, 0.02, 10, "card_le:3", seed=1)
+        assert ps.solve(inst, cons, family=LIFTED).status == OPTIMAL
+        (memo,) = memos
+        entries = list(memo._evaluations.values())
+        assert entries
+        for entry in entries:
+            assert type(entry) is oracle.Evaluation
+            assert type(entry.fr) is float and type(entry.h_sum) is float
+            assert type(entry.h) is list and len(entry.h) < inst.n
+            assert all(type(value) is float for value in entry.h)
+        sources = len(memo.walk.sources)
+        for edges, delta in memo.walk.deltas.items():
+            if inst.fragile[edges[0]][0] != inst.target:
+                assert delta.shape == (2 * sources + 2,)
 
 
 class TestReportJson:
