@@ -187,8 +187,8 @@ class WalkFactor:
     sources other than the target, ascending; ``columns[r]`` is M's column
     at ``sources[r]`` as a length-n vector that is zero at the target, and
     ``abs_columns`` its absolute value; ``base_rows[r]`` the all-off
-    transition row out of ``sources[r]``; and ``target_row`` the all-off row
-    out of the target; ``edge_places[k]`` is the place in ``sources`` of
+    transition row out of ``sources[r]``; ``target_row`` the all-off row
+    out of the target; and ``edge_places[k]`` the place in ``sources`` of
     fragile edge k's source, or -1 when that source is the target.
 
     ``deltas`` caches, per source and set of selected fragile edges out of
@@ -308,10 +308,10 @@ def low_rank_hitting_times(factor: WalkFactor, y: Selection) -> HittingProfile:
     off by at most ``dw = eps |C^-1| (|D| |h0| + (|D| |M U|) |w|)`` and h by
     ``|M U| dw`` (Higham, Accuracy and Stability of Numerical Algorithms,
     ch. 7); this is ``eps |C^-1| |D| (|h0| + |M U| |w|)`` grouped so that
-    only r-by-r pieces of it are formed.  The bound is large when the update cancels, as it does near
-    damping 1 when the selection moves the hitting times far from h0.  When
-    it exceeds ``UPDATE_RTOL * h`` anywhere, or C is singular, the dense
-    ``hitting_times`` answers instead.
+    only r-by-r pieces of it are formed.  The bound is large when the update
+    cancels, as it does near damping 1 when the selection moves the hitting
+    times far from h0.  When it exceeds ``UPDATE_RTOL * h`` anywhere, or C
+    is singular, the dense ``hitting_times`` answers instead.
     """
     instance = factor.instance
     _check_selection(instance, y)
