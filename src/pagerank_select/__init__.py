@@ -9,7 +9,7 @@ cutting-plane solver, exhaustive reference twins, and a CLI.
 """
 
 from .bruteforce import bf_exact_lift, bf_gamma, bf_min
-from .chain import HittingProfile, hitting_times, stationary, transition_matrix, transition_row
+from .chain import HittingProfile, hitting_times, stationary, transition_matrix
 from .cuts import (
     BY_GAMMA,
     BY_INDEX,
@@ -92,7 +92,6 @@ __all__ = [
     "stationary",
     "support",
     "transition_matrix",
-    "transition_row",
     "validate",
     "validation_errors",
     "write_instance",

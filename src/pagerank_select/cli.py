@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bruteforce, cuts as cut_families, master, oracle, solver
+from . import bruteforce, chain, cuts as cut_families, master, oracle, solver
 from .errors import Infeasible, PagerankSelectError, TooLargeToEnumerate
 from .instance import (
     EMPTY_CONSTRAINTS,
@@ -120,7 +120,7 @@ def cmd_compare_cuts(args) -> int:
     feasible = _selections(constraints, z_count)
     cube = _selections(EMPTY_CONSTRAINTS, z_count)
     memo = oracle.Memo(inst)  # one per run, shared by every cut built below
-    fr_at = {y: memo.fr(y) for y in cube}
+    fr_at = {y: chain.low_rank_hitting_times(memo.walk, y).fr for y in cube}
 
     rng = np.random.default_rng(args.seed)
     incumbents = _sample_incumbents(feasible, args.trials, rng)
@@ -139,7 +139,7 @@ def cmd_compare_cuts(args) -> int:
             cut_families.LIFTED: cut_families.lifted_cut(
                 inst,
                 incumbent,
-                cut_families.make_lift_ordering(inst, incumbent, args.ordering, memo=memo)[0],
+                cut_families.make_lift_ordering(inst, incumbent, args.ordering, memo=memo),
                 memo=memo,
             ),
         }

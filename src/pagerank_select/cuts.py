@@ -40,13 +40,13 @@ L_GUARD = 1e-9  # slack allowed before a supplied lower bound counts as too larg
 @dataclass(frozen=True)
 class Cut:
     """Affine inequality theta >= constant + coeffs . y, tagged with its
-    family, the incumbent it was separated at, and the oracle calls spent."""
+    family and the incumbent it was separated at.  The oracle queries it
+    cost are counted by the memo it was built through."""
 
     constant: float
     coeffs: tuple[float, ...]
     family: str
     incumbent: Selection
-    gamma_calls: int
 
     def to_json(self) -> dict:
         return {
@@ -54,17 +54,14 @@ class Cut:
             "a0": self.constant,
             "coeffs": list(self.coeffs),
             "incumbent": list(self.incumbent),
-            "gamma_calls": self.gamma_calls,
         }
 
 
 @dataclass(frozen=True)
 class LiftOrdering:
-    """A permutation of the unselected fragile-edge ids, plus the strategy tag
-    that produced it."""
+    """A permutation of the unselected fragile-edge ids."""
 
     order: tuple[int, ...]
-    strategy: str = BY_INDEX
 
 
 def eval_cut(cut: Cut, y: Selection) -> float:
@@ -89,7 +86,7 @@ def l_shaped_cut(
     """Distance-decay cut from a global lower bound on the objective.
 
     ``lower_bound`` must not exceed the optimum; 0 is always legal, the
-    unconstrained minimum is the sharpest legal choice.  Costs no oracle calls
+    unconstrained minimum is the sharpest legal choice.  Asks no oracle query,
     since the bound is supplied by the caller.  ``memo`` (one per solve; a
     fresh one when None) supplies the incumbent's return time.
     """
@@ -103,7 +100,7 @@ def l_shaped_cut(
     sel = support(incumbent)
     constant = fr_bar + gap * len(sel)
     coeffs = tuple(-gap if k in sel else gap for k in range(instance.z_count))
-    return Cut(constant=constant, coeffs=coeffs, family=L_SHAPED, incumbent=incumbent, gamma_calls=0)
+    return Cut(constant=constant, coeffs=coeffs, family=L_SHAPED, incumbent=incumbent)
 
 
 def _supported_half(memo: oracle.Memo, sel: frozenset[int], fr_bar: float) -> tuple[float, list[float]]:
@@ -124,9 +121,9 @@ def new_cut(instance: Instance, incumbent: Selection, memo: oracle.Memo | None =
 
     For a supported edge the construction coefficient is
     ``min(0, gamma(off e) - fr(incumbent))``; for the rest it is
-    ``min(0, gamma(on e) - fr(incumbent))``.  ``gamma_calls`` counts the
-    queries asked; those ``memo`` (one per solve; a fresh one when None)
-    already holds are not solved again.
+    ``min(0, gamma(on e) - fr(incumbent))``.  The queries are asked of
+    ``memo`` (one per solve; a fresh one when None), which counts them and
+    does not solve again those it already holds.
     """
     incumbent = tuple(int(b) for b in incumbent)
     memo = oracle.memo_for(instance, memo)
@@ -137,29 +134,27 @@ def new_cut(instance: Instance, incumbent: Selection, memo: oracle.Memo | None =
         if k not in sel:
             g = memo.gamma(oracle.GammaQuery(forced_on=frozenset({k}))).value
             coeffs[k] = min(0.0, g - fr_bar)
-    return Cut(constant=constant, coeffs=tuple(coeffs), family=NEW, incumbent=incumbent,
-               gamma_calls=instance.z_count)
+    return Cut(constant=constant, coeffs=tuple(coeffs), family=NEW, incumbent=incumbent)
 
 
 def make_lift_ordering(
     instance: Instance, incumbent: Selection, strategy: str = BY_INDEX, memo: oracle.Memo | None = None
-) -> tuple[LiftOrdering, int]:
+) -> LiftOrdering:
     """Build the lifting order over the unselected fragile edges.
 
-    Returns the ordering and the number of oracle calls spent building it:
-    zero for ``index``; one single-edge call per unselected edge for
-    ``gamma`` (sorted ascending by that value, ties by edge id), answered
+    ``index`` asks no oracle query; ``gamma`` asks one single-edge query per
+    unselected edge (sorted ascending by that value, ties by edge id),
     through ``memo`` (one per solve; a fresh one when None).
     """
     sel = support(incumbent)
     unselected = [k for k in range(instance.z_count) if k not in sel]
     if strategy == BY_INDEX:
-        return LiftOrdering(order=tuple(unselected), strategy=strategy), 0
+        return LiftOrdering(order=tuple(unselected))
     if strategy == BY_GAMMA:
         memo = oracle.memo_for(instance, memo)
         vals = {k: memo.gamma(oracle.GammaQuery(forced_on=frozenset({k}))).value for k in unselected}
         order = tuple(sorted(unselected, key=lambda k: (vals[k], k)))
-        return LiftOrdering(order=order, strategy=strategy), len(unselected)
+        return LiftOrdering(order=order)
     raise ValueError(f"unknown ordering strategy {strategy!r}")
 
 
@@ -171,8 +166,8 @@ def lifted_cut(
     Supported-edge coefficients are identical to ``new_cut``'s.  The r-th
     ordered edge gets ``min(0, gamma(on r, off tail) - fr(incumbent))`` where
     the tail is everything after r in the ordering; the last edge therefore
-    matches its ``new_cut`` coefficient.  Total oracle calls asked: one per
-    fragile edge, answered through ``memo`` as in ``new_cut``.
+    matches its ``new_cut`` coefficient.  One oracle query per fragile edge,
+    asked of ``memo`` as in ``new_cut``.
     """
     incumbent = tuple(int(b) for b in incumbent)
     sel = support(incumbent)
@@ -187,5 +182,4 @@ def lifted_cut(
         tail = frozenset(order[pos + 1 :])
         g = memo.gamma(oracle.GammaQuery(forced_on=frozenset({k}), forced_off=tail)).value
         coeffs[k] = min(0.0, g - fr_bar)
-    return Cut(constant=constant, coeffs=tuple(coeffs), family=LIFTED, incumbent=incumbent,
-               gamma_calls=instance.z_count)
+    return Cut(constant=constant, coeffs=tuple(coeffs), family=LIFTED, incumbent=incumbent)

@@ -135,6 +135,19 @@ EMPTY_CONSTRAINTS = ConstraintSet()
 # validation
 
 
+def _as_int(value, what: str) -> int:
+    """A JSON integer: an int that is not a bool, never a truncated float."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _as_list(value, what: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _as_pair(item, field: str) -> Edge:
     if not isinstance(item, (list, tuple)) or len(item) != 2:
         raise ParseError(f'"{field}" entries must be [i, j] pairs, got {item!r}')
@@ -154,18 +167,16 @@ def _coerce(raw) -> tuple[Instance, list[Edge]]:
     missing = [k for k in ("n", "target", "edges", "fragile") if k not in raw]
     if missing:
         raise ParseError("missing field(s): " + ", ".join(missing))
-    if not isinstance(raw["n"], int) or isinstance(raw["n"], bool):
-        raise ParseError(f'"n" must be an integer, got {raw["n"]!r}')
-    if not isinstance(raw["target"], int) or isinstance(raw["target"], bool):
-        raise ParseError(f'"target" must be an integer, got {raw["target"]!r}')
+    n = _as_int(raw["n"], '"n"')
+    target = _as_int(raw["target"], '"target"')
     damping = raw.get("damping", DEFAULT_DAMPING)
     if isinstance(damping, bool) or not isinstance(damping, (int, float)):
         raise ParseError(f'"damping" must be a number, got {damping!r}')
-    edge_list = [_as_pair(e, "edges") for e in raw["edges"]]
-    fragile = tuple(_as_pair(e, "fragile") for e in raw["fragile"])
+    edge_list = [_as_pair(e, "edges") for e in _as_list(raw["edges"], '"edges"')]
+    fragile = tuple(_as_pair(e, "fragile") for e in _as_list(raw["fragile"], '"fragile"'))
     inst = Instance(
-        n=raw["n"],
-        target=raw["target"],
+        n=n,
+        target=target,
         edges=frozenset(edge_list),
         fragile=fragile,
         damping=float(damping),
@@ -341,15 +352,16 @@ def _constraints_from_json(obj, z_count: int) -> ConstraintSet:
     if not isinstance(obj, dict):
         raise ParseError(f'"constraints" must be an object or null, got {obj!r}')
     rows = []
-    for idx, entry in enumerate(obj.get("rows", [])):
+    for idx, entry in enumerate(_as_list(obj.get("rows", []), '"rows"')):
         if not isinstance(entry, dict):
-            raise ParseError(f"constraint row {idx} must be an object")
-        try:
-            coeffs = tuple(int(c) for c in entry["coeffs"])
-            sense = entry["sense"]
-            rhs = int(entry["rhs"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"constraint row {idx}: {exc}") from None
+            raise ParseError(f"constraint row {idx} must be an object, got {entry!r}")
+        missing = [k for k in ("coeffs", "sense", "rhs") if k not in entry]
+        if missing:
+            raise ParseError(f"constraint row {idx}: missing field(s): " + ", ".join(missing))
+        what = f'constraint row {idx} "coeffs"'
+        coeffs = tuple(_as_int(c, what + " entry") for c in _as_list(entry["coeffs"], what))
+        sense = entry["sense"]
+        rhs = _as_int(entry["rhs"], f'constraint row {idx} "rhs"')
         if sense not in SENSES:
             raise ParseError(f"constraint row {idx}: unknown sense {sense!r}")
         if len(coeffs) != z_count:
@@ -364,7 +376,7 @@ def _constraints_from_json(obj, z_count: int) -> ConstraintSet:
             raise ParseError('"cardinality" must be {"sense": ..., "k": ...} or null')
         if card["sense"] not in SENSES:
             raise ParseError(f'cardinality sense {card["sense"]!r} unknown')
-        cardinality = (card["sense"], int(card["k"]))
+        cardinality = (card["sense"], _as_int(card["k"], 'cardinality "k"'))
     return ConstraintSet(rows=tuple(rows), cardinality=cardinality)
 
 

@@ -78,7 +78,7 @@ def gamma(instance: Instance, query: GammaQuery, *, memo: Memo | None = None) ->
     greedy step cycle; when it returns a selection already evaluated, the
     lowest-``fr`` selection seen is returned (ties by the selection tuple).
     Every evaluation goes through ``memo`` (one solve shares one; a fresh one
-    when None, whose walk raises DampingRangeError at damping 1), so a
+    when None, which raises DampingRangeError at damping 1), so a
     selection another query already evaluated is not evaluated again.
     """
     forced_on = frozenset(query.forced_on)
@@ -91,7 +91,6 @@ def gamma(instance: Instance, query: GammaQuery, *, memo: Memo | None = None) ->
         if not 0 <= k < z_count:
             raise DimensionMismatch(f"fragile edge id {k} outside [0, {z_count})")
     memo = memo_for(instance, memo)
-    fixed_at, fragile_at = memo.places
 
     # Only the sources of free edges re-select; their fixed and forced-on
     # targets keep the order of instance.edges, then of forced_on.  Targets
@@ -99,12 +98,12 @@ def gamma(instance: Instance, query: GammaQuery, *, memo: Memo | None = None) ->
     free_by_node: dict[int, list[tuple[int, int]]] = {}
     for k, (i, _) in enumerate(instance.fragile):
         if k not in forced_on and k not in forced_off:
-            free_by_node.setdefault(i, []).append((k, fragile_at[k]))
-    base_targets = {i: list(fixed_at.get(i, ())) for i in free_by_node}
+            free_by_node.setdefault(i, []).append((k, memo._fragile_at[k]))
+    base_targets = {i: list(memo._fixed_at.get(i, ())) for i in free_by_node}
     for k in forced_on:
         i = instance.fragile[k][0]
         if i in base_targets:
-            base_targets[i].append(fragile_at[k])
+            base_targets[i].append(memo._fragile_at[k])
     nodes = sorted(free_by_node.items())
 
     y = [0] * z_count
@@ -145,8 +144,8 @@ def min_unconstrained(instance: Instance, memo: Memo | None = None) -> float:
 @dataclass(frozen=True)
 class Evaluation:
     """What policy iteration reads of the hitting times at one selection: the
-    return time, ``h`` at the nodes the greedy step weighs (``Memo.places``
-    says where each is) and the sum of all of ``h``."""
+    return time, ``h`` at the nodes the greedy step weighs (the memo's place
+    map says where each is) and the sum of all of ``h``."""
 
     fr: float
     h: list[float]
@@ -155,56 +154,37 @@ class Evaluation:
 
 class Memo:
     """The answers of one solve: each distinct oracle query and each
-    selection is evaluated once.
+    selection is evaluated once, and the queries asked are counted here only.
 
     Create one per solve and drop it with the solve; it keeps every answer, so
     a memo that outlived its solve would grow without bound.  Only results are
     stored: a query that raises is asked again, and raises again, next time.
-    Every answer is computed from one factored walk (``walk``), the solve's
-    only factorisation, by ``chain.low_rank_hitting_times``.  A selection's
-    cache entry holds no n-vector: an ``Evaluation`` (``evaluate``), or the
-    return time alone while only ``fr`` has asked for it (a later
-    ``evaluate`` evaluates it again).  ``gamma_calls`` counts the
-    queries asked, repeats included; ``gamma_solves`` the distinct ones.
+    The memo factors the instance's walk when it is made (``walk``, the
+    solve's only factorisation, so damping 1 raises DampingRangeError here),
+    and every answer comes from it through ``chain.low_rank_hitting_times``.
+    A selection's cache entry is an ``Evaluation``, which holds no n-vector.
+    ``gamma_calls`` counts the queries asked, repeats included;
+    ``gamma_solves`` the distinct ones.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self._gamma: dict[tuple[frozenset[int], frozenset[int]], GammaResult] = {}
-        self._evaluations: dict[Selection, Evaluation | float] = {}
-        self._walk: chain.WalkFactor | None = None
-        self.gamma_calls = 0
-
-    @property
-    def walk(self) -> chain.WalkFactor:
-        """The instance's factored walk, built when first needed and shared
-        by every return time and every policy-iteration sweep of the solve."""
-        if self._walk is None:
-            self._factor()
-        return self._walk
-
-    @property
-    def places(self) -> tuple[dict[int, list[int]], list[int]]:
-        """Where ``Evaluation.h`` holds each node the greedy step weighs: the
-        places of the fixed targets out of each fragile source, in
-        ``walk.fixed_edges`` order, and the place of each fragile edge's
-        target, by edge id."""
-        if self._walk is None:
-            self._factor()
-        return self._places
-
-    def _factor(self) -> None:
+        self.walk = chain.factor_walk(instance)
         # The watched nodes, ascending: the fragile targets and the fixed
-        # targets out of the fragile sources; once per walk.
-        walk = chain.factor_walk(self.instance)
-        fragile_targets = [j for _, j in self.instance.fragile]
-        self._watched = np.unique(np.concatenate((fragile_targets, walk.fixed_edges[:, 1])).astype(np.intp))
+        # targets out of the fragile sources; Evaluation.h holds h at them.
+        # _fixed_at[i] lists the places there of the fixed targets out of
+        # source i, in walk.fixed_edges order; _fragile_at[k] the place of
+        # fragile edge k's target.
+        fragile_targets = [j for _, j in instance.fragile]
+        self._watched = np.unique(np.concatenate((fragile_targets, self.walk.fixed_edges[:, 1])).astype(np.intp))
         place = {j: at for at, j in enumerate(self._watched.tolist())}
-        fixed_at: dict[int, list[int]] = {}
-        for i, j in walk.fixed_edges.tolist():
-            fixed_at.setdefault(i, []).append(place[j])
-        self._places = (fixed_at, [place[j] for j in fragile_targets])
-        self._walk = walk
+        self._fixed_at: dict[int, list[int]] = {}
+        for i, j in self.walk.fixed_edges.tolist():
+            self._fixed_at.setdefault(i, []).append(place[j])
+        self._fragile_at = [place[j] for j in fragile_targets]
+        self._gamma: dict[tuple[frozenset[int], frozenset[int]], GammaResult] = {}
+        self._evaluations: dict[Selection, Evaluation] = {}
+        self.gamma_calls = 0
 
     @property
     def gamma_solves(self) -> int:
@@ -226,21 +206,11 @@ class Memo:
         here too, so that a later sweep through an incumbent finds it."""
         y = tuple(int(b) for b in y)
         entry = self._evaluations.get(y)
-        if not isinstance(entry, Evaluation):
+        if entry is None:
             profile = chain.low_rank_hitting_times(self.walk, y)
             entry = Evaluation(profile.fr, profile.h[self._watched].tolist(), float(profile.h.sum()))
             self._evaluations[y] = entry
         return entry
-
-    def fr(self, y: Selection) -> float:
-        """First return time at a selection, evaluated once per selection;
-        a new selection's entry keeps this one float, for callers that
-        evaluate many selections no sweep will read (compare-cuts' cube)."""
-        y = tuple(int(b) for b in y)
-        entry = self._evaluations.get(y)
-        if entry is None:
-            entry = self._evaluations[y] = chain.low_rank_hitting_times(self.walk, y).fr
-        return entry if isinstance(entry, float) else entry.fr
 
 
 def memo_for(instance: Instance, memo: Memo | None) -> Memo:

@@ -129,7 +129,7 @@ def solve(
         elif family == cut_families.NEW:
             cut = cut_families.new_cut(instance, incumbent, memo=memo)
         else:
-            ordering, _ = cut_families.make_lift_ordering(instance, incumbent, ordering_strategy, memo=memo)
+            ordering = cut_families.make_lift_ordering(instance, incumbent, ordering_strategy, memo=memo)
             cut = cut_families.lifted_cut(instance, incumbent, ordering, memo=memo)
         fresh = [cut]
 

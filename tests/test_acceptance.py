@@ -43,7 +43,14 @@ def _cut_values(cut, points):
 
 
 @pytest.fixture(scope="module")
-def cut_corpus():
+def cut_memos():
+    """The memo each new and lifted cut of ``cut_corpus`` was built through,
+    alone, with its instance: ``(inst, memo)``.  Read by criterion 6."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def cut_corpus(cut_memos):
     """100 instances with |Z| <= 8, 10 incumbents each, all families built,
     both lift orderings.  Shared by criteria 4, 5 and 6."""
     rng = np.random.default_rng(2024)
@@ -55,14 +62,18 @@ def cut_corpus():
         entries = []
         for _ in range(10):
             incumbent = random_selection(rng, inst.z_count)
+            memos = {"new": ps.Memo(inst)}
             cuts = {
                 "lshaped": ps.l_shaped_cut(inst, incumbent, low),
-                "new": ps.new_cut(inst, incumbent),
+                "new": ps.new_cut(inst, incumbent, memo=memos["new"]),
             }
             for strategy in (BY_INDEX, BY_GAMMA):
-                ordering, _ = ps.make_lift_ordering(inst, incumbent, strategy)
-                cuts["lifted_" + strategy] = ps.lifted_cut(inst, incumbent, ordering)
+                ordering = ps.make_lift_ordering(inst, incumbent, strategy)
+                name = "lifted_" + strategy
+                memos[name] = ps.Memo(inst)
+                cuts[name] = ps.lifted_cut(inst, incumbent, ordering, memo=memos[name])
             entries.append(cuts)
+            cut_memos.extend((inst, memo) for memo in memos.values())
         records.append((inst, points, frs, entries))
     return records
 
@@ -142,16 +153,13 @@ def test_acceptance_5_strength_ordering(cut_corpus):
     _report(5, "coefficientwise strength ordering", elapsed(), 60.0)
 
 
-def test_acceptance_6_separation_cost(cut_corpus):
+def test_acceptance_6_separation_cost(cut_corpus, cut_memos):
     elapsed = _stopwatch()
     violations = 0
-    for inst, _, _, entries in cut_corpus:
-        for cuts in entries:
-            for name, cut in cuts.items():
-                if name == "lshaped":
-                    continue
-                if cut.gamma_calls > inst.z_count:
-                    violations += 1
+    assert len(cut_memos) == 3 * sum(len(entries) for _, _, _, entries in cut_corpus)
+    for inst, memo in cut_memos:
+        if memo.gamma_calls > inst.z_count:
+            violations += 1
     assert violations == 0
     _report(6, "separation stays within |Z| oracle calls", elapsed(), 10.0)
 
@@ -192,7 +200,7 @@ def test_acceptance_8_exact_lift_dominance():
         )
         feasible = list(ps.enumerate_feasible(cons, z))
         incumbent = feasible[int(rng.integers(len(feasible)))]
-        ordering, _ = ps.make_lift_ordering(inst, incumbent, BY_INDEX)
+        ordering = ps.make_lift_ordering(inst, incumbent, BY_INDEX)
         if not ordering.order:
             continue
         lifted = ps.lifted_cut(inst, incumbent, ordering)

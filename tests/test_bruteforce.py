@@ -111,7 +111,7 @@ class TestBfExactLift:
     def test_modified_coefficients_are_dominated(self):
         inst, _ = ps.generate_random(6, 0.3, 4, None, seed=21, damping=0.85)
         incumbent = (0, 1, 0, 0)
-        ordering, _ = ps.make_lift_ordering(inst, incumbent, BY_INDEX)
+        ordering = ps.make_lift_ordering(inst, incumbent, BY_INDEX)
         lifted = ps.lifted_cut(inst, incumbent, ordering)
         pi_hat = [construction_coefficient(lifted, k) for k in ordering.order]
         for r in range(1, len(ordering.order) + 1):
@@ -124,7 +124,7 @@ class TestBfExactLift:
         inst, _ = ps.generate_random(6, 0.3, 4, None, seed=29, damping=0.85)
         cons = ConstraintSet(cardinality=("<=", 3))
         incumbent = (0, 0, 1, 0)
-        ordering, _ = ps.make_lift_ordering(inst, incumbent, BY_INDEX)
+        ordering = ps.make_lift_ordering(inst, incumbent, BY_INDEX)
         lifted = ps.lifted_cut(inst, incumbent, ordering)
         coeffs = []
         for r in range(1, len(ordering.order) + 1):

@@ -104,23 +104,24 @@ def assert_profiles_close(got, want):
 
 
 class TestTransitionRow:
+    # rows of transition_matrix, the one public view of the walk
     def test_single_state_self_loop(self):
         inst = make(1, 0, [(0, 0)])
-        assert ps.transition_row(inst, (), 0) == pytest.approx([1.0])
+        assert ps.transition_matrix(inst, ())[0] == pytest.approx([1.0])
 
     def test_single_out_edge_split(self):
         inst = make(2, 0, [(0, 1)])
-        row = ps.transition_row(inst, (), 0)
+        row = ps.transition_matrix(inst, ())[0]
         assert row == pytest.approx([0.075, 0.925], abs=1e-15)
 
     def test_dangling_node_is_uniform(self):
         inst = make(4, 0, [(0, 1)])
-        assert ps.transition_row(inst, (), 2) == pytest.approx([0.25] * 4)
+        assert ps.transition_matrix(inst, ())[2] == pytest.approx([0.25] * 4)
 
     def test_activated_fragile_edge_joins_the_row(self):
         inst = make(3, 0, [(0, 1)], fragile=[(0, 2)], damping=0.9)
-        off = ps.transition_row(inst, (0,), 0)
-        on = ps.transition_row(inst, (1,), 0)
+        off = ps.transition_matrix(inst, (0,))[0]
+        on = ps.transition_matrix(inst, (1,))[0]
         assert off[2] == pytest.approx(0.1 / 3)
         assert on[1] == on[2] == pytest.approx(0.45 + 0.1 / 3)
 
@@ -131,13 +132,11 @@ class TestTransitionRow:
             P = ps.transition_matrix(inst, y)
             assert np.all(P >= 0)
             assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
-            for node in range(inst.n):
-                assert ps.transition_row(inst, y, node) == pytest.approx(P[node])
 
     def test_selection_length_checked(self):
         inst = make(2, 0, [(0, 1)], fragile=[(1, 0)])
         with pytest.raises(DimensionMismatch):
-            ps.transition_row(inst, (), 0)
+            ps.transition_matrix(inst, ())
 
 
 class TestTransitionMatrix:
@@ -411,9 +410,6 @@ class TestDenseSizeGuard:
         assert ps.transition_matrix(make(10, 0, [(0, 1)]), ()).shape == (10, 10)
         with pytest.raises(TooLargeForDense):
             ps.transition_matrix(make(11, 0, [(0, 1)]), ())
-
-    def test_single_rows_stay_available(self, wide):
-        assert ps.transition_row(wide, (), 3).shape == (5000,)
 
 
 class TestStationary:

@@ -6,6 +6,7 @@ import pytest
 
 import pagerank_select as ps
 from pagerank_select import chain, cli
+from test_instance import MALFORMED, malformed_dict
 
 
 def run(capsys, *argv):
@@ -77,6 +78,19 @@ class TestValidate:
         assert code == 1
         assert out == ""
         assert "constraint row" in err
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize("fields, named", MALFORMED)
+    def test_malformed_field_is_an_input_error(self, capsys, tmp_path, command, fields, named):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(malformed_dict(fields)))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        # validate lists problems of the instance fields as "invalid:" lines
+        assert err.startswith(("error: ", "invalid: ") if command == "validate" else "error: ")
+        assert named in err
+        assert "Traceback" not in err
 
 
 class TestGen:

@@ -25,17 +25,20 @@ def frozen():
 class TestLShaped:
     def test_no_fragile_edges(self):
         inst = no_fragile_instance()
-        cut = ps.l_shaped_cut(inst, (), 0.0)
+        memo = ps.Memo(inst)
+        cut = ps.l_shaped_cut(inst, (), 0.0, memo=memo)
         assert cut.coeffs == ()
         assert cut.constant == ps.hitting_times(inst, ()).fr
-        assert cut.gamma_calls == 0
+        assert memo.gamma_calls == 0
 
     def test_tight_at_incumbent(self, frozen):
         incumbent = (1, 0, 1, 0)
         low = ps.min_unconstrained(frozen)
-        cut = ps.l_shaped_cut(frozen, incumbent, low)
+        memo = ps.Memo(frozen)
+        cut = ps.l_shaped_cut(frozen, incumbent, low, memo=memo)
         fr_bar = ps.hitting_times(frozen, incumbent).fr
         assert ps.eval_cut(cut, incumbent) == pytest.approx(fr_bar, abs=1e-9)
+        assert memo.gamma_calls == 0
 
     def test_decays_with_flip_count(self, frozen):
         incumbent = (0, 1, 1, 0)
@@ -75,9 +78,10 @@ class TestLShaped:
 class TestNewCut:
     def test_no_fragile_edges(self):
         inst = no_fragile_instance()
-        cut = ps.new_cut(inst, ())
+        memo = ps.Memo(inst)
+        cut = ps.new_cut(inst, (), memo=memo)
         assert cut.constant == ps.hitting_times(inst, ()).fr
-        assert cut.gamma_calls == 0
+        assert memo.gamma_calls == 0
 
     def test_coefficient_clipped_to_zero_at_optimum_edge(self, frozen):
         # at the global argmin, dropping a selected edge cannot help, so the
@@ -90,8 +94,9 @@ class TestNewCut:
             assert construction_coefficient(cut, e) == 0.0
 
     def test_gamma_call_count(self, frozen):
-        cut = ps.new_cut(frozen, (0, 1, 0, 1))
-        assert cut.gamma_calls == frozen.z_count
+        memo = ps.Memo(frozen)
+        ps.new_cut(frozen, (0, 1, 0, 1), memo=memo)
+        assert memo.gamma_calls == frozen.z_count
 
     def test_signs_after_normalization(self, frozen):
         cut = ps.new_cut(frozen, (1, 0, 0, 1))
@@ -117,9 +122,10 @@ class TestNewCut:
 class TestLiftedCut:
     def test_everything_selected_matches_new(self, frozen):
         incumbent = (1, 1, 1, 1)
-        ordering, calls = ps.make_lift_ordering(frozen, incumbent, BY_INDEX)
+        memo = ps.Memo(frozen)
+        ordering = ps.make_lift_ordering(frozen, incumbent, BY_INDEX, memo=memo)
         assert ordering.order == ()
-        assert calls == 0
+        assert memo.gamma_calls == 0
         lifted = ps.lifted_cut(frozen, incumbent, ordering)
         new = ps.new_cut(frozen, incumbent)
         assert lifted.constant == pytest.approx(new.constant)
@@ -127,7 +133,7 @@ class TestLiftedCut:
 
     def test_last_position_matches_new_coefficient(self, frozen):
         incumbent = (0, 1, 0, 0)
-        ordering, _ = ps.make_lift_ordering(frozen, incumbent, BY_INDEX)
+        ordering = ps.make_lift_ordering(frozen, incumbent, BY_INDEX)
         lifted = ps.lifted_cut(frozen, incumbent, ordering)
         new = ps.new_cut(frozen, incumbent)
         last = ordering.order[-1]
@@ -137,7 +143,7 @@ class TestLiftedCut:
 
     def test_selected_side_identical_to_new(self, frozen):
         incumbent = (1, 0, 1, 0)
-        ordering, _ = ps.make_lift_ordering(frozen, incumbent, BY_INDEX)
+        ordering = ps.make_lift_ordering(frozen, incumbent, BY_INDEX)
         lifted = ps.lifted_cut(frozen, incumbent, ordering)
         new = ps.new_cut(frozen, incumbent)
         for e in ps.support(incumbent):
@@ -145,13 +151,14 @@ class TestLiftedCut:
 
     def test_invalid_ordering_rejected(self, frozen):
         with pytest.raises(InvalidOrdering):
-            ps.lifted_cut(frozen, (1, 0, 0, 0), LiftOrdering(order=(1, 2), strategy=BY_INDEX))
+            ps.lifted_cut(frozen, (1, 0, 0, 0), LiftOrdering(order=(1, 2)))
 
     def test_gamma_call_budget(self, frozen):
         for incumbent in [(0, 0, 0, 0), (1, 0, 1, 0), (1, 1, 1, 1)]:
-            ordering, _ = ps.make_lift_ordering(frozen, incumbent, BY_INDEX)
-            cut = ps.lifted_cut(frozen, incumbent, ordering)
-            assert cut.gamma_calls <= frozen.z_count
+            ordering = ps.make_lift_ordering(frozen, incumbent, BY_INDEX)
+            memo = ps.Memo(frozen)
+            ps.lifted_cut(frozen, incumbent, ordering, memo=memo)
+            assert memo.gamma_calls == frozen.z_count
 
     def test_valid_and_dominant_for_both_orderings(self):
         rng = np.random.default_rng(4)
@@ -163,7 +170,7 @@ class TestLiftedCut:
                 lsh = ps.l_shaped_cut(inst, incumbent, low)
                 new = ps.new_cut(inst, incumbent)
                 for strategy in (BY_INDEX, BY_GAMMA):
-                    ordering, _ = ps.make_lift_ordering(inst, incumbent, strategy)
+                    ordering = ps.make_lift_ordering(inst, incumbent, strategy)
                     lifted = ps.lifted_cut(inst, incumbent, ordering)
                     for point, fr in table.items():
                         assert fr >= ps.eval_cut(lifted, point) - 1e-8
@@ -176,15 +183,17 @@ class TestLiftedCut:
 
 class TestOrderings:
     def test_index_strategy(self, frozen):
-        ordering, calls = ps.make_lift_ordering(frozen, (0, 1, 0, 0), BY_INDEX)
+        memo = ps.Memo(frozen)
+        ordering = ps.make_lift_ordering(frozen, (0, 1, 0, 0), BY_INDEX, memo=memo)
         assert ordering.order == (0, 2, 3)
-        assert calls == 0
+        assert memo.gamma_calls == 0
 
     def test_gamma_strategy_costs_one_call_per_edge(self, frozen):
-        ordering, calls = ps.make_lift_ordering(frozen, (0, 1, 0, 0), BY_GAMMA)
+        memo = ps.Memo(frozen)
+        ordering = ps.make_lift_ordering(frozen, (0, 1, 0, 0), BY_GAMMA, memo=memo)
         assert sorted(ordering.order) == [0, 2, 3]
-        assert calls == 3
-        again, _ = ps.make_lift_ordering(frozen, (0, 1, 0, 0), BY_GAMMA)
+        assert memo.gamma_calls == 3
+        again = ps.make_lift_ordering(frozen, (0, 1, 0, 0), BY_GAMMA)
         assert again == ordering
 
     def test_unknown_strategy(self, frozen):
@@ -197,7 +206,7 @@ class TestEvalCut:
         incumbent = (0, 1, 1, 0)
         fr_bar = ps.hitting_times(frozen, incumbent).fr
         low = ps.min_unconstrained(frozen)
-        ordering, _ = ps.make_lift_ordering(frozen, incumbent, BY_INDEX)
+        ordering = ps.make_lift_ordering(frozen, incumbent, BY_INDEX)
         for cut in (
             ps.l_shaped_cut(frozen, incumbent, low),
             ps.new_cut(frozen, incumbent),
@@ -206,22 +215,22 @@ class TestEvalCut:
             assert ps.eval_cut(cut, incumbent) == pytest.approx(fr_bar, abs=1e-9)
 
     def test_zero_coefficients_give_the_constant(self):
-        cut = ps.Cut(constant=4.5, coeffs=(0.0, 0.0), family=NEW, incumbent=(0, 0), gamma_calls=0)
+        cut = ps.Cut(constant=4.5, coeffs=(0.0, 0.0), family=NEW, incumbent=(0, 0))
         assert ps.eval_cut(cut, (1, 0)) == 4.5
         assert ps.eval_cut(cut, (1, 1)) == 4.5
 
     def test_dimension_mismatch(self):
-        cut = ps.Cut(constant=1.0, coeffs=(1.0,), family=NEW, incumbent=(0,), gamma_calls=0)
+        cut = ps.Cut(constant=1.0, coeffs=(1.0,), family=NEW, incumbent=(0,))
         with pytest.raises(DimensionMismatch):
             ps.eval_cut(cut, (0, 1))
 
     def test_json_shape(self, frozen):
         cut = ps.new_cut(frozen, (1, 0, 0, 0))
         blob = cut.to_json()
+        assert set(blob) == {"family", "a0", "coeffs", "incumbent"}
         assert blob["family"] == NEW
         assert blob["incumbent"] == [1, 0, 0, 0]
         assert len(blob["coeffs"]) == 4
-        assert blob["gamma_calls"] == 4
         assert isinstance(blob["a0"], float)
 
 
@@ -243,7 +252,7 @@ class TestSharedMemo:
                     alone = ps.make_lift_ordering(inst, incumbent, strategy)
                     assert shared == alone
                     pairs.append(
-                        (ps.lifted_cut(inst, incumbent, shared[0], memo=memo), ps.lifted_cut(inst, incumbent, alone[0]))
+                        (ps.lifted_cut(inst, incumbent, shared, memo=memo), ps.lifted_cut(inst, incumbent, alone))
                     )
                 for warm, cold in pairs:
                     assert repr(warm) == repr(cold)

@@ -7,6 +7,7 @@ import pytest
 
 import pagerank_select as ps
 from pagerank_select import ConstraintSet, Row
+from pagerank_select.instance import instance_from_json
 from pagerank_select.errors import (
     DampingRangeError,
     DimensionMismatch,
@@ -258,6 +259,44 @@ class TestFileRoundTrip:
         path.write_text(json.dumps(data))
         with pytest.raises(ParseError):
             ps.read_instance(path)
+
+
+def row(**fields):
+    return {"rows": [{"coeffs": [1, 1], "sense": "<=", "rhs": 1, **fields}]}
+
+
+def card(k):
+    return {"cardinality": {"sense": "<=", "k": k}}
+
+
+# Malformed instance files: (top-level fields to set, a field name the
+# ParseError must give).  Floats and bools where integers are expected are
+# rejected, not truncated.
+MALFORMED = [
+    pytest.param({"edges": 5}, '"edges"', id="edges-not-a-list"),
+    pytest.param({"fragile": 5}, '"fragile"', id="fragile-not-a-list"),
+    pytest.param({"constraints": {"rows": 5}}, '"rows"', id="rows-not-a-list"),
+    pytest.param({"constraints": {"rows": [5]}}, "constraint row 0", id="row-not-an-object"),
+    pytest.param({"constraints": row(coeffs=1)}, '"coeffs"', id="coeffs-not-a-list"),
+    pytest.param({"constraints": row(coeffs=[0.5, 1])}, '"coeffs"', id="coeffs-float"),
+    pytest.param({"constraints": row(coeffs=[True, 1])}, '"coeffs"', id="coeffs-bool"),
+    pytest.param({"constraints": row(rhs=1.5)}, '"rhs"', id="rhs-float"),
+    pytest.param({"constraints": row(rhs=True)}, '"rhs"', id="rhs-bool"),
+    pytest.param({"constraints": card(None)}, '"k"', id="k-null"),
+    pytest.param({"constraints": card(2.7)}, '"k"', id="k-float"),
+    pytest.param({"constraints": card(True)}, '"k"', id="k-bool"),
+]
+
+
+def malformed_dict(fields):
+    return {**minimal_dict(n=3, edges=[[0, 1], [1, 2]], fragile=[[2, 0], [1, 0]]), **fields}
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize("fields, named", MALFORMED)
+    def test_parse_error_names_the_field(self, fields, named):
+        with pytest.raises(ParseError, match=named):
+            instance_from_json(malformed_dict(fields))
 
 
 class TestSelectionHelpers:

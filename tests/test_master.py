@@ -21,7 +21,6 @@ def random_pool(rng, z_count, cut_count):
                 coeffs=tuple(float(x) for x in rng.uniform(-3.0, 3.0, size=z_count)),
                 family="new",
                 incumbent=incumbent,
-                gamma_calls=0,
             )
         )
     return cuts
@@ -79,7 +78,7 @@ class TestTrivialCases:
         assert result.y == (0, 0, 0)
 
     def test_single_cut_arithmetic(self):
-        cut = Cut(constant=5.0, coeffs=(-2.0,), family="new", incumbent=(1,), gamma_calls=0)
+        cut = Cut(constant=5.0, coeffs=(-2.0,), family="new", incumbent=(1,))
         result = solve_master([cut], feasible_set(ps.EMPTY_CONSTRAINTS, 1))
         assert result.y == (1,)
         assert result.theta == pytest.approx(3.0)
@@ -95,12 +94,12 @@ class TestTrivialCases:
         assert result.theta == 0.0
 
     def test_theta_never_negative(self):
-        cut = Cut(constant=-7.0, coeffs=(1.0, 1.0), family="new", incumbent=(0, 0), gamma_calls=0)
+        cut = Cut(constant=-7.0, coeffs=(1.0, 1.0), family="new", incumbent=(0, 0))
         result = solve_master([cut], feasible_set(ps.EMPTY_CONSTRAINTS, 2))
         assert result.theta == 0.0
 
     def test_arity_checked(self):
-        cut = Cut(constant=1.0, coeffs=(1.0, 2.0), family="new", incumbent=(0, 0), gamma_calls=0)
+        cut = Cut(constant=1.0, coeffs=(1.0, 2.0), family="new", incumbent=(0, 0))
         with pytest.raises(DimensionMismatch):
             solve_master([cut], feasible_set(ps.EMPTY_CONSTRAINTS, 3))
 
@@ -254,7 +253,7 @@ class TestPoolState:
         cuts, feasible = folded
         theta = feasible.theta.copy()
         good = random_pool(np.random.default_rng(18), 4, 1)
-        short = Cut(constant=1.0, coeffs=(1.0, 2.0), family="new", incumbent=(0, 0), gamma_calls=0)
+        short = Cut(constant=1.0, coeffs=(1.0, 2.0), family="new", incumbent=(0, 0))
         with pytest.raises(DimensionMismatch):
             solve_master(good + [short], feasible)
         assert np.array_equal(feasible.theta, theta)

@@ -266,12 +266,12 @@ class TestMemo:
         monkeypatch.setattr(chain, "low_rank_hitting_times", counted)
         memo = oracle.Memo(inst)
         y = (1, 0, 1, 0, 0, 1)
-        assert memo.fr(y) == real(chain.factor_walk(inst), y).fr
-        assert memo.fr(y) == pytest.approx(ps.hitting_times(inst, y).fr, rel=1e-12, abs=0)
-        assert memo.fr(list(y)) == memo.fr(y)
+        assert memo.evaluate(y).fr == real(chain.factor_walk(inst), y).fr
+        assert memo.evaluate(y).fr == pytest.approx(ps.hitting_times(inst, y).fr, rel=1e-12, abs=0)
+        assert memo.evaluate(list(y)) is memo.evaluate(y)
         assert evaluated == [y]
 
-    def test_one_factored_walk_per_memo_built_on_first_need(self, inst, monkeypatch):
+    def test_one_factored_walk_built_with_the_memo(self, inst, monkeypatch):
         built = []
         real = chain.factor_walk
 
@@ -281,12 +281,17 @@ class TestMemo:
 
         monkeypatch.setattr(chain, "factor_walk", counted)
         memo = oracle.Memo(inst)
-        assert built == []
-        memo.fr((1, 0, 1, 0, 0, 1))
+        assert built == [inst]
+        memo.evaluate((1, 0, 1, 0, 0, 1))
         memo.gamma(GammaQuery(forced_on=frozenset({1})))
         memo.gamma(GammaQuery(forced_off=frozenset({2})))
-        memo.fr((0, 1, 1, 0, 0, 0))
+        memo.evaluate((0, 1, 1, 0, 0, 0))
         assert built == [inst]
+
+    def test_damping_one_raises_when_made(self):
+        inst = ps.validate({"n": 2, "target": 0, "edges": [[0, 1], [1, 0]], "fragile": [[0, 0]], "damping": 1.0})
+        with pytest.raises(DampingRangeError):
+            oracle.Memo(inst)
 
     def test_memo_of_another_instance_rejected(self, inst):
         other = ps.generate_random(8, 0.3, 6, None, seed=10)[0]

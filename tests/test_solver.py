@@ -61,7 +61,6 @@ class TestTrivialCases:
                 coeffs=(0.0,) * instance.z_count,
                 family=NEW,
                 incumbent=tuple(incumbent),
-                gamma_calls=0,
             )
 
         monkeypatch.setattr(cut_families, "new_cut", useless_cut)
