@@ -123,6 +123,24 @@ def _require_target_reachable(P: np.ndarray, v: int) -> None:
         )
 
 
+def _first_passage_matrix(P: np.ndarray, v: int) -> np.ndarray:
+    """``I - Q`` for n > 1, with Q the transition matrix P less the target's
+    row and column: each entry is ``0 - P[j, k]``, plus 1 on the diagonal,
+    which is bitwise ``eye - Q`` (a zero entry of P stays +0).
+
+    The four blocks of Q are copied by plain assignment and negated in one
+    contiguous pass: with numpy 2.4, ``np.negative`` into a strided column
+    view (``out=A[:k, j:j + 1]``) reads its input as if contiguous."""
+    n = len(P)
+    A = np.empty((n - 1, n - 1))
+    for to_rows, rows in ((slice(None, v), slice(None, v)), (slice(v, None), slice(v + 1, None))):
+        for to_cols, cols in ((slice(None, v), slice(None, v)), (slice(v, None), slice(v + 1, None))):
+            A[to_rows, to_cols] = P[rows, cols]
+    np.subtract(0.0, A, out=A)
+    A[np.diag_indices_from(A)] += 1.0
+    return A
+
+
 def hitting_times(instance: Instance, y: Selection) -> HittingProfile:
     """Solve the first-passage system for the target node.
 
@@ -140,13 +158,9 @@ def hitting_times(instance: Instance, y: Selection) -> HittingProfile:
     if instance.damping >= 1.0:
         _require_target_reachable(P, v)
     h = np.zeros(n)
-    others = [j for j in range(n) if j != v]
-    if others:
-        sub = P[np.ix_(others, others)]
-        A = np.eye(n - 1) - sub
-        b = np.ones(n - 1)
+    if n > 1:
         try:
-            h[others] = np.linalg.solve(A, b)
+            h[np.arange(n) != v] = np.linalg.solve(_first_passage_matrix(P, v), np.ones(n - 1))
         except np.linalg.LinAlgError:
             raise SingularSystem(f"hitting-time system for target {v} is singular") from None
     fr = 1.0 + float(P[v] @ h)
@@ -213,15 +227,13 @@ def factor_walk(instance: Instance) -> WalkFactor:
     base = hitting_times(instance, off)
     P = transition_matrix(instance, off)
     sources = np.array(sorted(from_fragile - {v}), dtype=np.intp)
-    others = np.flatnonzero(np.arange(n) != v)
+    others = np.arange(n) != v
     columns = np.zeros((n, len(sources)))
     if len(sources):
-        A = -P[np.ix_(others, others)]
-        A[np.diag_indices_from(A)] += 1.0
         units = np.zeros((n - 1, len(sources)))
-        units[np.searchsorted(others, sources), np.arange(len(sources))] = 1.0
+        units[sources - (sources > v), np.arange(len(sources))] = 1.0
         try:
-            columns[others] = np.linalg.solve(A, units)
+            columns[others] = np.linalg.solve(_first_passage_matrix(P, v), units)
         except np.linalg.LinAlgError:
             raise SingularSystem(f"hitting-time system for target {v} is singular") from None
     return WalkFactor(

@@ -20,8 +20,8 @@ from .errors import Infeasible, PagerankSelectError, TooLargeToEnumerate
 from .instance import (
     EMPTY_CONSTRAINTS,
     generate_random,
-    instance_from_json,
     read_instance,
+    validate,
     validation_errors,
     write_instance,
 )
@@ -48,12 +48,12 @@ def cmd_validate(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: {args.file}: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    problems = validation_errors(data)
+    problems = validation_errors(data)  # the instance fields and the constraints
     if problems:
         for msg in problems:
             print(f"invalid: {msg}", file=sys.stderr)
         return EXIT_INPUT
-    inst, _ = instance_from_json(data)  # also checks the constraints
+    inst = validate(data)
     print(
         f"ok: {inst.n} nodes, {len(inst.edges)} fixed edges, "
         f"{inst.z_count} fragile edges, target {inst.target}, damping {inst.damping}"

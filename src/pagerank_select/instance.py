@@ -16,7 +16,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -71,10 +71,12 @@ class Instance:
 
     @cached_property
     def edge_array(self) -> np.ndarray:
-        """Fixed edges as a read-only (m, 2) array of (source, target) rows.
-        Validates the instance first: the walk builder counts every edge listed."""
+        """Fixed edges as a read-only (m, 2) array of (source, target) rows,
+        in sorted order.  Validates the instance first: the walk builder
+        counts every edge listed."""
         validate(self)
-        return _edge_array(sorted(self.edges))
+        ends = _endpoints(self.edges)
+        return _edge_array(ends[np.argsort(ends[:, 0] * self.n + ends[:, 1])])
 
     @cached_property
     def fragile_array(self) -> np.ndarray:
@@ -86,6 +88,16 @@ def _edge_array(pairs) -> np.ndarray:
     arr = np.array(pairs, dtype=np.intp).reshape(-1, 2)
     arr.setflags(write=False)
     return arr
+
+
+def _endpoints(pairs) -> np.ndarray | None:
+    """A collection of pairs as an (m, 2) intp array in iteration order, read
+    straight from the pairs with no list in between; None when an endpoint
+    does not fit in intp."""
+    try:
+        return np.fromiter(chain.from_iterable(pairs), dtype=np.intp, count=2 * len(pairs)).reshape(-1, 2)
+    except OverflowError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -157,11 +169,12 @@ def _as_pair(item, field: str) -> Edge:
     return (i, j)
 
 
-def _coerce(raw) -> tuple[Instance, list[Edge]]:
+def _coerce(raw) -> tuple[Instance, list[Edge] | None]:
     """Build an Instance from a schema dict; returns it with the raw edge list
-    (needed to detect duplicates that a frozenset would silently collapse)."""
+    (needed to detect duplicates that a frozenset would silently collapse),
+    or an Instance with None, since its frozenset holds no duplicates."""
     if isinstance(raw, Instance):
-        return raw, sorted(raw.edges)
+        return raw, None
     if not isinstance(raw, dict):
         raise ParseError(f"expected a mapping or an Instance, got {type(raw).__name__}")
     missing = [k for k in ("n", "target", "edges", "fragile") if k not in raw]
@@ -184,52 +197,88 @@ def _coerce(raw) -> tuple[Instance, list[Edge]]:
     return inst, edge_list
 
 
-def _violations(inst: Instance, edge_list: list[Edge]) -> list[tuple[type, str]]:
+def _outside(pairs, n: int) -> list[Edge]:
+    """The pairs with an endpoint outside [0, n), in iteration order.  The
+    scan runs on their array; Python only lists what it found."""
+    ends = _endpoints(pairs)
+    if ends is not None and ((ends >= 0) & (ends < n)).all():
+        return []
+    return [(i, j) for (i, j) in pairs if not (0 <= i < n and 0 <= j < n)]
+
+
+def _repeated(pairs) -> list[Edge]:
+    return sorted(e for e, count in Counter(pairs).items() if count > 1)
+
+
+def _violations(inst: Instance, edge_list: list[Edge] | None) -> list[tuple[type, str]]:
+    """Every instance violation, in the order validate reports them.  Fixed
+    edges are reported in ``edge_list``'s order, or sorted for an Instance."""
     found: list[tuple[type, str]] = []
-    if inst.n < 1:
-        found.append((NodeIndexError, f"node count must be positive, got {inst.n}"))
+    n = inst.n
+    if n < 1:
+        found.append((NodeIndexError, f"node count must be positive, got {n}"))
         return found
-    if not 0 <= inst.target < inst.n:
-        found.append((NodeIndexError, f"target {inst.target} outside [0, {inst.n})"))
-    for name, pairs in (("fixed", edge_list), ("fragile", inst.fragile)):
-        for (i, j) in pairs:
-            if not (0 <= i < inst.n and 0 <= j < inst.n):
-                found.append((NodeIndexError, f"{name} edge ({i}, {j}) has an endpoint outside [0, {inst.n})"))
-    for name, pairs in (("fixed", edge_list), ("fragile", inst.fragile)):
-        dupes = sorted(e for e, count in Counter(pairs).items() if count > 1)
+    if not 0 <= inst.target < n:
+        found.append((NodeIndexError, f"target {inst.target} outside [0, {n})"))
+    fixed_outside = sorted(_outside(inst.edges, n)) if edge_list is None else _outside(edge_list, n)
+    for name, bad in (("fixed", fixed_outside), ("fragile", _outside(inst.fragile, n))):
+        for (i, j) in bad:
+            found.append((NodeIndexError, f"{name} edge ({i}, {j}) has an endpoint outside [0, {n})"))
+    fixed_dupes = [] if edge_list is None or len(edge_list) == len(inst.edges) else _repeated(edge_list)
+    for name, dupes in (("fixed", fixed_dupes), ("fragile", _repeated(inst.fragile))):
         if dupes:
             found.append((DuplicateEdgeError, f"duplicate {name} edge(s): {dupes}"))
-    overlap = inst.edges & set(inst.fragile)
+    overlap = sorted({e for e in inst.fragile if e in inst.edges})
     if overlap:
-        found.append((OverlapError, f"edge(s) listed as both fixed and fragile: {sorted(overlap)}"))
+        found.append((OverlapError, f"edge(s) listed as both fixed and fragile: {overlap}"))
     if not 0.0 < inst.damping <= 1.0:
         found.append((DampingRangeError, f"damping must lie in (0, 1], got {inst.damping}"))
     return found
+
+
+def _check(raw, with_constraints: bool = False) -> tuple[Instance, ConstraintSet, list[tuple[type, str]]]:
+    """The one validation path: the instance, its constraint set (empty
+    unless asked for, which needs a mapping) and every violation found, the
+    instance's first.  Raises ParseError when the instance fields are
+    malformed; a malformed constraint field is listed as a violation."""
+    inst, edge_list = _coerce(raw)
+    found = _violations(inst, edge_list)
+    constraints = EMPTY_CONSTRAINTS
+    if with_constraints:
+        try:
+            constraints = _constraints_from_json(raw.get("constraints"), inst.z_count)
+        except ParseError as exc:
+            found.append((ParseError, str(exc)))
+    return inst, constraints, found
+
+
+def _raise_first(found: list[tuple[type, str]]) -> None:
+    if found:
+        cls, msg = found[0]
+        raise cls(msg)
 
 
 def validate(raw) -> Instance:
     """Check every instance invariant; return the validated Instance.
 
     Accepts an Instance or a dict in the file schema (any "constraints" key is
-    handled separately by read_instance).  Raises the specific error for the
-    first violation found: ParseError, NodeIndexError, DuplicateEdgeError,
+    handled separately by instance_from_json).  Raises the specific error for
+    the first violation found: ParseError, NodeIndexError, DuplicateEdgeError,
     OverlapError, or DampingRangeError.
     """
-    inst, edge_list = _coerce(raw)
-    found = _violations(inst, edge_list)
-    if found:
-        cls, msg = found[0]
-        raise cls(msg)
+    inst, _, found = _check(raw)
+    _raise_first(found)
     return inst
 
 
 def validation_errors(raw) -> list[str]:
-    """All invariant violations as human-readable strings (empty when valid)."""
+    """All violations as human-readable strings (empty when valid): of an
+    Instance, or of a dict in the file schema, its "constraints" included."""
     try:
-        inst, edge_list = _coerce(raw)
+        _, _, found = _check(raw, with_constraints=isinstance(raw, dict))
     except ParseError as exc:
         return [str(exc)]
-    return [msg for _, msg in _violations(inst, edge_list)]
+    return [msg for _, msg in found]
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +353,14 @@ def parse_constraint_spec(spec: str | None, z_count: int, rng=None) -> Constrain
     raise ParseError(f"unknown constraint spec {spec!r}")
 
 
+def _decode_pairs(flat: np.ndarray, n: int) -> Iterator[Edge]:
+    """The ordered pairs (i, j) numbered ``flat`` (see generate_random), as
+    int tuples in that order."""
+    i, j = np.divmod(flat, max(n - 1, 1))
+    j += j >= i
+    return zip(i.tolist(), j.tolist())
+
+
 def generate_random(
     n: int,
     fixed_edge_prob: float,
@@ -318,26 +375,42 @@ def generate_random(
     Deterministic for a fixed seed.  Raises InfeasibleSpec for a negative
     fragile_count, or when fewer than fragile_count non-edges remain after
     the fixed draw.
+
+    The ordered pairs (i, j), i != j, are numbered row-major: pair p is row
+    ``i = p // (n - 1)``, and column ``j' = p % (n - 1)`` skipping the
+    diagonal, ``j = j' + (j' >= i)``.  Only the drawn pairs are decoded, so
+    the work is O(m) plus a float and a bit per ordered pair.
     """
     if n < 1:
         raise NodeIndexError(f"node count must be positive, got {n}")
     if fragile_count < 0:
         raise InfeasibleSpec(f"fragile edge count must be nonnegative, got {fragile_count}")
     rng = np.random.default_rng(seed)
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    if fragile_count > len(pairs):
-        raise InfeasibleSpec(f"{fragile_count} fragile edges requested but only {len(pairs)} ordered pairs exist")
-    mask = rng.random(len(pairs)) < fixed_edge_prob
-    edges = frozenset(p for p, hit in zip(pairs, mask) if hit)
-    non_edges = [p for p, hit in zip(pairs, mask) if not hit]
-    if fragile_count > len(non_edges):
+    pair_count = n * (n - 1)
+    if fragile_count > pair_count:
+        raise InfeasibleSpec(f"{fragile_count} fragile edges requested but only {pair_count} ordered pairs exist")
+    hits = np.flatnonzero(rng.random(pair_count) < fixed_edge_prob)
+    non_edge_count = pair_count - len(hits)
+    if fragile_count > non_edge_count:
         raise InfeasibleSpec(
-            f"{fragile_count} fragile edges requested but only {len(non_edges)} non-edges remain"
+            f"{fragile_count} fragile edges requested but only {non_edge_count} non-edges remain"
         )
-    picks = rng.choice(len(non_edges), size=fragile_count, replace=False) if fragile_count else []
-    fragile = tuple(non_edges[int(k)] for k in picks)
+    picks = rng.choice(non_edge_count, size=fragile_count, replace=False) if fragile_count else []
+    # Non-edge k is pair k + t, with t the number of hits before it: hit s
+    # (ascending) comes before it exactly when the hits[s] - s non-edges
+    # ahead of hit s number at most k.
+    picks = np.asarray(picks, dtype=np.intp)
+    picks += np.searchsorted(hits - np.arange(len(hits)), picks, side="right")
     target = int(rng.integers(n))
-    inst = validate(Instance(n=n, target=target, edges=edges, fragile=fragile, damping=damping))
+    inst = validate(
+        Instance(
+            n=n,
+            target=target,
+            edges=frozenset(_decode_pairs(hits, n)),  # insertion order sets iteration order
+            fragile=tuple(_decode_pairs(picks, n)),
+            damping=damping,
+        )
+    )
     constraints = parse_constraint_spec(constraint_spec, fragile_count, rng)
     return inst, constraints
 
@@ -398,10 +471,12 @@ def constraints_to_json(constraints: ConstraintSet):
 
 
 def instance_to_json(instance: Instance, constraints: ConstraintSet = EMPTY_CONSTRAINTS) -> dict:
+    """The file schema of an instance, its fixed edges sorted; they come from
+    ``Instance.edge_array``, so an invalid instance raises as validate does."""
     return {
         "n": instance.n,
         "target": instance.target,
-        "edges": [list(e) for e in sorted(instance.edges)],
+        "edges": instance.edge_array.tolist(),
         "fragile": [list(e) for e in instance.fragile],
         "damping": instance.damping,
         "constraints": constraints_to_json(constraints),
@@ -410,8 +485,8 @@ def instance_to_json(instance: Instance, constraints: ConstraintSet = EMPTY_CONS
 
 def instance_from_json(data) -> tuple[Instance, ConstraintSet]:
     """Validate a parsed instance file; returns (Instance, ConstraintSet)."""
-    inst = validate(data)
-    constraints = _constraints_from_json(data.get("constraints"), inst.z_count)
+    inst, constraints, found = _check(data, with_constraints=True)
+    _raise_first(found)
     return inst, constraints
 
 
@@ -426,6 +501,10 @@ def read_instance(path) -> tuple[Instance, ConstraintSet]:
 
 
 def write_instance(path, instance: Instance, constraints: ConstraintSet = EMPTY_CONSTRAINTS) -> None:
+    """Write an instance file: one top-level field per line, each value as
+    ``json.dumps`` writes it (the C encoder; ``json.dump`` would take the
+    pure-Python one)."""
+    fields = instance_to_json(instance, constraints)
+    lines = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in fields.items())
     with open(path, "w") as fh:
-        json.dump(instance_to_json(instance, constraints), fh, indent=2)
-        fh.write("\n")
+        fh.write("{\n" + lines + "\n}\n")

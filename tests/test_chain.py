@@ -245,6 +245,17 @@ class TestHittingTimes:
         assert ps.transition_matrix(inst, ())[0, 0] == 1.0
         assert ps.hitting_times(inst, ()).fr == 1.0
 
+    @pytest.mark.parametrize("c", [0.85, 1.0])
+    def test_first_passage_matrix_is_bitwise_eye_minus_q(self, c):
+        # compared as bytes, so a -0.0 where eye - Q has +0.0 (a zero entry
+        # of P, which damping 1 has) fails too
+        for inst in build_corpus(8, seed0=66, n_lo=2, c_lo=c, c_hi=c):
+            P = ps.transition_matrix(inst, (0,) * inst.z_count)
+            for v in {0, inst.target, inst.n - 1}:
+                others = [j for j in range(inst.n) if j != v]
+                expected = np.eye(inst.n - 1) - P[np.ix_(others, others)]
+                assert chain._first_passage_matrix(P, v).tobytes() == expected.tobytes()
+
     def test_monte_carlo_agreement(self):
         for seed, inst in enumerate(build_corpus(2, seed0=55, n_lo=4, n_hi=6, z_lo=1, z_hi=4)):
             y = tuple(1 for _ in range(inst.z_count))

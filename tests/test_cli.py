@@ -87,8 +87,9 @@ class TestValidate:
         code, out, err = run(capsys, command, str(path))
         assert code == 1
         assert out == ""
-        # validate lists problems of the instance fields as "invalid:" lines
-        assert err.startswith(("error: ", "invalid: ") if command == "validate" else "error: ")
+        # validate lists every problem, of the instance fields and of the
+        # constraints alike, as "invalid:" lines
+        assert err.startswith("invalid: " if command == "validate" else "error: ")
         assert named in err
         assert "Traceback" not in err
 

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import pagerank_select as ps
 from pagerank_select import ConstraintSet, Row
-from pagerank_select.instance import instance_from_json
+from pagerank_select.instance import instance_from_json, instance_to_json
 from pagerank_select.errors import (
     DampingRangeError,
     DimensionMismatch,
@@ -127,6 +128,48 @@ class TestValidate:
         assert ps.validate(inst) == inst
 
 
+    def test_validation_errors_include_the_constraints(self):
+        data = minimal_dict(target=5, fragile=[[1, 1]], edges=[[0, 1]])
+        data["constraints"] = {"rows": [{"coeffs": [1], "sense": "<=", "rhs": 1.5}]}
+        assert ps.validation_errors(data) == [
+            "target 5 outside [0, 2)",
+            'constraint row 0 "rhs" must be an integer, got 1.5',
+        ]
+
+
+class TestValidateInstance:
+    """validate of an Instance checks its edges as arrays; the messages name
+    the first violation as they always have, fixed edges in sorted order."""
+
+    def test_out_of_range_edges(self):
+        inst = ps.Instance(n=3, target=0, edges=frozenset({(2, 5), (0, 1), (-1, 2)}), fragile=((1, 3),))
+        with pytest.raises(NodeIndexError) as caught:
+            ps.validate(inst)
+        assert str(caught.value) == "fixed edge (-1, 2) has an endpoint outside [0, 3)"
+        assert ps.validation_errors(inst) == [
+            "fixed edge (-1, 2) has an endpoint outside [0, 3)",
+            "fixed edge (2, 5) has an endpoint outside [0, 3)",
+            "fragile edge (1, 3) has an endpoint outside [0, 3)",
+        ]
+
+    def test_endpoint_too_large_for_an_array(self):
+        big = 10**30
+        with pytest.raises(NodeIndexError, match=f"fixed edge \\(0, {big}\\)"):
+            ps.validate(ps.Instance(n=3, target=0, edges=frozenset({(0, 1), (0, big)}), fragile=()))
+        with pytest.raises(NodeIndexError, match=f"fragile edge \\({big}, 1\\)"):
+            ps.validate(minimal_dict(fragile=[[big, 1]]))
+
+    def test_overlap(self):
+        inst = ps.Instance(n=3, target=0, edges=frozenset({(1, 2), (0, 1)}), fragile=((1, 2), (2, 0), (0, 1)))
+        with pytest.raises(OverlapError) as caught:
+            ps.validate(inst)
+        assert str(caught.value) == "edge(s) listed as both fixed and fragile: [(0, 1), (1, 2)]"
+
+    def test_edge_array_is_sorted(self):
+        inst, _ = ps.generate_random(30, 0.1, 3, None, seed=4)
+        assert inst.edge_array.tolist() == [list(e) for e in sorted(inst.edges)]
+
+
 class TestFeasibility:
     def test_empty_constraints_accept_everything(self):
         assert ps.is_feasible(ps.EMPTY_CONSTRAINTS, (0, 1, 1))
@@ -216,6 +259,129 @@ class TestGenerator:
             ps.generate_random(5, 0.2, 3, "card_le", seed=0)
 
 
+# generate_random's output, recorded from the tuple-per-pair generator it
+# replaced: (n, density, fragile count, spec, seed) -> (target, list(edges)
+# in iteration order, fragile, constraints).  The edge order is pinned too,
+# since the walk factor and the greedy's sums follow it.
+GOLDEN = {
+    (6, 0.3, 4, "card_le:2", 7): (
+        1,
+        [(4, 0), (1, 2), (0, 4), (2, 1), (4, 3), (2, 3), (4, 5), (4, 1)],
+        ((2, 4), (1, 5), (1, 3), (5, 4)),
+        ConstraintSet(cardinality=("<=", 2)),
+    ),
+    (6, 1.0, 0, None, 1): (
+        2,
+        [(4, 0), (3, 4), (4, 3), (3, 1), (5, 4), (5, 1), (0, 2), (0, 5), (1, 0), (2, 5), (1, 3), (4, 2), (3, 0),
+         (4, 5), (5, 0), (5, 3), (0, 1), (2, 4), (1, 2), (0, 4), (2, 1), (1, 5), (3, 2), (4, 1), (3, 5), (5, 2),
+         (0, 3), (2, 0), (1, 4), (2, 3)],
+        (),
+        ConstraintSet(),
+    ),
+    (6, 0.0, 5, "cover:2", 3): (
+        1,
+        [],
+        ((2, 4), (2, 0), (3, 4), (1, 3), (0, 3)),
+        ConstraintSet(rows=(Row(coeffs=(0, 0, 1, 1, 0), sense=">=", rhs=1),)),
+    ),
+    (12, 0.15, 6, "cover:3", 11): (
+        0,
+        [(4, 3), (4, 9), (8, 0), (0, 5), (9, 11), (0, 8), (2, 11), (2, 8), (6, 8), (5, 6), (5, 3), (5, 9), (9, 1),
+         (8, 11), (10, 2), (0, 1), (0, 7), (10, 11), (0, 4), (11, 10), (6, 7), (3, 2), (4, 10), (3, 8), (11, 0),
+         (9, 6), (10, 7), (1, 4), (7, 11), (11, 6), (6, 0), (6, 3)],
+        ((1, 2), (6, 10), (11, 5), (1, 3), (8, 1), (10, 5)),
+        ConstraintSet(rows=(Row(coeffs=(0, 0, 1, 0, 1, 1), sense=">=", rhs=1),)),
+    ),
+    (12, 0.2, 0, None, 2): (
+        0,
+        [(5, 4), (4, 6), (5, 7), (8, 0), (5, 10), (10, 0), (1, 0), (0, 8), (1, 9), (2, 8), (7, 10), (4, 5), (5, 6),
+         (5, 9), (9, 7), (8, 5), (8, 11), (0, 7), (10, 11), (0, 4), (2, 7), (7, 3), (8, 1), (8, 10), (10, 1),
+         (10, 7), (6, 0), (7, 8)],
+        (),
+        ConstraintSet(),
+    ),
+    (40, 0.02, 8, "card_ge:2", 5): (
+        22,
+        [(13, 30), (0, 30), (15, 21), (24, 30), (7, 23), (14, 4), (25, 29), (34, 4), (39, 18), (39, 27), (35, 39),
+         (29, 35), (20, 32), (3, 13), (5, 10), (7, 38), (8, 3), (30, 18), (19, 15), (2, 11), (10, 18), (18, 7),
+         (6, 14), (0, 32), (11, 32), (2, 35), (13, 35), (21, 12), (29, 37), (39, 35), (29, 34), (11, 7), (22, 31),
+         (35, 4), (27, 33), (24, 22), (18, 21), (24, 37), (13, 34), (29, 30), (4, 25), (15, 0), (1, 10), (30, 37),
+         (20, 2)],
+        ((38, 4), (16, 26), (2, 16), (35, 31), (25, 14), (38, 25), (23, 16), (4, 17)),
+        ConstraintSet(cardinality=(">=", 2)),
+    ),
+}
+
+# Specs the generator refuses, with the exact message.
+REFUSED = [
+    ((6, 1.0, 1, None, 0), InfeasibleSpec, "1 fragile edges requested but only 0 non-edges remain"),
+    ((3, 0.0, 7, None, 0), InfeasibleSpec, "7 fragile edges requested but only 6 ordered pairs exist"),
+    ((6, 0.3, -1, None, 0), InfeasibleSpec, "fragile edge count must be nonnegative, got -1"),
+    ((12, 0.95, 10, None, 4), InfeasibleSpec, "10 fragile edges requested but only 8 non-edges remain"),
+    ((0, 0.5, 0, None, 0), NodeIndexError, "node count must be positive, got 0"),
+]
+
+
+def tuple_per_pair_generate(n, density, z_count, seed):
+    """The generator's draws with one Python tuple per ordered pair: the
+    reference for the array version.  Returns (fixed edges in insertion
+    order, fragile edges, target), or None when too few non-edges remain."""
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    mask = rng.random(len(pairs)) < density
+    non_edges = [p for p, hit in zip(pairs, mask) if not hit]
+    if z_count > len(non_edges):
+        return None
+    picks = rng.choice(len(non_edges), size=z_count, replace=False) if z_count else []
+    fragile = tuple(non_edges[int(k)] for k in picks)
+    return [p for p, hit in zip(pairs, mask) if hit], fragile, int(rng.integers(n))
+
+
+class TestGeneratorGolden:
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 60])
+    @pytest.mark.parametrize("density", [0.0, 0.1, 0.5, 1.0])
+    def test_matches_the_tuple_per_pair_reference(self, n, density):
+        for z_count, seed in product((0, 1, 4), (0, 1, 2)):
+            expected = tuple_per_pair_generate(n, density, z_count, seed)
+            if expected is None:
+                with pytest.raises(InfeasibleSpec):
+                    ps.generate_random(n, density, z_count, None, seed=seed)
+                continue
+            inst, _ = ps.generate_random(n, density, z_count, None, seed=seed)
+            edges, fragile, target = expected
+            assert list(inst.edges) == list(frozenset(edges))
+            assert (inst.fragile, inst.target) == (fragile, target)
+
+    @pytest.mark.parametrize("spec", list(GOLDEN), ids=str)
+    def test_same_instance_as_recorded(self, spec):
+        n, density, z_count, constraint, seed = spec
+        inst, cons = ps.generate_random(n, density, z_count, constraint, seed=seed)
+        target, edges, fragile, constraints = GOLDEN[spec]
+        assert (inst.n, inst.target, inst.damping) == (n, target, 0.85)
+        assert list(inst.edges) == edges
+        assert inst.fragile == fragile
+        assert cons == constraints
+
+    @pytest.mark.parametrize("spec, error, message", REFUSED, ids=[str(r[0]) for r in REFUSED])
+    def test_refused_with_the_recorded_message(self, spec, error, message):
+        n, density, z_count, constraint, seed = spec
+        with pytest.raises(error) as caught:
+            ps.generate_random(n, density, z_count, constraint, seed=seed)
+        assert str(caught.value) == message
+
+    def test_memory_per_ordered_pair(self):
+        # A float and a bit per ordered pair, plus the edges drawn: at most
+        # 32 bytes per pair.  A Python tuple per pair costs about 100.
+        n = 1000
+        tracemalloc.start()
+        try:
+            ps.generate_random(n, 0.02, 10, None, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * (n - 1)) <= 32
+
+
 class TestFileRoundTrip:
     def test_round_trip_identity(self, tmp_path):
         inst, cons = ps.generate_random(6, 0.3, 4, "card_le:2", seed=11)
@@ -230,6 +396,29 @@ class TestFileRoundTrip:
         cons = ConstraintSet(rows=(Row((1,), ">=", 1),), cardinality=("<=", 1))
         path = tmp_path / "inst.json"
         ps.write_instance(path, inst, cons)
+        assert ps.read_instance(path) == (inst, cons)
+
+    def test_written_file_is_the_json_of_the_instance(self, tmp_path):
+        inst, cons = ps.generate_random(30, 0.1, 5, "cover:2", seed=3)
+        path = tmp_path / "inst.json"
+        ps.write_instance(path, inst, cons)
+        with open(path) as fh:
+            assert json.load(fh) == instance_to_json(inst, cons)
+        assert ps.read_instance(path) == (inst, cons)
+
+    def test_one_top_level_field_per_line(self, tmp_path):
+        inst, cons = ps.generate_random(6, 0.3, 2, "card_le:1", seed=1)
+        path = tmp_path / "inst.json"
+        ps.write_instance(path, inst, cons)
+        lines = path.read_text().splitlines()
+        keys = ["n", "target", "edges", "fragile", "damping", "constraints"]
+        assert lines[0] == "{" and lines[-1] == "}"
+        assert [line.split(":")[0] for line in lines[1:-1]] == [f'  "{key}"' for key in keys]
+
+    def test_indented_files_still_load(self, tmp_path):
+        inst, cons = ps.generate_random(8, 0.3, 3, "cover:1", seed=2)
+        path = tmp_path / "indented.json"
+        path.write_text(json.dumps(instance_to_json(inst, cons), indent=2) + "\n")
         assert ps.read_instance(path) == (inst, cons)
 
     def test_missing_target_field(self, tmp_path):
