@@ -19,6 +19,7 @@ time linear in n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -317,9 +318,8 @@ def low_rank_hitting_times(factor: WalkFactor, y: Selection) -> HittingProfile:
     _check_selection(instance, y)
     places = factor.edge_places
     picked: dict[int, list[int]] = {}  # selected edge ids by their source's place
-    for k, bit in enumerate(y):
-        if bit:
-            picked.setdefault(places[k], []).append(k)
+    for k in compress(range(len(y)), y):
+        picked.setdefault(places[k], []).append(k)
     if not picked:
         return HittingProfile(h=factor.h0.copy(), fr=factor.fr0)
     target_row = factor.target_row

@@ -90,16 +90,15 @@ def l_shaped_cut(
     since the bound is supplied by the caller.  ``memo`` (one per solve; a
     fresh one when None) supplies the incumbent's return time.
     """
-    incumbent = tuple(int(b) for b in incumbent)
+    incumbent = tuple(map(int, incumbent))
     fr_bar = oracle.memo_for(instance, memo).evaluate(incumbent).fr
     if lower_bound > fr_bar + L_GUARD:
         raise LTooLarge(
             f"lower bound {lower_bound} exceeds the incumbent value {fr_bar}"
         )
     gap = lower_bound - fr_bar
-    sel = support(incumbent)
-    constant = fr_bar + gap * len(sel)
-    coeffs = tuple(-gap if k in sel else gap for k in range(instance.z_count))
+    constant = fr_bar + gap * (len(incumbent) - incumbent.count(0))  # times the support's size
+    coeffs = tuple(-gap if b else gap for b in incumbent)
     return Cut(constant=constant, coeffs=coeffs, family=L_SHAPED, incumbent=incumbent)
 
 

@@ -169,6 +169,23 @@ def _as_pair(item, field: str) -> Edge:
     return (i, j)
 
 
+def _as_pairs(value, field: str) -> list[Edge]:
+    """``_as_pair`` of every entry of a listed field.  A first pass takes
+    exact lists or tuples of two exact ints without a call per entry; at the
+    first other entry every entry goes through ``_as_pair``, which accepts
+    or rejects it, with its message."""
+    items = _as_list(value, f'"{field}"')
+    pairs = []
+    for item in items:
+        if (type(item) is list or type(item) is tuple) and len(item) == 2:
+            i, j = item
+            if type(i) is int and type(j) is int:
+                pairs.append((i, j))
+                continue
+        return [_as_pair(e, field) for e in items]
+    return pairs
+
+
 def _coerce(raw) -> tuple[Instance, list[Edge] | None]:
     """Build an Instance from a schema dict; returns it with the raw edge list
     (needed to detect duplicates that a frozenset would silently collapse),
@@ -185,8 +202,8 @@ def _coerce(raw) -> tuple[Instance, list[Edge] | None]:
     damping = raw.get("damping", DEFAULT_DAMPING)
     if isinstance(damping, bool) or not isinstance(damping, (int, float)):
         raise ParseError(f'"damping" must be a number, got {damping!r}')
-    edge_list = [_as_pair(e, "edges") for e in _as_list(raw["edges"], '"edges"')]
-    fragile = tuple(_as_pair(e, "fragile") for e in _as_list(raw["fragile"], '"fragile"'))
+    edge_list = _as_pairs(raw["edges"], "edges")
+    fragile = tuple(_as_pairs(raw["fragile"], "fragile"))
     inst = Instance(
         n=n,
         target=target,

@@ -125,20 +125,26 @@ def solve_master(cuts: Sequence[Cut], feasible: FeasibleSet) -> MasterResult:
             raise DimensionMismatch(
                 f"cut arity {len(cut.coeffs)} does not match {feasible.z_count} fragile edges"
             )
-    columns = feasible.points.T
+    columns, theta = feasible.points.T, feasible.theta
     block = max(1, FOLD_BLOCK_BYTES // (8 * max(feasible.z_count, 1)))
     for cut in cuts:
         coeffs = np.array(cut.coeffs, dtype=float)[:, None]
-        for start in range(0, columns.shape[1], block):
-            # Reducing over the leading axis of the C-contiguous product adds
-            # row after row, so each point's sum runs in edge order, as
-            # eval_cut sums it; a BLAS product regroups the terms and can
-            # move a tie by an ulp.
-            lhs = np.add.reduce(columns[:, start : start + block] * coeffs, axis=0)
-            theta = feasible.theta[start : start + block]
-            np.maximum(theta, cut.constant + lhs, out=theta)
+        if len(theta) <= block:
+            _fold(columns, coeffs, cut.constant, theta)
+            continue
+        for start in range(0, len(theta), block):
+            _fold(columns[:, start : start + block], coeffs, cut.constant, theta[start : start + block])
 
-    points, theta = feasible.points, feasible.theta
-    best = int(np.argmin(theta))  # first minimum; the points are in lexicographic order
-    y = tuple(int(b) for b in points[best])
-    return MasterResult(y=y, theta=float(theta[best]), nodes_explored=len(points))
+    best = int(theta.argmin())  # first minimum; the points are in lexicographic order
+    y = tuple(feasible.points[best].astype(np.intp).tolist())
+    return MasterResult(y=y, theta=float(theta[best]), nodes_explored=len(theta))
+
+
+def _fold(columns: np.ndarray, coeffs: np.ndarray, constant: float, theta: np.ndarray) -> None:
+    """Raise ``theta`` (a view) to the cut at the points whose transposes are
+    ``columns``.  Reducing over the leading axis of the C-contiguous product
+    adds row after row, so each point's sum runs in edge order, as eval_cut
+    sums it; a BLAS product regroups the terms and can move a tie by an ulp."""
+    lhs = np.add.reduce(columns * coeffs, axis=0)
+    lhs += constant
+    np.maximum(theta, lhs, out=theta)

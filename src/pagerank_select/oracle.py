@@ -48,8 +48,8 @@ class GammaResult:
 def _greedy_subset(h, base_targets, free_edges, mean_all):
     """Pick the free out-edges of one node that minimize the mean hitting
     value of its active out-neighbor set; ties keep an edge deactivated."""
-    order = sorted(free_edges, key=lambda kj: (h[kj[1]], kj[0]))
-    total = float(sum(h[j] for j in base_targets))
+    order = free_edges if len(free_edges) == 1 else sorted(free_edges, key=lambda kj: (h[kj[1]], kj[0]))
+    total = float(sum(map(h.__getitem__, base_targets)))
     count = len(base_targets)
     chosen: set[int] = set()
     if count == 0:
@@ -80,14 +80,21 @@ def gamma(instance: Instance, query: GammaQuery, *, memo: Memo | None = None) ->
     Every evaluation goes through ``memo`` (one solve shares one; a fresh one
     when None, which raises DampingRangeError at damping 1), so a
     selection another query already evaluated is not evaluated again.
+    Before any evaluation, raises DimensionMismatch for an edge id that is a
+    bool, is not an integer or is out of range, and OverlapError for one
+    forced both on and off.
     """
     forced_on = frozenset(query.forced_on)
     forced_off = frozenset(query.forced_off)
+    forced = forced_on | forced_off
+    z_count = instance.z_count
+    for k in forced:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise DimensionMismatch(f"fragile edge id {k!r} is not an integer")
     both = forced_on & forced_off
     if both:
         raise OverlapError(f"fragile edge(s) {sorted(both)} forced both on and off")
-    z_count = instance.z_count
-    for k in forced_on | forced_off:
+    for k in forced:
         if not 0 <= k < z_count:
             raise DimensionMismatch(f"fragile edge id {k} outside [0, {z_count})")
     memo = memo_for(instance, memo)
@@ -95,23 +102,15 @@ def gamma(instance: Instance, query: GammaQuery, *, memo: Memo | None = None) ->
     # Only the sources of free edges re-select; their fixed and forced-on
     # targets keep the order of instance.edges, then of forced_on.  Targets
     # are named by their place in Evaluation.h.
-    free_by_node: dict[int, list[tuple[int, int]]] = {}
-    for k, (i, _) in enumerate(instance.fragile):
-        if k not in forced_on and k not in forced_off:
-            free_by_node.setdefault(i, []).append((k, memo._fragile_at[k]))
-    base_targets = {i: list(memo._fixed_at.get(i, ())) for i in free_by_node}
+    forced_at: dict[int, list[int]] = {}
     for k in forced_on:
-        i = instance.fragile[k][0]
-        if i in base_targets:
-            base_targets[i].append(memo._fragile_at[k])
-    nodes = sorted(free_by_node.items())
-
-    y = [0] * z_count
-    for k in forced_on:
-        y[k] = 1
-    for _, node_edges in nodes:
-        for k, _ in node_edges:
-            y[k] = 1
+        forced_at.setdefault(instance.fragile[k][0], []).append(memo._fragile_at[k])
+    nodes = []  # (base targets, free edges) per source with a free edge, ascending
+    for i, fixed, edges in memo._sources:
+        free = [e for e in edges if e[0] not in forced] if forced else edges
+        if free:
+            nodes.append((fixed + forced_at[i] if i in forced_at else fixed, free))
+    y = [0 if k in forced_off else 1 for k in range(z_count)]
 
     evaluated: dict[Selection, float] = {}
     while True:
@@ -121,8 +120,8 @@ def gamma(instance: Instance, query: GammaQuery, *, memo: Memo | None = None) ->
         h = profile.h
         mean_all = profile.h_sum / instance.n
         changed = False
-        for node, node_free in nodes:
-            chosen = _greedy_subset(h, base_targets[node], node_free, mean_all)
+        for base_targets, node_free in nodes:
+            chosen = _greedy_subset(h, base_targets, node_free, mean_all)
             for k, _ in node_free:
                 bit = 1 if k in chosen else 0
                 if y[k] != bit:
@@ -172,16 +171,21 @@ class Memo:
         self.walk = chain.factor_walk(instance)
         # The watched nodes, ascending: the fragile targets and the fixed
         # targets out of the fragile sources; Evaluation.h holds h at them.
-        # _fixed_at[i] lists the places there of the fixed targets out of
-        # source i, in walk.fixed_edges order; _fragile_at[k] the place of
-        # fragile edge k's target.
+        # _fragile_at[k] is the place there of fragile edge k's target.
         fragile_targets = [j for _, j in instance.fragile]
         self._watched = np.unique(np.concatenate((fragile_targets, self.walk.fixed_edges[:, 1])).astype(np.intp))
         place = {j: at for at, j in enumerate(self._watched.tolist())}
-        self._fixed_at: dict[int, list[int]] = {}
+        fixed_at: dict[int, list[int]] = {}
         for i, j in self.walk.fixed_edges.tolist():
-            self._fixed_at.setdefault(i, []).append(place[j])
+            fixed_at.setdefault(i, []).append(place[j])
         self._fragile_at = [place[j] for j in fragile_targets]
+        # Per fragile source, ascending: the places of its fixed targets and
+        # its fragile edges as (id, place of the target), by id.  A query
+        # masks its forced edges out of these.
+        edges_at: dict[int, list[tuple[int, int]]] = {}
+        for k, (i, _) in enumerate(instance.fragile):
+            edges_at.setdefault(i, []).append((k, self._fragile_at[k]))
+        self._sources = [(i, fixed_at.get(i, []), edges) for i, edges in sorted(edges_at.items())]
         self._gamma: dict[tuple[frozenset[int], frozenset[int]], GammaResult] = {}
         self._evaluations: dict[Selection, Evaluation] = {}
         self.gamma_calls = 0
@@ -192,7 +196,11 @@ class Memo:
         return len(self._gamma)
 
     def gamma(self, query: GammaQuery) -> GammaResult:
-        """``gamma(instance, query)``, run once per distinct forced pair."""
+        """``gamma(instance, query)``, run once per distinct forced pair.
+
+        Keys by value: queries whose forced sets are equal as sets share one
+        entry, so ``{True}`` finds the answer held for ``{1}``.  The ids are
+        checked by ``gamma`` only, when a query is first solved."""
         self.gamma_calls += 1
         key = (frozenset(query.forced_on), frozenset(query.forced_off))
         result = self._gamma.get(key)
@@ -203,8 +211,14 @@ class Memo:
     def evaluate(self, y: Selection) -> Evaluation:
         """What a policy-iteration sweep reads at selection ``y``, evaluated
         once per selection.  A solve reads its incumbents' return times
-        here too, so that a later sweep through an incumbent finds it."""
-        y = tuple(int(b) for b in y)
+        here too, so that a later sweep through an incumbent finds it.  A
+        tuple is looked up as given first; entries are keyed by the bits as
+        ints, so any form of one selection finds the same entry."""
+        if type(y) is tuple:
+            entry = self._evaluations.get(y)
+            if entry is not None:
+                return entry
+        y = tuple(map(int, y))
         entry = self._evaluations.get(y)
         if entry is None:
             profile = chain.low_rank_hitting_times(self.walk, y)

@@ -10,6 +10,7 @@ from itertools import product
 import numpy as np
 
 import pagerank_select as ps
+from pagerank_select import oracle
 from pagerank_select.errors import InfeasibleSpec
 
 
@@ -61,3 +62,82 @@ def fr_table(inst):
 
 def random_selection(rng, z_count):
     return tuple(int(b) for b in rng.integers(0, 2, size=z_count))
+
+
+def reference_greedy_subset(h, base_targets, free_edges, mean_all):
+    """``oracle._greedy_subset`` in its plain form: always sorts, and sums the
+    base targets by a generator.  The tests hold the rewritten step to it
+    bitwise."""
+    order = sorted(free_edges, key=lambda kj: (h[kj[1]], kj[0]))
+    total = float(sum(h[j] for j in base_targets))
+    count = len(base_targets)
+    chosen = set()
+    if count == 0:
+        k0, j0 = order[0]
+        if h[j0] < mean_all - oracle.MEAN_IMPROVEMENT:
+            chosen.add(k0)
+            total, count = float(h[j0]), 1
+        else:
+            return chosen
+    for k, j in order:
+        if k in chosen:
+            continue
+        if (total + h[j]) / (count + 1) < total / count - oracle.MEAN_IMPROVEMENT:
+            chosen.add(k)
+            total += float(h[j])
+            count += 1
+    return chosen
+
+
+def reference_gamma(instance, query, memo):
+    """``oracle.gamma`` with per-query bookkeeping: the free edges, base
+    targets and first selection are rebuilt from ``instance`` for every
+    query, and the greedy step is ``reference_greedy_subset``.  Evaluations
+    go through ``memo``, whose place map (``_watched``) it reads; the ids are
+    taken as valid."""
+    place = {j: at for at, j in enumerate(memo._watched.tolist())}
+    fixed_at = {}
+    for i, j in memo.walk.fixed_edges.tolist():
+        fixed_at.setdefault(i, []).append(place[j])
+    fragile_at = [place[j] for _, j in instance.fragile]
+    forced_on = frozenset(query.forced_on)
+    forced_off = frozenset(query.forced_off)
+
+    free_by_node = {}
+    for k, (i, _) in enumerate(instance.fragile):
+        if k not in forced_on and k not in forced_off:
+            free_by_node.setdefault(i, []).append((k, fragile_at[k]))
+    base_targets = {i: list(fixed_at.get(i, ())) for i in free_by_node}
+    for k in forced_on:
+        i = instance.fragile[k][0]
+        if i in base_targets:
+            base_targets[i].append(fragile_at[k])
+    nodes = sorted(free_by_node.items())
+
+    y = [0] * instance.z_count
+    for k in forced_on:
+        y[k] = 1
+    for _, node_edges in nodes:
+        for k, _ in node_edges:
+            y[k] = 1
+
+    evaluated = {}
+    while True:
+        current = tuple(y)
+        profile = memo.evaluate(current)
+        evaluated[current] = profile.fr
+        h = profile.h
+        mean_all = profile.h_sum / instance.n
+        changed = False
+        for node, node_free in nodes:
+            chosen = reference_greedy_subset(h, base_targets[node], node_free, mean_all)
+            for k, _ in node_free:
+                bit = 1 if k in chosen else 0
+                if y[k] != bit:
+                    y[k] = bit
+                    changed = True
+        if not changed:
+            return oracle.GammaResult(value=profile.fr, argmin=current, iterations=len(evaluated))
+        if tuple(y) in evaluated:
+            best = min(evaluated, key=lambda sel: (evaluated[sel], sel))
+            return oracle.GammaResult(value=evaluated[best], argmin=best, iterations=len(evaluated))

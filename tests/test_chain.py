@@ -361,6 +361,19 @@ class TestLowRankHittingTimes:
         with pytest.raises(DimensionMismatch):
             chain.low_rank_hitting_times(chain.factor_walk(inst), ())
 
+    def test_every_form_of_a_selection_gives_the_same_bits(self):
+        # a bit counts as selected by its truth value, whatever its type
+        rng = np.random.default_rng(40)
+        for inst in build_corpus(6, seed0=41, z_lo=1, z_hi=10):
+            walk = chain.factor_walk(inst)
+            for _ in range(5):
+                y = random_selection(rng, inst.z_count)
+                expected = chain.low_rank_hitting_times(walk, y)
+                for form in (list(y), tuple(bool(b) for b in y), tuple(np.array(y, dtype=np.int64)), np.array(y)):
+                    profile = chain.low_rank_hitting_times(walk, form)
+                    assert profile.h.tobytes() == expected.h.tobytes()
+                    assert profile.fr.hex() == expected.fr.hex()
+
 
 class TestRowDeltas:
     def test_each_source_subset_built_once_per_walk(self, monkeypatch):

@@ -74,6 +74,25 @@ class TestLShaped:
         with pytest.raises(DampingRangeError):
             ps.l_shaped_cut(inst, (0,), 0.0)
 
+    def test_constant_and_coefficients_bitwise_from_the_support(self):
+        # the cut reads the incumbent's bits directly; the support form of
+        # the same arithmetic must give the same bytes
+        rng = np.random.default_rng(30)
+        for inst in build_corpus(10, seed0=31, z_lo=0, z_hi=10):
+            memo = ps.Memo(inst)
+            low = ps.min_unconstrained(inst, memo=memo)
+            for _ in range(6):
+                incumbent = random_selection(rng, inst.z_count)
+                as_bools = tuple(bool(b) for b in incumbent)
+                cut = ps.l_shaped_cut(inst, as_bools, low, memo=memo)
+                fr_bar = memo.evaluate(incumbent).fr
+                gap = low - fr_bar
+                sel = ps.support(incumbent)
+                assert cut.constant.hex() == (fr_bar + gap * len(sel)).hex()
+                assert cut.coeffs == tuple(-gap if k in sel else gap for k in range(inst.z_count))
+                assert cut.incumbent == incumbent
+                assert all(type(b) is int for b in cut.incumbent)
+
 
 class TestNewCut:
     def test_no_fragile_edges(self):

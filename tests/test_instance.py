@@ -488,6 +488,54 @@ class TestMalformedFields:
             instance_from_json(malformed_dict(fields))
 
 
+class TestEdgeListPairs:
+    """Well-formed edge lists take a pass without a call per entry; anything
+    else goes through the per-entry check, with its messages."""
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [[0, 1], [1, 2]],
+            [(0, 1), (1, 2)],
+            [[0, 1], (1, 2)],
+            [],
+        ],
+    )
+    def test_well_formed_lists_read_as_pairs(self, edges):
+        inst, _ = instance_from_json(malformed_dict({"edges": edges}))
+        assert inst.edges == frozenset((int(i), int(j)) for i, j in edges)
+
+    def test_list_subclasses_and_int_subclasses_still_accepted(self):
+        class Pair(tuple):
+            pass
+
+        class Id(int):
+            pass
+
+        inst, _ = instance_from_json(malformed_dict({"edges": [[0, 1], Pair((1, 2)), [Id(2), 1]]}))
+        assert inst.edges == frozenset({(0, 1), (1, 2), (2, 1)})
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([1, 2, 3], "entries must be [i, j] pairs"),
+            ("ab", "entries must be [i, j] pairs"),
+            ({1, 2}, "entries must be [i, j] pairs"),
+            ([1, True], "endpoints must be integers"),
+            ([1.0, 2], "endpoints must be integers"),
+            ([np.int64(1), 2], "endpoints must be integers"),
+        ],
+    )
+    @pytest.mark.parametrize("field", ["edges", "fragile"])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_bad_entry_anywhere_raises_the_per_entry_message(self, bad, message, field, where):
+        entries = [[0, 1], [1, 2], [2, 1]] if field == "edges" else [[2, 0], [1, 0]]
+        entries.insert(len(entries) if where == -1 else 0, bad)
+        with pytest.raises(ParseError) as raised:
+            instance_from_json(malformed_dict({field: entries}))
+        assert str(raised.value) == f'"{field}" {message}, got {bad!r}'
+
+
 class TestSelectionHelpers:
     def test_support(self):
         assert ps.support((1, 0, 1)) == frozenset({0, 2})

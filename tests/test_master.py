@@ -210,6 +210,29 @@ class TestAgainstReference:
         second = solve_master(cuts, feasible_set(cons, 6))
         assert first == second
 
+    def test_selection_is_python_ints(self):
+        rng = np.random.default_rng(21)
+        for z in (0, 1, 5, 12):
+            result = solve_master(random_pool(rng, z, 2), feasible_set(ps.EMPTY_CONSTRAINTS, z))
+            assert type(result.y) is tuple
+            assert all(type(b) is int for b in result.y)
+
+    def test_one_block_and_many_blocks_fold_the_same_bytes(self, monkeypatch):
+        # the usual single-block fold takes no slices; blocks of 11 points
+        # leave a partial last block on every feasible set here
+        rng = np.random.default_rng(22)
+        cases = [(12, ConstraintSet(cardinality=("<=", 3))), (9, ps.EMPTY_CONSTRAINTS), (10, random_constraints(rng, 10))]
+        for z, cons in cases:
+            rounds = [random_pool(rng, z, 1) for _ in range(5)]
+            whole = feasible_set(cons, z)
+            with monkeypatch.context() as patch:
+                patch.setattr(master_mod, "FOLD_BLOCK_BYTES", 8 * z * 11)
+                blocked = feasible_set(cons, z)
+                blocked_results = [solve_master(cuts, blocked) for cuts in rounds]
+            assert len(whole.points) % 11
+            assert [solve_master(cuts, whole) for cuts in rounds] == blocked_results
+            assert whole.theta.tobytes() == blocked.theta.tobytes()
+
 
 class TestPoolState:
     @pytest.fixture()

@@ -4,7 +4,7 @@ import pytest
 import pagerank_select as ps
 from pagerank_select import GammaQuery, chain, oracle
 from pagerank_select.errors import DampingRangeError, DimensionMismatch, OverlapError
-from helpers import build_corpus
+from helpers import build_corpus, reference_gamma, reference_greedy_subset
 
 
 def random_disjoint_query(rng, z_count):
@@ -297,3 +297,126 @@ class TestMemo:
         other = ps.generate_random(8, 0.3, 6, None, seed=10)[0]
         with pytest.raises(ValueError):
             ps.min_unconstrained(inst, memo=oracle.Memo(other))
+
+
+class TestAgainstReferenceBookkeeping:
+    """The memo groups the fragile edges by source once and each query masks
+    its forced edges; the answers must equal, bitwise, those of the
+    bookkeeping rebuilt per query (``helpers.reference_gamma``)."""
+
+    def test_gamma_results_bitwise_on_random_queries(self):
+        rng = np.random.default_rng(1201)
+        queries = 0
+        seen = set()
+        while queries < 540:
+            n = int(rng.integers(3, 121))
+            z = int(rng.integers(1, min(12, n * (n - 1)) + 1))
+            p = float(rng.choice([0.0, rng.uniform(0.01, 0.4)]))
+            damping = float(rng.uniform(0.5, 0.99))
+            try:
+                inst, _ = ps.generate_random(n, p, z, None, seed=int(rng.integers(2**31)), damping=damping)
+            except ps.errors.InfeasibleSpec:
+                continue
+            memo = oracle.Memo(inst)
+            with_fixed = {i for i, _ in inst.edges}
+            for i, _ in inst.fragile:
+                seen.add("source with fixed out-edges" if i in with_fixed else "source without fixed out-edges")
+                if i == inst.target:
+                    seen.add("target as a source")
+            for q in [GammaQuery()] + [random_disjoint_query(rng, z) for _ in range(5)]:
+                free = [j for j in range(z) if j not in q.forced_on and j not in q.forced_off]
+                if any(inst.fragile[k][0] == inst.fragile[j][0] for k in q.forced_on for j in free):
+                    seen.add("forced-on edge at a source with a free edge")
+                result = oracle.gamma(inst, q, memo=memo)
+                expected = reference_gamma(inst, q, memo)
+                assert result.value.hex() == expected.value.hex()
+                assert result == expected
+                queries += 1
+        assert seen == {
+            "source with fixed out-edges",
+            "source without fixed out-edges",
+            "target as a source",
+            "forced-on edge at a source with a free edge",
+        }
+
+    def test_greedy_step_bitwise_on_random_nodes(self):
+        rng = np.random.default_rng(1202)
+        for _ in range(3000):
+            # few distinct values, so that ties and equal means occur
+            h = [float(v) for v in rng.choice([1.0, 2.5, 3.0, 7.25, 1e4, rng.uniform(1, 50)], size=8)]
+            base = [int(j) for j in rng.choice(8, size=int(rng.integers(0, 4)))]
+            ids = rng.permutation(20)[: int(rng.integers(1, 5))]
+            free = [(int(k), int(rng.integers(8))) for k in ids]
+            mean_all = float(rng.uniform(0.5, 60))
+            assert oracle._greedy_subset(h, base, free, mean_all) == reference_greedy_subset(h, base, free, mean_all)
+
+    def test_greedy_step_sums_the_base_targets_in_order(self):
+        # 2**53 absorbs a 1 added after it: summed in order the base mean is
+        # 2**53 / 3, and the free target above it stays off; summed in
+        # reverse it would be (2**53 + 2) / 3, and the target would go on
+        h = [2.0**53, 1.0, 1.0, 3002399751580330.0]
+        free = [(0, 3)]
+        assert reference_greedy_subset(h, [2, 1, 0], free, 1e20) == {0}
+        assert oracle._greedy_subset(h, [0, 1, 2], free, 1e20) == reference_greedy_subset(h, [0, 1, 2], free, 1e20) == set()
+
+
+class TestQueryIds:
+    @pytest.fixture()
+    def inst(self):
+        return ps.generate_random(8, 0.3, 6, None, seed=9)[0]
+
+    @pytest.mark.parametrize(
+        "query, named",
+        [
+            (GammaQuery(forced_on={True}), "True"),
+            (GammaQuery(forced_off={False}), "False"),
+            (GammaQuery(forced_on={1.5}), "1.5"),
+            (GammaQuery(forced_on={2.0}), "2.0"),
+            (GammaQuery(forced_off={"3"}), "'3'"),
+            (GammaQuery(forced_on={np.True_}), "np.True_"),
+            (GammaQuery(forced_on={0}, forced_off={None}), "None"),
+        ],
+    )
+    def test_non_integer_id_rejected_before_any_evaluation(self, inst, monkeypatch, query, named):
+        built = []
+        monkeypatch.setattr(chain, "factor_walk", lambda instance: built.append(instance))
+        with pytest.raises(DimensionMismatch, match=f"fragile edge id {named} is not an integer"):
+            ps.gamma(inst, query)
+        assert built == []
+
+    def test_numpy_integer_ids_accepted(self, inst):
+        as_numpy = GammaQuery(forced_on=frozenset({np.int64(1)}), forced_off=frozenset({np.intp(4)}))
+        assert ps.gamma(inst, as_numpy) == ps.gamma(inst, GammaQuery(forced_on={1}, forced_off={4}))
+
+    def test_memo_keys_by_value(self, inst):
+        # {True} == {1} as sets, so once edge 1's query is held the memo
+        # answers {True} from it without checking the ids again
+        memo = oracle.Memo(inst)
+        held = memo.gamma(GammaQuery(forced_on=frozenset({1})))
+        assert memo.gamma(GammaQuery(forced_on=frozenset({True}))) is held
+        assert memo.gamma_solves == 1
+        with pytest.raises(DimensionMismatch):
+            oracle.Memo(inst).gamma(GammaQuery(forced_on=frozenset({True})))
+
+
+class TestSelectionKeys:
+    @pytest.mark.parametrize("first", range(4))
+    def test_every_form_of_a_selection_hits_one_entry(self, monkeypatch, first):
+        inst = ps.generate_random(8, 0.3, 6, None, seed=9)[0]
+        evaluated = []
+        real = chain.low_rank_hitting_times
+
+        def counted(walk, y):
+            evaluated.append(y)
+            return real(walk, y)
+
+        monkeypatch.setattr(chain, "low_rank_hitting_times", counted)
+        memo = oracle.Memo(inst)
+        bits = (1, 0, 1, 0, 0, 1)
+        forms = [list(bits), tuple(np.array(bits, dtype=np.int64)), tuple(bool(b) for b in bits), bits]
+        forms = forms[first:] + forms[:first]
+        entries = [memo.evaluate(y) for y in forms]
+        assert all(entry is entries[0] for entry in entries)
+        assert evaluated == [bits]
+        assert all(type(b) is int for b in evaluated[0])
+        assert list(memo._evaluations) == [bits]
