@@ -170,19 +170,17 @@ def _as_pair(item, field: str) -> Edge:
 
 
 def _as_pairs(value, field: str) -> list[Edge]:
-    """``_as_pair`` of every entry of a listed field.  A first pass takes
-    exact lists or tuples of two exact ints without a call per entry; at the
-    first other entry every entry goes through ``_as_pair``, which accepts
-    or rejects it, with its message."""
-    items = _as_list(value, f'"{field}"')
+    """``_as_pair`` of every entry of a listed field.  An exact list or tuple
+    of two exact ints is taken without the call; any other entry goes
+    through ``_as_pair``, which accepts or rejects it, with its message."""
     pairs = []
-    for item in items:
+    for item in _as_list(value, f'"{field}"'):
         if (type(item) is list or type(item) is tuple) and len(item) == 2:
             i, j = item
             if type(i) is int and type(j) is int:
                 pairs.append((i, j))
                 continue
-        return [_as_pair(e, field) for e in items]
+        pairs.append(_as_pair(item, field))
     return pairs
 
 

@@ -129,9 +129,6 @@ def solve_master(cuts: Sequence[Cut], feasible: FeasibleSet) -> MasterResult:
     block = max(1, FOLD_BLOCK_BYTES // (8 * max(feasible.z_count, 1)))
     for cut in cuts:
         coeffs = np.array(cut.coeffs, dtype=float)[:, None]
-        if len(theta) <= block:
-            _fold(columns, coeffs, cut.constant, theta)
-            continue
         for start in range(0, len(theta), block):
             _fold(columns[:, start : start + block], coeffs, cut.constant, theta[start : start + block])
 

@@ -48,8 +48,8 @@ class GammaResult:
 def _greedy_subset(h, base_targets, free_edges, mean_all):
     """Pick the free out-edges of one node that minimize the mean hitting
     value of its active out-neighbor set; ties keep an edge deactivated."""
-    order = free_edges if len(free_edges) == 1 else sorted(free_edges, key=lambda kj: (h[kj[1]], kj[0]))
-    total = float(sum(map(h.__getitem__, base_targets)))
+    order = sorted(free_edges, key=lambda kj: (h[kj[1]], kj[0]))
+    total = float(sum(h[j] for j in base_targets))
     count = len(base_targets)
     chosen: set[int] = set()
     if count == 0:
@@ -109,7 +109,7 @@ def gamma(instance: Instance, query: GammaQuery, *, memo: Memo | None = None) ->
     for i, fixed, edges in memo._sources:
         free = [e for e in edges if e[0] not in forced] if forced else edges
         if free:
-            nodes.append((fixed + forced_at[i] if i in forced_at else fixed, free))
+            nodes.append((fixed + tuple(forced_at[i]) if i in forced_at else fixed, free))
     y = [0 if k in forced_off else 1 for k in range(z_count)]
 
     evaluated: dict[Selection, float] = {}
@@ -180,12 +180,12 @@ class Memo:
             fixed_at.setdefault(i, []).append(place[j])
         self._fragile_at = [place[j] for j in fragile_targets]
         # Per fragile source, ascending: the places of its fixed targets and
-        # its fragile edges as (id, place of the target), by id.  A query
-        # masks its forced edges out of these.
+        # its fragile edges as (id, place of the target), by id, as tuples
+        # that every query may share.  A query masks its forced edges out.
         edges_at: dict[int, list[tuple[int, int]]] = {}
         for k, (i, _) in enumerate(instance.fragile):
             edges_at.setdefault(i, []).append((k, self._fragile_at[k]))
-        self._sources = [(i, fixed_at.get(i, []), edges) for i, edges in sorted(edges_at.items())]
+        self._sources = [(i, tuple(fixed_at.get(i, ())), tuple(edges)) for i, edges in sorted(edges_at.items())]
         self._gamma: dict[tuple[frozenset[int], frozenset[int]], GammaResult] = {}
         self._evaluations: dict[Selection, Evaluation] = {}
         self.gamma_calls = 0

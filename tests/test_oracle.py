@@ -339,6 +339,18 @@ class TestAgainstReferenceBookkeeping:
             "forced-on edge at a source with a free edge",
         }
 
+    def test_queries_share_the_memo_grouping_read_only(self):
+        # queries with and without forced edges at the sources read the
+        # memo's per-source grouping; it is made of tuples and stays as built
+        inst = ps.generate_random(30, 0.1, 10, None, seed=1203)[0]
+        memo = oracle.Memo(inst)
+        built = list(memo._sources)
+        assert all(type(fixed) is tuple and type(edges) is tuple for _, fixed, edges in built)
+        rng = np.random.default_rng(1203)
+        for q in [GammaQuery()] + [random_disjoint_query(rng, inst.z_count) for _ in range(20)]:
+            assert oracle.gamma(inst, q, memo=memo) == reference_gamma(inst, q, memo)
+        assert memo._sources == built
+
     def test_greedy_step_bitwise_on_random_nodes(self):
         rng = np.random.default_rng(1202)
         for _ in range(3000):
