@@ -8,7 +8,7 @@ minimization oracle, three families of valid inequalities, an exact
 cutting-plane solver, exhaustive reference twins, and a CLI.
 """
 
-from .bruteforce import bf_exact_lift, bf_gamma, bf_min
+from .bruteforce import bf_exact_lift, bf_gamma, bf_min, enumerate_feasible, is_feasible
 from .chain import HittingProfile, hitting_times, stationary, transition_matrix
 from .cuts import (
     BY_GAMMA,
@@ -32,10 +32,8 @@ from .instance import (
     Instance,
     Row,
     Selection,
-    enumerate_feasible,
     from_support,
     generate_random,
-    is_feasible,
     read_instance,
     support,
     validate,

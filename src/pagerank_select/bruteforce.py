@@ -1,64 +1,92 @@
 """Exhaustive enumeration twins used as reference answers in tests and checks.
 
-Deliberately simple, no pruning: these must stay easy to trust.
+Deliberately simple, no pruning: these must stay easy to trust.  Every twin
+walks the cube through one loop, ``_selections``, which refuses a walk with
+more than ENUM_LIMIT free positions.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import chain
 from .errors import DimensionMismatch, Infeasible, InvalidOrdering, OverlapError, TooLargeToEnumerate
-from .instance import ENUM_LIMIT, ConstraintSet, EMPTY_CONSTRAINTS, Instance, Selection, is_feasible, support
+from .instance import ConstraintSet, EMPTY_CONSTRAINTS, Instance, Selection, support
+
+# Most free positions a twin enumerates; read at call time.
+ENUM_LIMIT = 20
 
 
-def bf_min(
-    instance: Instance,
-    constraints: ConstraintSet = EMPTY_CONSTRAINTS,
-    limit: int = ENUM_LIMIT,
-) -> tuple[Selection, float]:
+def is_feasible(constraints: ConstraintSet, y: Selection) -> bool:
+    """True iff every row (and the cardinality shortcut) is satisfied by y."""
+    for row in constraints.compiled_rows(len(y)):
+        lhs = sum(c * b for c, b in zip(row.coeffs, y))
+        if row.sense == "<=":
+            ok = lhs <= row.rhs
+        elif row.sense == ">=":
+            ok = lhs >= row.rhs
+        else:
+            ok = lhs == row.rhs
+        if not ok:
+            return False
+    return True
+
+
+def _selections(constraints: ConstraintSet, z_count: int, on=frozenset(), off=frozenset()) -> Iterator[Selection]:
+    """The feasible selections with the positions in ``on`` set and those in
+    ``off`` clear, in lexicographic order over the free positions.  Raises
+    TooLargeToEnumerate when called, before anything is yielded, if more than
+    ENUM_LIMIT positions are free."""
+    free = [k for k in range(z_count) if k not in on and k not in off]
+    if len(free) > ENUM_LIMIT:
+        raise TooLargeToEnumerate(f"{len(free)} free fragile edges exceed the enumeration limit {ENUM_LIMIT}")
+    template = [0] * z_count
+    for k in on:
+        template[k] = 1
+
+    def points() -> Iterator[Selection]:
+        for bits in product((0, 1), repeat=len(free)):
+            y = list(template)
+            for k, bit in zip(free, bits):
+                y[k] = bit
+            point = tuple(y)
+            if is_feasible(constraints, point):
+                yield point
+
+    return points()
+
+
+def enumerate_feasible(constraints: ConstraintSet, z_count: int) -> Iterator[Selection]:
+    """Yield the feasible points of the binary cube in lexicographic order."""
+    return _selections(constraints, z_count)
+
+
+def bf_min(instance: Instance, constraints: ConstraintSet = EMPTY_CONSTRAINTS) -> tuple[Selection, float]:
     """Exhaustive minimum of the first return time over the feasible cube.
 
     Returns (argmin, value); ties keep the lexicographically smallest point.
     """
-    z_count = instance.z_count
-    if z_count > limit:
-        raise TooLargeToEnumerate(f"{z_count} fragile edges exceed the enumeration limit {limit}")
     best_y, best_val = None, math.inf
-    for bits in product((0, 1), repeat=z_count):
-        if not is_feasible(constraints, bits):
-            continue
-        val = chain.hitting_times(instance, bits).fr
+    for y in _selections(constraints, instance.z_count):
+        val = chain.hitting_times(instance, y).fr
         if val < best_val:
-            best_y, best_val = bits, val
+            best_y, best_val = y, val
     if best_y is None:
         raise Infeasible("no selection satisfies the constraints")
     return best_y, best_val
 
 
-def bf_gamma(instance: Instance, forced_on, forced_off, limit: int = ENUM_LIMIT) -> float:
+def bf_gamma(instance: Instance, forced_on, forced_off) -> float:
     """Exhaustive minimum respecting the forced-on/forced-off edges."""
     forced_on = frozenset(forced_on)
     forced_off = frozenset(forced_off)
     both = forced_on & forced_off
     if both:
         raise OverlapError(f"fragile edge(s) {sorted(both)} forced both on and off")
-    z_count = instance.z_count
-    free = [k for k in range(z_count) if k not in forced_on and k not in forced_off]
-    if len(free) > limit:
-        raise TooLargeToEnumerate(f"{len(free)} free fragile edges exceed the enumeration limit {limit}")
-    template = [0] * z_count
-    for k in forced_on:
-        template[k] = 1
-    best = math.inf
-    for bits in product((0, 1), repeat=len(free)):
-        y = list(template)
-        for k, bit in zip(free, bits):
-            y[k] = bit
-        best = min(best, chain.hitting_times(instance, tuple(y)).fr)
-    return best
+    points = _selections(EMPTY_CONSTRAINTS, instance.z_count, forced_on, forced_off)
+    return min(chain.hitting_times(instance, y).fr for y in points)
 
 
 def bf_exact_lift(
@@ -68,7 +96,6 @@ def bf_exact_lift(
     ordering: Sequence[int],
     prior_coeffs: Sequence[float],
     r: int,
-    limit: int = ENUM_LIMIT,
 ) -> float:
     """Exact lifting coefficient at position r (1-based) of the ordering.
 
@@ -88,25 +115,11 @@ def bf_exact_lift(
     if len(prior_coeffs) < r - 1:
         raise DimensionMismatch(f"need {r - 1} prior coefficients, got {len(prior_coeffs)}")
     fr_bar = chain.hitting_times(instance, tuple(incumbent)).fr
-    sel_coeff = {
-        e: min(0.0, bf_gamma(instance, frozenset(), frozenset({e}), limit=limit) - fr_bar)
-        for e in sel
-    }
-    edge_r = ordering[r - 1]
-    tail = set(ordering[r:])
-    free = [k for k in range(z_count) if k != edge_r and k not in tail]
-    if len(free) > limit:
-        raise TooLargeToEnumerate(f"{len(free)} free positions exceed the enumeration limit {limit}")
+    sel_coeff = {e: min(0.0, bf_gamma(instance, frozenset(), frozenset({e})) - fr_bar) for e in sel}
+    points = _selections(constraints, z_count, {ordering[r - 1]}, set(ordering[r:]))
     prior = {ordering[k]: float(prior_coeffs[k]) for k in range(r - 1)}
     best = math.inf
-    for bits in product((0, 1), repeat=len(free)):
-        y = [0] * z_count
-        y[edge_r] = 1
-        for k, bit in zip(free, bits):
-            y[k] = bit
-        point = tuple(y)
-        if not is_feasible(constraints, point):
-            continue
+    for point in points:
         obj = chain.hitting_times(instance, point).fr
         obj -= sum(sel_coeff[e] * (1 - point[e]) for e in sel)
         obj -= sum(coeff * point[k] for k, coeff in prior.items())

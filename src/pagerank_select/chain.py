@@ -348,16 +348,12 @@ def low_rank_hitting_times(factor: WalkFactor, y: Selection) -> HittingProfile:
     return HittingProfile(h=h, fr=1.0 + float(target_row @ h))
 
 
-def stationary(
-    instance: Instance,
-    y: Selection,
-    tol: float = STATIONARY_TOL,
-    max_iters: int = STATIONARY_MAX_ITERS,
-) -> np.ndarray:
+def stationary(instance: Instance, y: Selection) -> np.ndarray:
     """Stationary distribution by power iteration.
 
     Requires damping < 1 (teleportation makes the chain ergodic).  Iterates
-    ``pi <- pi P`` until the L1 residual drops below ``tol``.
+    ``pi <- pi P`` until the L1 residual drops below STATIONARY_TOL, at most
+    STATIONARY_MAX_ITERS times (both read at call time).
 
     Returns
     -------
@@ -369,10 +365,12 @@ def stationary(
         raise DampingRangeError("stationary distribution requires damping < 1")
     P = transition_matrix(instance, y)
     pi = np.full(instance.n, 1.0 / instance.n)
-    for _ in range(max_iters):
+    for _ in range(STATIONARY_MAX_ITERS):
         nxt = pi @ P
-        done = float(np.abs(nxt - pi).sum()) < tol
+        done = float(np.abs(nxt - pi).sum()) < STATIONARY_TOL
         pi = nxt
         if done:
             return pi / pi.sum()
-    raise NoConvergence(f"power iteration residual above {tol} after {max_iters} iterations")
+    raise NoConvergence(
+        f"power iteration residual above {STATIONARY_TOL} after {STATIONARY_MAX_ITERS} iterations"
+    )

@@ -73,7 +73,7 @@ def cmd_solve(args) -> int:
     )
     print(
         f"optimum {report.best_value:.12g}  selection {_bits(report.best_y)}  "
-        f"iterations {report.iterations}  cuts {report.cuts_added}  "
+        f"iterations {report.iterations}  "
         f"gamma_calls {report.gamma_calls_total}"
     )
     if args.out:
@@ -86,7 +86,7 @@ def cmd_solve(args) -> int:
 def cmd_brute(args) -> int:
     inst, constraints = read_instance(args.file)
     y, value = bruteforce.bf_min(inst, constraints)
-    print(f"optimum {value:.12g}  selection {_bits(y)}  iterations 1  cuts 0  gamma_calls 0")
+    print(f"optimum {value:.12g}  selection {_bits(y)}  iterations 1  gamma_calls 0")
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -29,14 +29,12 @@ from .errors import (
     NodeIndexError,
     OverlapError,
     ParseError,
-    TooLargeToEnumerate,
 )
 
 Edge = tuple[int, int]
 Selection = tuple[int, ...]
 
 DEFAULT_DAMPING = 0.85
-ENUM_LIMIT = 20
 SENSES = ("<=", "=", ">=")
 
 
@@ -169,21 +167,6 @@ def _as_pair(item, field: str) -> Edge:
     return (i, j)
 
 
-def _as_pairs(value, field: str) -> list[Edge]:
-    """``_as_pair`` of every entry of a listed field.  An exact list or tuple
-    of two exact ints is taken without the call; any other entry goes
-    through ``_as_pair``, which accepts or rejects it, with its message."""
-    pairs = []
-    for item in _as_list(value, f'"{field}"'):
-        if (type(item) is list or type(item) is tuple) and len(item) == 2:
-            i, j = item
-            if type(i) is int and type(j) is int:
-                pairs.append((i, j))
-                continue
-        pairs.append(_as_pair(item, field))
-    return pairs
-
-
 def _coerce(raw) -> tuple[Instance, list[Edge] | None]:
     """Build an Instance from a schema dict; returns it with the raw edge list
     (needed to detect duplicates that a frozenset would silently collapse),
@@ -200,8 +183,8 @@ def _coerce(raw) -> tuple[Instance, list[Edge] | None]:
     damping = raw.get("damping", DEFAULT_DAMPING)
     if isinstance(damping, bool) or not isinstance(damping, (int, float)):
         raise ParseError(f'"damping" must be a number, got {damping!r}')
-    edge_list = _as_pairs(raw["edges"], "edges")
-    fragile = tuple(_as_pairs(raw["fragile"], "fragile"))
+    edge_list = [_as_pair(item, "edges") for item in _as_list(raw["edges"], '"edges"')]
+    fragile = tuple(_as_pair(item, "fragile") for item in _as_list(raw["fragile"], '"fragile"'))
     inst = Instance(
         n=n,
         target=target,
@@ -294,40 +277,6 @@ def validation_errors(raw) -> list[str]:
     except ParseError as exc:
         return [str(exc)]
     return [msg for _, msg in found]
-
-
-# ---------------------------------------------------------------------------
-# feasibility
-
-
-def is_feasible(constraints: ConstraintSet, y: Selection) -> bool:
-    """True iff every row (and the cardinality shortcut) is satisfied by y."""
-    for row in constraints.compiled_rows(len(y)):
-        lhs = sum(c * b for c, b in zip(row.coeffs, y))
-        if row.sense == "<=":
-            ok = lhs <= row.rhs
-        elif row.sense == ">=":
-            ok = lhs >= row.rhs
-        else:
-            ok = lhs == row.rhs
-        if not ok:
-            return False
-    return True
-
-
-def enumerate_feasible(
-    constraints: ConstraintSet, z_count: int, limit: int = ENUM_LIMIT
-) -> Iterator[Selection]:
-    """Yield the feasible points of the binary cube in lexicographic order."""
-    if z_count > limit:
-        raise TooLargeToEnumerate(f"{z_count} fragile edges exceed the enumeration limit {limit}")
-
-    def points() -> Iterator[Selection]:
-        for bits in product((0, 1), repeat=z_count):
-            if is_feasible(constraints, bits):
-                yield bits
-
-    return points()
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,12 @@ def _fold(columns: np.ndarray, coeffs: np.ndarray, constant: float, theta: np.nd
     """Raise ``theta`` (a view) to the cut at the points whose transposes are
     ``columns``.  Reducing over the leading axis of the C-contiguous product
     adds row after row, so each point's sum runs in edge order, as eval_cut
-    sums it; a BLAS product regroups the terms and can move a tie by an ulp."""
-    lhs = np.add.reduce(columns * coeffs, axis=0)
+    sums it; a BLAS product regroups the terms and can move a tie by an ulp.
+    A lone column is a one-dimensional run to numpy, which it sums pairwise,
+    so a one-point block is reduced through a two-column view of itself."""
+    if columns.shape[1] == 1:
+        lhs = np.add.reduce(np.broadcast_to(columns, (len(columns), 2)) * coeffs, axis=0)[:1]
+    else:
+        lhs = np.add.reduce(columns * coeffs, axis=0)
     lhs += constant
     np.maximum(theta, lhs, out=theta)

@@ -30,8 +30,8 @@ class SolveReport:
     """Trace of one cutting-plane run.
 
     ``lower_bounds``/``upper_bounds`` hold one entry per master solve (the
-    master bound and the best incumbent value so far); ``iterations`` counts
-    separation rounds, so it equals ``cuts_added``.  ``gamma_calls_total``
+    master bound and the best incumbent value so far), so they are one longer
+    than ``iterations``, the number of cuts separated.  ``gamma_calls_total``
     counts the oracle queries the solve asked its memo; ``gamma_solves`` the
     policy iterations actually run, one per distinct query of the solve.
     """
@@ -41,7 +41,6 @@ class SolveReport:
     best_value: float
     lower_bounds: tuple[float, ...]
     upper_bounds: tuple[float, ...]
-    cuts_added: int
     gamma_calls_total: int
     gamma_solves: int
     iterations: int
@@ -53,7 +52,6 @@ class SolveReport:
             "best_value": self.best_value,
             "lower_bounds": list(self.lower_bounds),
             "upper_bounds": list(self.upper_bounds),
-            "cuts_added": self.cuts_added,
             "gamma_calls_total": self.gamma_calls_total,
             "gamma_solves": self.gamma_solves,
             "iterations": self.iterations,
@@ -139,7 +137,6 @@ def solve(
         best_value=best_val,
         lower_bounds=tuple(lower),
         upper_bounds=tuple(upper),
-        cuts_added=len(separated),
         gamma_calls_total=memo.gamma_calls,
         gamma_solves=memo.gamma_solves,
         iterations=len(separated),

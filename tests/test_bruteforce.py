@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 import pagerank_select as ps
-from pagerank_select import ConstraintSet, Row
+from pagerank_select import ConstraintSet, Row, bruteforce
 from pagerank_select.cuts import BY_INDEX, construction_coefficient
 from pagerank_select.errors import (
     DimensionMismatch,
@@ -18,6 +18,56 @@ from pagerank_select.errors import (
 def frozen():
     inst, _ = ps.generate_random(6, 0.3, 4, None, seed=42, damping=0.85)
     return inst
+
+
+class TestFeasibility:
+    def test_empty_constraints_accept_everything(self):
+        assert ps.is_feasible(ps.EMPTY_CONSTRAINTS, (0, 1, 1))
+        assert ps.is_feasible(ps.EMPTY_CONSTRAINTS, ())
+
+    def test_cardinality_shortcut(self):
+        cons = ConstraintSet(cardinality=("<=", 1))
+        assert not ps.is_feasible(cons, (1, 1))
+        assert ps.is_feasible(cons, (1, 0))
+
+    def test_covering_row(self):
+        cons = ConstraintSet(rows=(Row((1, 1), ">=", 1),))
+        assert ps.is_feasible(cons, (0, 1))
+        assert not ps.is_feasible(cons, (0, 0))
+
+    def test_equality_row(self):
+        cons = ConstraintSet(rows=(Row((1, -1), "=", 0),))
+        assert ps.is_feasible(cons, (1, 1))
+        assert not ps.is_feasible(cons, (1, 0))
+
+    def test_dimension_mismatch(self):
+        cons = ConstraintSet(rows=(Row((1, 1), "<=", 1),))
+        with pytest.raises(DimensionMismatch):
+            ps.is_feasible(cons, (1, 0, 0))
+
+
+class TestEnumerate:
+    def test_unconstrained_cube(self):
+        points = list(ps.enumerate_feasible(ps.EMPTY_CONSTRAINTS, 2))
+        assert points == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_cardinality_equals_one(self):
+        cons = ConstraintSet(cardinality=("=", 1))
+        assert list(ps.enumerate_feasible(cons, 2)) == [(0, 1), (1, 0)]
+
+    def test_limit_guard(self):
+        with pytest.raises(TooLargeToEnumerate):
+            ps.enumerate_feasible(ps.EMPTY_CONSTRAINTS, 21)
+
+    def test_matches_filtering_the_cube(self):
+        cons = ConstraintSet(
+            rows=(Row((1, 2, -1, 0), "<=", 1),), cardinality=(">=", 1)
+        )
+        listed = list(ps.enumerate_feasible(cons, 4))
+        direct = [
+            bits for bits in product((0, 1), repeat=4) if ps.is_feasible(cons, bits)
+        ]
+        assert listed == direct
 
 
 class TestBfMin:
@@ -66,9 +116,10 @@ class TestBfMin:
         with pytest.raises(Infeasible):
             ps.bf_min(frozen, cons)
 
-    def test_limit_guard(self, frozen):
+    def test_limit_guard(self, frozen, monkeypatch):
+        monkeypatch.setattr(bruteforce, "ENUM_LIMIT", 3)
         with pytest.raises(TooLargeToEnumerate):
-            ps.bf_min(frozen, limit=3)
+            ps.bf_min(frozen)
 
 
 class TestBfGamma:
@@ -86,9 +137,10 @@ class TestBfGamma:
         with pytest.raises(OverlapError):
             ps.bf_gamma(frozen, {1}, {1})
 
-    def test_limit_counts_free_edges_only(self, frozen):
+    def test_limit_counts_free_edges_only(self, frozen, monkeypatch):
         # forcing all but one edge keeps the enumeration within any limit
-        assert ps.bf_gamma(frozen, {0, 1}, {2}, limit=1) > 0
+        monkeypatch.setattr(bruteforce, "ENUM_LIMIT", 1)
+        assert ps.bf_gamma(frozen, {0, 1}, {2}) > 0
 
 
 class TestBfExactLift:

@@ -458,8 +458,9 @@ class TestStationary:
         with pytest.raises(DampingRangeError):
             ps.stationary(inst, ())
 
-    def test_no_convergence_when_starved(self):
+    def test_no_convergence_when_starved(self, monkeypatch):
         # asymmetric graph, so the uniform start is far from stationary
+        monkeypatch.setattr(chain, "STATIONARY_MAX_ITERS", 5)
         inst = make(3, 0, [(0, 1), (1, 0), (2, 0)], damping=0.95)
         with pytest.raises(NoConvergence):
-            ps.stationary(inst, (), max_iters=5)
+            ps.stationary(inst, ())

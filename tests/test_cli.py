@@ -159,7 +159,6 @@ class TestSolveAndBrute:
         assert code == 0
         blob = json.loads(report_path.read_text())
         assert blob["status"] == "optimal"
-        assert blob["cuts_added"] == blob["iterations"]
 
     def test_infeasible_exit_code(self, capsys, tmp_path):
         path = tmp_path / "inf.json"

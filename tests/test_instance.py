@@ -11,13 +11,11 @@ from pagerank_select import ConstraintSet, Row
 from pagerank_select.instance import instance_from_json, instance_to_json
 from pagerank_select.errors import (
     DampingRangeError,
-    DimensionMismatch,
     DuplicateEdgeError,
     InfeasibleSpec,
     NodeIndexError,
     OverlapError,
     ParseError,
-    TooLargeToEnumerate,
 )
 from helpers import build_corpus
 
@@ -168,56 +166,6 @@ class TestValidateInstance:
     def test_edge_array_is_sorted(self):
         inst, _ = ps.generate_random(30, 0.1, 3, None, seed=4)
         assert inst.edge_array.tolist() == [list(e) for e in sorted(inst.edges)]
-
-
-class TestFeasibility:
-    def test_empty_constraints_accept_everything(self):
-        assert ps.is_feasible(ps.EMPTY_CONSTRAINTS, (0, 1, 1))
-        assert ps.is_feasible(ps.EMPTY_CONSTRAINTS, ())
-
-    def test_cardinality_shortcut(self):
-        cons = ConstraintSet(cardinality=("<=", 1))
-        assert not ps.is_feasible(cons, (1, 1))
-        assert ps.is_feasible(cons, (1, 0))
-
-    def test_covering_row(self):
-        cons = ConstraintSet(rows=(Row((1, 1), ">=", 1),))
-        assert ps.is_feasible(cons, (0, 1))
-        assert not ps.is_feasible(cons, (0, 0))
-
-    def test_equality_row(self):
-        cons = ConstraintSet(rows=(Row((1, -1), "=", 0),))
-        assert ps.is_feasible(cons, (1, 1))
-        assert not ps.is_feasible(cons, (1, 0))
-
-    def test_dimension_mismatch(self):
-        cons = ConstraintSet(rows=(Row((1, 1), "<=", 1),))
-        with pytest.raises(DimensionMismatch):
-            ps.is_feasible(cons, (1, 0, 0))
-
-
-class TestEnumerate:
-    def test_unconstrained_cube(self):
-        points = list(ps.enumerate_feasible(ps.EMPTY_CONSTRAINTS, 2))
-        assert points == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-    def test_cardinality_equals_one(self):
-        cons = ConstraintSet(cardinality=("=", 1))
-        assert list(ps.enumerate_feasible(cons, 2)) == [(0, 1), (1, 0)]
-
-    def test_limit_guard(self):
-        with pytest.raises(TooLargeToEnumerate):
-            ps.enumerate_feasible(ps.EMPTY_CONSTRAINTS, 21)
-
-    def test_matches_filtering_the_cube(self):
-        cons = ConstraintSet(
-            rows=(Row((1, 2, -1, 0), "<=", 1),), cardinality=(">=", 1)
-        )
-        listed = list(ps.enumerate_feasible(cons, 4))
-        direct = [
-            bits for bits in product((0, 1), repeat=4) if ps.is_feasible(cons, bits)
-        ]
-        assert listed == direct
 
 
 class TestGenerator:
@@ -489,8 +437,8 @@ class TestMalformedFields:
 
 
 class TestEdgeListPairs:
-    """Well-formed edge lists take a pass without a call per entry; anything
-    else goes through the per-entry check, with its messages."""
+    """Every entry of an edge list goes through the per-entry check: well-formed
+    pairs are read as pairs, anything else is rejected with its message."""
 
     @pytest.mark.parametrize(
         "edges",

@@ -173,6 +173,23 @@ class TestAgainstReference:
                 y = tuple(int(b) for b in point)
                 assert theta == max([0.0] + [ps.eval_cut(c, y) for c in cuts])
 
+    @pytest.mark.parametrize("z", [8, 10, 12])
+    @pytest.mark.parametrize("whole_cube", [False, True])
+    def test_one_point_blocks_sum_in_edge_order(self, z, whole_cube, monkeypatch):
+        # numpy sums a lone column pairwise along the edges; a one-point
+        # feasible set and a last block holding only the all-ones point
+        # (2**z = 3k + 1 points in blocks of 3) must still match eval_cut
+        rng = np.random.default_rng(30 + z)
+        cons = ps.EMPTY_CONSTRAINTS if whole_cube else ConstraintSet(cardinality=("=", z))
+        monkeypatch.setattr(master_mod, "FOLD_BLOCK_BYTES", 8 * z * 3)
+        for cut in random_pool(rng, z, 20):
+            # nonnegative coefficients, so theta is the cut itself at every point
+            cut = Cut(cut.constant, tuple(map(abs, cut.coeffs)), cut.family, cut.incumbent)
+            feasible = feasible_set(cons, z)
+            solve_master([cut], feasible)
+            expected = [ps.eval_cut(cut, tuple(int(b) for b in point)) for point in feasible.points]
+            assert feasible.theta.tobytes() == np.array(expected).tobytes()
+
     def test_fold_temporaries_stay_within_one_block(self, monkeypatch):
         rng = np.random.default_rng(20)
         cuts = random_pool(rng, 14, 2)
