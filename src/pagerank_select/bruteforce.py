@@ -12,8 +12,8 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from . import chain
-from .errors import DimensionMismatch, Infeasible, InvalidOrdering, OverlapError, TooLargeToEnumerate
-from .instance import ConstraintSet, EMPTY_CONSTRAINTS, Instance, Selection, support
+from .errors import DimensionMismatch, Infeasible, InvalidOrdering, TooLargeToEnumerate
+from .instance import ConstraintSet, EMPTY_CONSTRAINTS, Instance, Selection, check_forced, check_lift_order, support
 
 # Most free positions a twin enumerates; read at call time.
 ENUM_LIMIT = 20
@@ -21,7 +21,11 @@ ENUM_LIMIT = 20
 
 def is_feasible(constraints: ConstraintSet, y: Selection) -> bool:
     """True iff every row (and the cardinality shortcut) is satisfied by y."""
-    for row in constraints.compiled_rows(len(y)):
+    return _satisfies(constraints.compiled_rows(len(y)), y)
+
+
+def _satisfies(rows, y: Selection) -> bool:
+    for row in rows:
         lhs = sum(c * b for c, b in zip(row.coeffs, y))
         if row.sense == "<=":
             ok = lhs <= row.rhs
@@ -47,12 +51,13 @@ def _selections(constraints: ConstraintSet, z_count: int, on=frozenset(), off=fr
         template[k] = 1
 
     def points() -> Iterator[Selection]:
+        rows = constraints.compiled_rows(z_count)  # checked once per walk
         for bits in product((0, 1), repeat=len(free)):
             y = list(template)
             for k, bit in zip(free, bits):
                 y[k] = bit
             point = tuple(y)
-            if is_feasible(constraints, point):
+            if _satisfies(rows, point):
                 yield point
 
     return points()
@@ -79,12 +84,9 @@ def bf_min(instance: Instance, constraints: ConstraintSet = EMPTY_CONSTRAINTS) -
 
 
 def bf_gamma(instance: Instance, forced_on, forced_off) -> float:
-    """Exhaustive minimum respecting the forced-on/forced-off edges."""
-    forced_on = frozenset(forced_on)
-    forced_off = frozenset(forced_off)
-    both = forced_on & forced_off
-    if both:
-        raise OverlapError(f"fragile edge(s) {sorted(both)} forced both on and off")
+    """Exhaustive minimum respecting the forced-on/forced-off edges, whose ids
+    are checked as ``gamma`` checks them (``instance.check_forced``)."""
+    forced_on, forced_off = check_forced(instance.z_count, forced_on, forced_off)
     points = _selections(EMPTY_CONSTRAINTS, instance.z_count, forced_on, forced_off)
     return min(chain.hitting_times(instance, y).fr for y in points)
 
@@ -108,8 +110,7 @@ def bf_exact_lift(
     """
     z_count = instance.z_count
     sel = support(incumbent)
-    if sorted(ordering) != sorted(set(range(z_count)) - sel):
-        raise InvalidOrdering("ordering is not a permutation of the unselected fragile edges")
+    check_lift_order(z_count, sel, ordering)
     if not 1 <= r <= len(ordering):
         raise InvalidOrdering(f"position {r} outside [1, {len(ordering)}]")
     if len(prior_coeffs) < r - 1:

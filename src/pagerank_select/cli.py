@@ -17,14 +17,7 @@ import numpy as np
 
 from . import bruteforce, chain, cuts as cut_families, master, oracle, solver
 from .errors import Infeasible, PagerankSelectError, TooLargeToEnumerate
-from .instance import (
-    EMPTY_CONSTRAINTS,
-    generate_random,
-    read_instance,
-    validate,
-    validation_errors,
-    write_instance,
-)
+from .instance import EMPTY_CONSTRAINTS, diagnose, generate_random, load_json, read_instance, write_instance
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -39,21 +32,11 @@ def _bits(y) -> str:
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.file) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.file}: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    problems = validation_errors(data)  # the instance fields and the constraints
+    inst, problems = diagnose(load_json(args.file))  # the instance fields and the constraints
     if problems:
         for msg in problems:
             print(f"invalid: {msg}", file=sys.stderr)
         return EXIT_INPUT
-    inst = validate(data)
     print(
         f"ok: {inst.n} nodes, {len(inst.edges)} fixed edges, "
         f"{inst.z_count} fragile edges, target {inst.target}, damping {inst.damping}"
@@ -124,26 +107,17 @@ def cmd_compare_cuts(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     incumbents = _sample_incumbents(feasible, args.trials, rng)
-    shared_lower = oracle.min_unconstrained(inst, memo=memo)
-
-    iteration_counts = {}
-    for family in cut_families.FAMILIES:
-        report = solver.solve(inst, constraints, family=family)
-        iteration_counts[family] = report.iterations
+    families = cut_families.FAMILIES
+    separators = [cut_families.separator(family, memo, args.ordering) for family in families]
+    iteration_counts = [
+        solver.solve(inst, constraints, family=family, ordering_strategy=args.ordering).iterations
+        for family in families
+    ]
 
     rows = []
     for incumbent in incumbents:
-        built = {
-            cut_families.L_SHAPED: cut_families.l_shaped_cut(inst, incumbent, shared_lower, memo=memo),
-            cut_families.NEW: cut_families.new_cut(inst, incumbent, memo=memo),
-            cut_families.LIFTED: cut_families.lifted_cut(
-                inst,
-                incumbent,
-                cut_families.make_lift_ordering(inst, incumbent, args.ordering, memo=memo),
-                memo=memo,
-            ),
-        }
-        for family, cut in built.items():
+        built = [separate(incumbent) for separate in separators]
+        for family, cut in zip(families, built):
             worst = max(
                 (cut_families.eval_cut(cut, y) - fr_at[y] for y in cube),
                 default=0.0,
@@ -155,32 +129,13 @@ def cmd_compare_cuts(args) -> int:
                 )
                 return EXIT_INPUT
         for edge_id in range(z_count):
-            rows.append(
-                [
-                    Path(args.file).stem,
-                    _bits(incumbent),
-                    edge_id,
-                    f"{cut_families.construction_coefficient(built[cut_families.L_SHAPED], edge_id):.12g}",
-                    f"{cut_families.construction_coefficient(built[cut_families.NEW], edge_id):.12g}",
-                    f"{cut_families.construction_coefficient(built[cut_families.LIFTED], edge_id):.12g}",
-                    iteration_counts[cut_families.L_SHAPED],
-                    iteration_counts[cut_families.NEW],
-                    iteration_counts[cut_families.LIFTED],
-                ]
-            )
+            coeffs = [f"{cut_families.construction_coefficient(cut, edge_id):.12g}" for cut in built]
+            rows.append([Path(args.file).stem, _bits(incumbent), edge_id, *coeffs, *iteration_counts])
     writer = csv.writer(sys.stdout)
     writer.writerow(
-        [
-            "instance_id",
-            "incumbent",
-            "edge_id",
-            "coeff_lshaped",
-            "coeff_new",
-            "coeff_lifted",
-            "family_iterations_lshaped",
-            "family_iterations_new",
-            "family_iterations_lifted",
-        ]
+        ["instance_id", "incumbent", "edge_id"]
+        + [f"coeff_{family}" for family in families]
+        + [f"family_iterations_{family}" for family in families]
     )
     writer.writerows(rows)
     return EXIT_OK
@@ -199,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the cutting-plane solver")
     p.add_argument("file")
-    p.add_argument("--cuts", choices=cut_families.FAMILIES, default=cut_families.LIFTED)
+    p.add_argument("--cuts", choices=cut_families.FAMILIES, default=cut_families.DEFAULT_FAMILY)
     p.add_argument("--ordering", choices=cut_families.ORDERING_STRATEGIES, default=cut_families.BY_INDEX)
     p.add_argument("--eps", type=float, default=solver.DEFAULT_EPS)
     p.add_argument("--max-iters", type=int, default=solver.DEFAULT_MAX_ITERS)

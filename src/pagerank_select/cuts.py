@@ -20,15 +20,17 @@ Families:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from . import oracle
-from .errors import DimensionMismatch, InvalidOrdering, LTooLarge
-from .instance import Instance, Selection, support
+from .errors import DimensionMismatch, LTooLarge
+from .instance import Instance, Selection, check_lift_order, support
 
 L_SHAPED = "lshaped"
 NEW = "new"
 LIFTED = "lifted"
 FAMILIES = (L_SHAPED, NEW, LIFTED)
+DEFAULT_FAMILY = LIFTED
 
 BY_INDEX = "index"
 BY_GAMMA = "gamma"
@@ -170,9 +172,7 @@ def lifted_cut(
     """
     incumbent = tuple(int(b) for b in incumbent)
     sel = support(incumbent)
-    unselected = sorted(k for k in range(instance.z_count) if k not in sel)
-    if sorted(ordering.order) != unselected:
-        raise InvalidOrdering("ordering is not a permutation of the unselected fragile edges")
+    check_lift_order(instance.z_count, sel, ordering.order)
     memo = oracle.memo_for(instance, memo)
     fr_bar = memo.evaluate(incumbent).fr
     constant, coeffs = _supported_half(memo, sel, fr_bar)
@@ -182,3 +182,22 @@ def lifted_cut(
         g = memo.gamma(oracle.GammaQuery(forced_on=frozenset({k}), forced_off=tail)).value
         coeffs[k] = min(0.0, g - fr_bar)
     return Cut(constant=constant, coeffs=tuple(coeffs), family=LIFTED, incumbent=incumbent)
+
+
+def separator(family: str, memo: oracle.Memo, ordering_strategy: str = BY_INDEX) -> Callable[[Selection], Cut]:
+    """The one family-to-builder map: a function from an incumbent to the
+    ``family`` cut there, built through ``memo``.  The ``lshaped`` bound is
+    asked once, here.  Builders are looked up on this module at each cut, so
+    a wrapper set on the module later (a tracer's) sees every cut."""
+    instance = memo.instance
+    if family == L_SHAPED:
+        lower_bound = oracle.min_unconstrained(instance, memo=memo)
+        return lambda incumbent: l_shaped_cut(instance, incumbent, lower_bound, memo=memo)
+    if family == NEW:
+        return lambda incumbent: new_cut(instance, incumbent, memo=memo)
+    if family == LIFTED:
+        def lifted(incumbent: Selection) -> Cut:
+            ordering = make_lift_ordering(instance, incumbent, ordering_strategy, memo=memo)
+            return lifted_cut(instance, incumbent, ordering, memo=memo)
+        return lifted
+    raise ValueError(f"unknown cut family {family!r}")

@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateEdgeError,
     InfeasibleSpec,
+    InvalidOrdering,
     NodeIndexError,
     OverlapError,
     ParseError,
@@ -47,6 +48,36 @@ def from_support(ids: Iterable[int], z_count: int) -> Selection:
     """Selection vector with ones exactly at the given fragile-edge ids."""
     on = set(ids)
     return tuple(1 if k in on else 0 for k in range(z_count))
+
+
+def _is_integer(value) -> bool:
+    """The integer rule of edge ids and constraint rows: no bool, no float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_forced(z_count: int, forced_on, forced_off) -> tuple[frozenset[int], frozenset[int]]:
+    """The forced ids as frozensets, checked for ``gamma`` and ``bf_gamma``
+    alike: DimensionMismatch for an id that is not an integer, OverlapError
+    for one forced both on and off, DimensionMismatch for one out of range."""
+    forced_on, forced_off = frozenset(forced_on), frozenset(forced_off)
+    forced = forced_on | forced_off
+    for k in forced:
+        if not _is_integer(k):
+            raise DimensionMismatch(f"fragile edge id {k!r} is not an integer")
+    both = forced_on & forced_off
+    if both:
+        raise OverlapError(f"fragile edge(s) {sorted(both)} forced both on and off")
+    for k in forced:
+        if not 0 <= k < z_count:
+            raise DimensionMismatch(f"fragile edge id {k} outside [0, {z_count})")
+    return forced_on, forced_off
+
+
+def check_lift_order(z_count: int, selected: frozenset[int], order) -> None:
+    """Raise InvalidOrdering unless ``order`` lists each fragile-edge id outside
+    ``selected`` exactly once, every id an integer as check_forced requires."""
+    if not all(map(_is_integer, order)) or sorted(order) != [k for k in range(z_count) if k not in selected]:
+        raise InvalidOrdering("ordering is not a permutation of the unselected fragile edges")
 
 
 @dataclass(frozen=True)
@@ -118,19 +149,32 @@ class ConstraintSet:
     cardinality: tuple[str, int] | None = None
 
     def compiled_rows(self, z_count: int) -> tuple[Row, ...]:
-        """All rows, with the cardinality shortcut expanded to an all-ones row.
-        Raises DimensionMismatch on a wrong-length row, ParseError on an unknown sense."""
+        """All rows, with the cardinality shortcut expanded to an all-ones row;
+        the one row check.  Raises ParseError for a coefficient or bound that
+        is not an integer, an unknown sense, or absolute values summing to
+        2**53 or more; DimensionMismatch for a wrong-length row."""
+        for idx, row in enumerate(self.rows):
+            what = f"constraint row {idx}"
+            for c in row.coeffs:
+                if not _is_integer(c):
+                    raise ParseError(f'{what} "coeffs" entry must be an integer, got {c!r}')
+            if not _is_integer(row.rhs):
+                raise ParseError(f'{what} "rhs" must be an integer, got {row.rhs!r}')
+            if row.sense not in SENSES:
+                raise ParseError(f"{what}: unknown sense {row.sense!r}")
+            if len(row.coeffs) != z_count:
+                raise DimensionMismatch(f"{what} has {len(row.coeffs)} coefficients for {z_count} fragile edges")
         rows = self.rows
         if self.cardinality is not None:
             sense, k = self.cardinality
+            if sense not in SENSES:
+                raise ParseError(f"cardinality sense {sense!r} unknown")
+            if not _is_integer(k):
+                raise ParseError(f'cardinality "k" must be an integer, got {k!r}')
             rows = rows + (Row(coeffs=(1,) * z_count, sense=sense, rhs=k),)
         for row in rows:
-            if len(row.coeffs) != z_count:
-                raise DimensionMismatch(
-                    f"constraint row has {len(row.coeffs)} coefficients for {z_count} fragile edges"
-                )
-            if row.sense not in SENSES:
-                raise ParseError(f"unknown constraint sense {row.sense!r}")
+            if sum(abs(int(c)) for c in row.coeffs) + abs(int(row.rhs)) >= 2**53:
+                raise ParseError("constraint rows with coefficients or bounds of 2**53 and more are not supported")
         return rows
 
     @property
@@ -238,14 +282,15 @@ def _check(raw, with_constraints: bool = False) -> tuple[Instance, ConstraintSet
     """The one validation path: the instance, its constraint set (empty
     unless asked for, which needs a mapping) and every violation found, the
     instance's first.  Raises ParseError when the instance fields are
-    malformed; a malformed constraint field is listed as a violation."""
+    malformed; a malformed constraint field or row, a wrong row length
+    included, is listed as a ParseError violation."""
     inst, edge_list = _coerce(raw)
     found = _violations(inst, edge_list)
     constraints = EMPTY_CONSTRAINTS
     if with_constraints:
         try:
             constraints = _constraints_from_json(raw.get("constraints"), inst.z_count)
-        except ParseError as exc:
+        except (ParseError, DimensionMismatch) as exc:
             found.append((ParseError, str(exc)))
     return inst, constraints, found
 
@@ -269,14 +314,20 @@ def validate(raw) -> Instance:
     return inst
 
 
+def diagnose(raw) -> tuple[Instance | None, list[str]]:
+    """validation_errors, with the Instance read in the same pass (None when
+    its fields are malformed)."""
+    try:
+        inst, _, found = _check(raw, with_constraints=isinstance(raw, dict))
+    except ParseError as exc:
+        return None, [str(exc)]
+    return inst, [msg for _, msg in found]
+
+
 def validation_errors(raw) -> list[str]:
     """All violations as human-readable strings (empty when valid): of an
     Instance, or of a dict in the file schema, its "constraints" included."""
-    try:
-        _, _, found = _check(raw, with_constraints=isinstance(raw, dict))
-    except ParseError as exc:
-        return [str(exc)]
-    return [msg for _, msg in found]
+    return diagnose(raw)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +435,8 @@ def generate_random(
 
 
 def _constraints_from_json(obj, z_count: int) -> ConstraintSet:
+    """The constraint set of a parsed file: the JSON shapes are checked here,
+    the rows by ConstraintSet.compiled_rows."""
     if obj is None:
         return EMPTY_CONSTRAINTS
     if not isinstance(obj, dict):
@@ -395,26 +448,14 @@ def _constraints_from_json(obj, z_count: int) -> ConstraintSet:
         missing = [k for k in ("coeffs", "sense", "rhs") if k not in entry]
         if missing:
             raise ParseError(f"constraint row {idx}: missing field(s): " + ", ".join(missing))
-        what = f'constraint row {idx} "coeffs"'
-        coeffs = tuple(_as_int(c, what + " entry") for c in _as_list(entry["coeffs"], what))
-        sense = entry["sense"]
-        rhs = _as_int(entry["rhs"], f'constraint row {idx} "rhs"')
-        if sense not in SENSES:
-            raise ParseError(f"constraint row {idx}: unknown sense {sense!r}")
-        if len(coeffs) != z_count:
-            raise ParseError(
-                f"constraint row {idx} has {len(coeffs)} coefficients for {z_count} fragile edges"
-            )
-        rows.append(Row(coeffs=coeffs, sense=sense, rhs=rhs))
-    cardinality = None
+        coeffs = tuple(_as_list(entry["coeffs"], f'constraint row {idx} "coeffs"'))
+        rows.append(Row(coeffs=coeffs, sense=entry["sense"], rhs=entry["rhs"]))
     card = obj.get("cardinality")
-    if card is not None:
-        if not isinstance(card, dict) or "sense" not in card or "k" not in card:
-            raise ParseError('"cardinality" must be {"sense": ..., "k": ...} or null')
-        if card["sense"] not in SENSES:
-            raise ParseError(f'cardinality sense {card["sense"]!r} unknown')
-        cardinality = (card["sense"], _as_int(card["k"], 'cardinality "k"'))
-    return ConstraintSet(rows=tuple(rows), cardinality=cardinality)
+    if card is not None and (not isinstance(card, dict) or "sense" not in card or "k" not in card):
+        raise ParseError('"cardinality" must be {"sense": ..., "k": ...} or null')
+    constraints = ConstraintSet(rows=tuple(rows), cardinality=None if card is None else (card["sense"], card["k"]))
+    constraints.compiled_rows(z_count)
+    return constraints
 
 
 def constraints_to_json(constraints: ConstraintSet):
@@ -454,14 +495,18 @@ def instance_from_json(data) -> tuple[Instance, ConstraintSet]:
     return inst, constraints
 
 
-def read_instance(path) -> tuple[Instance, ConstraintSet]:
-    """Parse and validate an instance file; returns (Instance, ConstraintSet)."""
+def load_json(path):
+    """The parsed JSON of a file; ParseError naming the file if it is not JSON."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    return instance_from_json(data)
+
+
+def read_instance(path) -> tuple[Instance, ConstraintSet]:
+    """Parse and validate an instance file; returns (Instance, ConstraintSet)."""
+    return instance_from_json(load_json(path))
 
 
 def write_instance(path, instance: Instance, constraints: ConstraintSet = EMPTY_CONSTRAINTS) -> None:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .cuts import Cut
-from .errors import DimensionMismatch, Infeasible, ParseError, TooLargeToEnumerate
+from .errors import DimensionMismatch, Infeasible, TooLargeToEnumerate
 from .instance import ConstraintSet, Selection
 
 # Largest enumeration level that feasible_set builds, at 8 bytes per fragile
@@ -60,7 +60,7 @@ class FeasibleSet:
 
 
 def feasible_set(constraints: ConstraintSet, z_count: int) -> FeasibleSet:
-    """Check the constraint rows and enumerate the feasible selections once.
+    """Enumerate the feasible selections once, under rows ``compiled_rows`` checked.
 
     Each level extends every surviving prefix by bit 0, then bit 1, and drops
     the prefixes that no completion can bring inside some row's bounds, so
@@ -68,8 +68,6 @@ def feasible_set(constraints: ConstraintSet, z_count: int) -> FeasibleSet:
     selection satisfies the rows, and TooLargeToEnumerate when a level's
     candidates would pass POINTS_MAX_BYTES."""
     rows = constraints.compiled_rows(z_count)
-    if any(sum(map(abs, row.coeffs)) + abs(row.rhs) >= 2**53 for row in rows):
-        raise ParseError("constraint rows with coefficients or bounds of 2**53 and more are not supported")
     coeffs = np.array([row.coeffs for row in rows], dtype=np.int64).reshape(len(rows), z_count).T
     upper = np.array([math.inf if row.sense == ">=" else row.rhs for row in rows])
     lower = np.array([-math.inf if row.sense == "<=" else row.rhs for row in rows])

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chain
-from .errors import DimensionMismatch, OverlapError
-from .instance import Instance, Selection
+from .instance import Instance, Selection, check_forced
 
 MEAN_IMPROVEMENT = 1e-12
 
@@ -80,23 +79,14 @@ def gamma(instance: Instance, query: GammaQuery, *, memo: Memo | None = None) ->
     Every evaluation goes through ``memo`` (one solve shares one; a fresh one
     when None, which raises DampingRangeError at damping 1), so a
     selection another query already evaluated is not evaluated again.
-    Before any evaluation, raises DimensionMismatch for an edge id that is a
-    bool, is not an integer or is out of range, and OverlapError for one
-    forced both on and off.
+    Before any evaluation, the edge ids are checked by
+    ``instance.check_forced``, as ``bf_gamma`` checks them: DimensionMismatch
+    for an id that is a bool, is not an integer or is out of range, and
+    OverlapError for one forced both on and off.
     """
-    forced_on = frozenset(query.forced_on)
-    forced_off = frozenset(query.forced_off)
-    forced = forced_on | forced_off
     z_count = instance.z_count
-    for k in forced:
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-            raise DimensionMismatch(f"fragile edge id {k!r} is not an integer")
-    both = forced_on & forced_off
-    if both:
-        raise OverlapError(f"fragile edge(s) {sorted(both)} forced both on and off")
-    for k in forced:
-        if not 0 <= k < z_count:
-            raise DimensionMismatch(f"fragile edge id {k} outside [0, {z_count})")
+    forced_on, forced_off = check_forced(z_count, query.forced_on, query.forced_off)
+    forced = forced_on | forced_off
     memo = memo_for(instance, memo)
 
     # Only the sources of free edges re-select; their fixed and forced-on

@@ -61,7 +61,7 @@ class SolveReport:
 def solve(
     instance: Instance,
     constraints: ConstraintSet = EMPTY_CONSTRAINTS,
-    family: str = cut_families.LIFTED,
+    family: str = cut_families.DEFAULT_FAMILY,
     ordering_strategy: str = cut_families.BY_INDEX,
     eps: float = DEFAULT_EPS,
     max_iters: int = DEFAULT_MAX_ITERS,
@@ -71,15 +71,13 @@ def solve(
     Raises Infeasible when the constraint set admits no selection,
     TooLargeToEnumerate when its feasible selections would pass
     ``master.POINTS_MAX_BYTES``, and ValueError for a negative ``eps`` or
-    ``max_iters``; returns a partial trace with status "iter_limit" once
-    max_iters cuts have been separated without closing the gap.  One
-    ``master.FeasibleSet`` and one ``oracle.Memo`` serve the whole solve: each
-    round folds only its new cut into the master, and each distinct oracle
-    query and each incumbent's value is computed once; the memo counts the
-    queries.
+    ``max_iters``, or (after the enumeration) an unknown family; returns a
+    partial trace with status "iter_limit" once max_iters cuts have been
+    separated without closing the gap.  One ``master.FeasibleSet`` and one
+    ``oracle.Memo`` serve the whole solve: each round folds only its new cut
+    into the master, and each distinct oracle query and each incumbent's
+    value is computed once; the memo counts the queries.
     """
-    if family not in cut_families.FAMILIES:
-        raise ValueError(f"unknown cut family {family!r}")
     if ordering_strategy not in cut_families.ORDERING_STRATEGIES:
         raise ValueError(f"unknown ordering strategy {ordering_strategy!r}")
     if instance.damping >= 1.0:
@@ -91,9 +89,7 @@ def solve(
 
     feasible = master_mod.feasible_set(constraints, instance.z_count)
     memo = oracle.Memo(instance)
-    shared_lower = None
-    if family == cut_families.L_SHAPED:
-        shared_lower = oracle.min_unconstrained(instance, memo=memo)
+    separate = cut_families.separator(family, memo, ordering_strategy)
 
     fresh: list[cut_families.Cut] = []  # the cut separated last round
     lower: list[float] = []
@@ -122,14 +118,7 @@ def solve(
                 "a separated cut is numerically invalid"
             )
         separated.add(incumbent)
-        if family == cut_families.L_SHAPED:
-            cut = cut_families.l_shaped_cut(instance, incumbent, shared_lower, memo=memo)
-        elif family == cut_families.NEW:
-            cut = cut_families.new_cut(instance, incumbent, memo=memo)
-        else:
-            ordering = cut_families.make_lift_ordering(instance, incumbent, ordering_strategy, memo=memo)
-            cut = cut_families.lifted_cut(instance, incumbent, ordering, memo=memo)
-        fresh = [cut]
+        fresh = [separate(incumbent)]
 
     return SolveReport(
         status=status,

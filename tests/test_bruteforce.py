@@ -7,6 +7,7 @@ from pagerank_select import ConstraintSet, Row, bruteforce
 from pagerank_select.cuts import BY_INDEX, construction_coefficient
 from pagerank_select.errors import (
     DimensionMismatch,
+    PagerankSelectError,
     Infeasible,
     InvalidOrdering,
     OverlapError,
@@ -143,6 +144,29 @@ class TestBfGamma:
         assert ps.bf_gamma(frozen, {0, 1}, {2}) > 0
 
 
+# (forced on, forced off) pairs that gamma rejects, on a 3-edge instance
+BAD_FORCED = [
+    pytest.param({-1}, set(), id="negative"),
+    pytest.param(set(), {3}, id="z"),
+    pytest.param({3}, set(), id="z-on"),
+    pytest.param({True}, set(), id="bool"),
+    pytest.param({1.5}, set(), id="float"),
+    pytest.param({1}, {1}, id="overlap"),
+]
+
+
+class TestForcedIds:
+    @pytest.mark.parametrize("forced_on, forced_off", BAD_FORCED)
+    def test_bf_gamma_raises_as_gamma_does(self, forced_on, forced_off):
+        inst, _ = ps.generate_random(6, 0.3, 3, None, seed=5)
+        with pytest.raises(PagerankSelectError) as fast:
+            ps.gamma(inst, ps.GammaQuery(forced_on=frozenset(forced_on), forced_off=frozenset(forced_off)))
+        with pytest.raises(PagerankSelectError) as slow:
+            ps.bf_gamma(inst, forced_on, forced_off)
+        assert type(slow.value) is type(fast.value)
+        assert str(slow.value) == str(fast.value)
+
+
 class TestBfExactLift:
     def test_last_position_specialization(self):
         # with nothing selected and no constraints, the objective at the last
@@ -206,3 +230,11 @@ class TestBfExactLift:
             ps.bf_exact_lift(inst, ps.EMPTY_CONSTRAINTS, (0, 0, 0), (0, 1, 2), [], 4)
         with pytest.raises(DimensionMismatch):
             ps.bf_exact_lift(inst, ps.EMPTY_CONSTRAINTS, (0, 0, 0), (0, 1, 2), [], 3)
+
+    @pytest.mark.parametrize("ordering", [(0, True, 2), (0, 1.0, 2), (0, 2, 2)])
+    def test_ordering_checked_as_lifted_cut_checks_it(self, ordering):
+        inst, _ = ps.generate_random(5, 0.3, 3, None, seed=5, damping=0.8)
+        with pytest.raises(InvalidOrdering):
+            ps.lifted_cut(inst, (0, 0, 0), ps.LiftOrdering(order=ordering))
+        with pytest.raises(InvalidOrdering):
+            ps.bf_exact_lift(inst, ps.EMPTY_CONSTRAINTS, (0, 0, 0), ordering, [0.0, 0.0], 3)

@@ -94,6 +94,21 @@ class TestValidate:
         assert "Traceback" not in err
 
 
+class TestRowsPastExactArithmetic:
+    @pytest.mark.parametrize("command", ["validate", "solve", "brute"])
+    def test_every_command_is_an_input_error(self, capsys, tmp_path, command):
+        path = tmp_path / "huge.json"
+        inst, _ = ps.generate_random(6, 0.3, 3, None, seed=5)
+        data = ps.instance.instance_to_json(inst)
+        data["constraints"] = {"rows": [{"coeffs": [1, 0, 1], "sense": "<=", "rhs": 2**60}], "cardinality": None}
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("invalid: " if command == "validate" else "error: ")
+        assert "2**53" in err
+
+
 class TestGen:
     def test_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -241,6 +256,19 @@ class TestCompareCuts:
         _, first, _ = run(capsys, "compare-cuts", demo_file, "--trials", "3", "--seed", "7")
         _, second, _ = run(capsys, "compare-cuts", demo_file, "--trials", "3", "--seed", "7")
         assert first == second
+
+    @pytest.mark.parametrize("ordering", ["index", "gamma"])
+    def test_iteration_columns_follow_the_ordering(self, capsys, tmp_path, ordering):
+        path = str(tmp_path / "gen.json")
+        run(capsys, "gen", "--n", "14", "--density", "0.25", "--fragile", "9", "--constraint", "card_le:3",
+            "--seed", "1", "--out", path)
+        code, out, _ = run(capsys, "compare-cuts", path, "--trials", "1", "--ordering", ordering)
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(out)))
+        for family in ps.FAMILIES:
+            code, solved, _ = run(capsys, "solve", path, "--cuts", family, "--ordering", ordering)
+            assert code == 0
+            assert f"iterations {row[f'family_iterations_{family}']} " in solved
 
     def test_no_fragile_edges_header_only(self, capsys, empty_z_file):
         code, out, _ = run(capsys, "compare-cuts", empty_z_file)

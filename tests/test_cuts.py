@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import pagerank_select as ps
-from pagerank_select import LiftOrdering
-from pagerank_select.cuts import BY_GAMMA, BY_INDEX, NEW, construction_coefficient
+from pagerank_select import LiftOrdering, cuts
+from pagerank_select.cuts import BY_GAMMA, BY_INDEX, FAMILIES, L_SHAPED, NEW, construction_coefficient
 from pagerank_select.errors import DampingRangeError, DimensionMismatch, InvalidOrdering, LTooLarge
 from helpers import build_corpus, fr_table, random_selection
 
@@ -275,3 +275,43 @@ class TestSharedMemo:
                     )
                 for warm, cold in pairs:
                     assert repr(warm) == repr(cold)
+
+
+class TestSeparator:
+    @pytest.mark.parametrize("strategy", [BY_INDEX, BY_GAMMA])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_builds_the_family_cut(self, frozen, family, strategy):
+        incumbent = (0, 1, 0, 0)
+        low = ps.min_unconstrained(frozen)
+        direct = {
+            L_SHAPED: lambda: ps.l_shaped_cut(frozen, incumbent, low),
+            NEW: lambda: ps.new_cut(frozen, incumbent),
+            ps.LIFTED: lambda: ps.lifted_cut(frozen, incumbent, ps.make_lift_ordering(frozen, incumbent, strategy)),
+        }[family]()
+        assert repr(cuts.separator(family, ps.Memo(frozen), strategy)(incumbent)) == repr(direct)
+
+    def test_lshaped_bound_is_asked_once(self, frozen):
+        memo = ps.Memo(frozen)
+        separate = cuts.separator(L_SHAPED, memo)
+        for incumbent in [(0, 0, 0, 0), (1, 0, 1, 0), (1, 1, 1, 1)]:
+            separate(incumbent)
+        assert memo.gamma_calls == 1
+
+    def test_builder_looked_up_at_each_cut(self, frozen, monkeypatch):
+        # a wrapper set on the module after the separator is made, as a
+        # tracer sets one, still sees every cut
+        separate = cuts.separator(NEW, ps.Memo(frozen))
+        seen = []
+        real = cuts.new_cut
+
+        def watched(instance, incumbent, memo=None):
+            seen.append(incumbent)
+            return real(instance, incumbent, memo=memo)
+
+        monkeypatch.setattr(cuts, "new_cut", watched)
+        separate((0, 1, 0, 0))
+        assert seen == [(0, 1, 0, 0)]
+
+    def test_unknown_family(self, frozen):
+        with pytest.raises(ValueError, match="unknown cut family"):
+            cuts.separator("benders", ps.Memo(frozen))

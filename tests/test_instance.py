@@ -429,6 +429,43 @@ def malformed_dict(fields):
     return {**minimal_dict(n=3, edges=[[0, 1], [1, 2]], fragile=[[2, 0], [1, 0]]), **fields}
 
 
+# API-built constraint sets on 3 fragile edges that the row check rejects,
+# with a field its ParseError names
+BAD_ROWS = [
+    pytest.param(ConstraintSet(rows=(Row((0.5, 0.5, 0.5), ">=", 1),)), '"coeffs"', id="half-coefficients"),
+    pytest.param(ConstraintSet(rows=(Row((True, 0, 1), ">=", 1),)), '"coeffs"', id="bool-coefficient"),
+    pytest.param(ConstraintSet(rows=(Row((1, 0, 1), ">=", 1.0),)), '"rhs"', id="float-bound"),
+    pytest.param(ConstraintSet(cardinality=("<=", 1.5)), '"k"', id="float-cardinality"),
+    pytest.param(ConstraintSet(rows=(Row((1, 0, 1), "<=", 2**60),)), "2\\*\\*53", id="bound-2**60"),
+]
+
+
+class TestOneRowVerdict:
+    """Rows are checked in one place, so the master, the twins and the file
+    reader give one verdict on every row."""
+
+    @pytest.mark.parametrize("cons, named", BAD_ROWS)
+    def test_every_consumer_rejects_the_row(self, cons, named):
+        inst, _ = ps.generate_random(8, 0.3, 3, None, seed=3)
+        with pytest.raises(ParseError, match=named):
+            ps.solve(inst, cons)
+        with pytest.raises(ParseError, match=named):
+            ps.bf_min(inst, cons)
+        with pytest.raises(ParseError, match=named):
+            list(ps.enumerate_feasible(cons, 3))
+        with pytest.raises(ParseError, match=named):
+            ps.is_feasible(cons, (1, 0, 1))
+        with pytest.raises(ParseError, match=named):
+            instance_from_json(instance_to_json(inst, cons))
+
+    def test_numpy_integers_are_integers(self):
+        inst, _ = ps.generate_random(8, 0.3, 3, None, seed=3)
+        as_numpy = ConstraintSet(rows=(Row(tuple(np.int64(c) for c in (1, 0, 1)), ">=", np.int64(1)),))
+        plain = ConstraintSet(rows=(Row((1, 0, 1), ">=", 1),))
+        assert ps.solve(inst, as_numpy) == ps.solve(inst, plain)
+        assert ps.bf_min(inst, as_numpy) == ps.bf_min(inst, plain)
+
+
 class TestMalformedFields:
     @pytest.mark.parametrize("fields, named", MALFORMED)
     def test_parse_error_names_the_field(self, fields, named):
