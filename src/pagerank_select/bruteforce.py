@@ -13,14 +13,17 @@ from typing import Iterator, Sequence
 
 from . import chain
 from .errors import DimensionMismatch, Infeasible, InvalidOrdering, TooLargeToEnumerate
-from .instance import ConstraintSet, EMPTY_CONSTRAINTS, Instance, Selection, check_forced, check_lift_order, support
+from .instance import (
+    ConstraintSet, EMPTY_CONSTRAINTS, Instance, Selection, check_forced, check_lift_order, check_selection, support
+)
 
 # Most free positions a twin enumerates; read at call time.
 ENUM_LIMIT = 20
 
 
 def is_feasible(constraints: ConstraintSet, y: Selection) -> bool:
-    """True iff every row (and the cardinality shortcut) is satisfied by y."""
+    """True iff every row (and the cardinality shortcut) is satisfied by y, its bits checked by check_selection."""
+    y = check_selection(len(y), y)
     return _satisfies(constraints.compiled_rows(len(y)), y)
 
 
@@ -109,13 +112,14 @@ def bf_exact_lift(
     with bf_gamma so this stays independent of the fast oracle.
     """
     z_count = instance.z_count
+    incumbent = check_selection(z_count, incumbent)
     sel = support(incumbent)
     check_lift_order(z_count, sel, ordering)
     if not 1 <= r <= len(ordering):
         raise InvalidOrdering(f"position {r} outside [1, {len(ordering)}]")
     if len(prior_coeffs) < r - 1:
         raise DimensionMismatch(f"need {r - 1} prior coefficients, got {len(prior_coeffs)}")
-    fr_bar = chain.hitting_times(instance, tuple(incumbent)).fr
+    fr_bar = chain.hitting_times(instance, incumbent).fr
     sel_coeff = {e: min(0.0, bf_gamma(instance, frozenset(), frozenset({e})) - fr_bar) for e in sel}
     points = _selections(constraints, z_count, {ordering[r - 1]}, set(ordering[r:]))
     prior = {ordering[k]: float(prior_coeffs[k]) for k in range(r - 1)}

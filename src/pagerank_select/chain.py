@@ -25,12 +25,11 @@ import numpy as np
 
 from .errors import (
     DampingRangeError,
-    DimensionMismatch,
     NoConvergence,
     SingularSystem,
     TooLargeForDense,
 )
-from .instance import Instance, Selection
+from .instance import Instance, Selection, check_selection
 
 STATIONARY_TOL = 1e-12
 STATIONARY_MAX_ITERS = 10**6
@@ -59,11 +58,6 @@ class HittingProfile:
 
     h: np.ndarray
     fr: float
-
-
-def _check_selection(instance: Instance, y: Selection) -> None:
-    if len(y) != instance.z_count:
-        raise DimensionMismatch(f"selection length {len(y)} does not match |Z| = {instance.z_count}")
 
 
 def _transition_rows(instance: Instance, y: Selection, nodes=None, fixed=None) -> np.ndarray:
@@ -97,7 +91,7 @@ def transition_matrix(instance: Instance, y: Selection) -> np.ndarray:
     Raises TooLargeForDense, before allocating, when one float64 n-by-n
     array would take more than ``DENSE_MAX_BYTES`` (128 MiB, so n > 4096).
     """
-    _check_selection(instance, y)
+    y = check_selection(instance.z_count, y)
     n = instance.n
     if n * n * 8 > DENSE_MAX_BYTES:
         raise TooLargeForDense(
@@ -142,6 +136,14 @@ def _first_passage_matrix(P: np.ndarray, v: int) -> np.ndarray:
     return A
 
 
+def _solve_first_passage(P: np.ndarray, v: int, rhs: np.ndarray) -> np.ndarray:
+    """``(I - Q)^-1 rhs`` by a dense solve (n > 1); SingularSystem when it is singular."""
+    try:
+        return np.linalg.solve(_first_passage_matrix(P, v), rhs)
+    except np.linalg.LinAlgError:
+        raise SingularSystem(f"hitting-time system for target {v} is singular") from None
+
+
 def hitting_times(instance: Instance, y: Selection) -> HittingProfile:
     """Solve the first-passage system for the target node.
 
@@ -160,10 +162,7 @@ def hitting_times(instance: Instance, y: Selection) -> HittingProfile:
         _require_target_reachable(P, v)
     h = np.zeros(n)
     if n > 1:
-        try:
-            h[np.arange(n) != v] = np.linalg.solve(_first_passage_matrix(P, v), np.ones(n - 1))
-        except np.linalg.LinAlgError:
-            raise SingularSystem(f"hitting-time system for target {v} is singular") from None
+        h[np.arange(n) != v] = _solve_first_passage(P, v, np.ones(n - 1))
     fr = 1.0 + float(P[v] @ h)
     return HittingProfile(h=h, fr=fr)
 
@@ -233,10 +232,7 @@ def factor_walk(instance: Instance) -> WalkFactor:
     if len(sources):
         units = np.zeros((n - 1, len(sources)))
         units[sources - (sources > v), np.arange(len(sources))] = 1.0
-        try:
-            columns[others] = np.linalg.solve(_first_passage_matrix(P, v), units)
-        except np.linalg.LinAlgError:
-            raise SingularSystem(f"hitting-time system for target {v} is singular") from None
+        columns[others] = _solve_first_passage(P, v, units)
     return WalkFactor(
         instance=instance,
         h0=base.h,
@@ -315,7 +311,7 @@ def low_rank_hitting_times(factor: WalkFactor, y: Selection) -> HittingProfile:
     refined h0 and M, the same updates were within 4.9e-14.
     """
     instance = factor.instance
-    _check_selection(instance, y)
+    y = check_selection(instance.z_count, y)
     places = factor.edge_places
     picked: dict[int, list[int]] = {}  # selected edge ids by their source's place
     for k in compress(range(len(y)), y):
@@ -360,7 +356,7 @@ def stationary(instance: Instance, y: Selection) -> np.ndarray:
     ndarray, shape (n,)
         Probability vector summing to 1.
     """
-    _check_selection(instance, y)
+    y = check_selection(instance.z_count, y)
     if instance.damping >= 1.0:
         raise DampingRangeError("stationary distribution requires damping < 1")
     P = transition_matrix(instance, y)

@@ -28,7 +28,7 @@ VALIDITY_SLACK = 1e-8
 
 
 def _bits(y) -> str:
-    return "".join(str(int(b)) for b in y) if len(y) else "-"
+    return "".join(map(str, y)) if len(y) else "-"
 
 
 def cmd_validate(args) -> int:

@@ -20,11 +20,12 @@ Families:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable
 
 from . import oracle
-from .errors import DimensionMismatch, LTooLarge
-from .instance import Instance, Selection, check_lift_order, support
+from .errors import LTooLarge
+from .instance import Instance, Selection, check_forced, check_lift_order, check_selection
 
 L_SHAPED = "lshaped"
 NEW = "new"
@@ -67,16 +68,16 @@ class LiftOrdering:
 
 
 def eval_cut(cut: Cut, y: Selection) -> float:
-    """Right-hand side of the cut at a selection."""
-    if len(y) != len(cut.coeffs):
-        raise DimensionMismatch(f"selection length {len(y)} does not match cut arity {len(cut.coeffs)}")
+    """Right-hand side of the cut at a selection, checked against the cut's arity."""
+    y = check_selection(len(cut.coeffs), y)
     return cut.constant + sum(a * b for a, b in zip(cut.coeffs, y))
 
 
 def construction_coefficient(cut: Cut, edge_id: int) -> float:
     """Coefficient in construction form: multiplies (1 - y) for edges in the
     incumbent's support and y elsewhere.  This is the form the dominance
-    ordering between families is stated in."""
+    ordering between families is stated in.  Ids are checked as check_forced checks them."""
+    check_forced(len(cut.coeffs), (edge_id,), ())
     if cut.incumbent[edge_id]:
         return -cut.coeffs[edge_id]
     return cut.coeffs[edge_id]
@@ -92,7 +93,7 @@ def l_shaped_cut(
     since the bound is supplied by the caller.  ``memo`` (one per solve; a
     fresh one when None) supplies the incumbent's return time.
     """
-    incumbent = tuple(map(int, incumbent))
+    incumbent = check_selection(instance.z_count, incumbent)
     fr_bar = oracle.memo_for(instance, memo).evaluate(incumbent).fr
     if lower_bound > fr_bar + L_GUARD:
         raise LTooLarge(
@@ -126,10 +127,10 @@ def new_cut(instance: Instance, incumbent: Selection, memo: oracle.Memo | None =
     ``memo`` (one per solve; a fresh one when None), which counts them and
     does not solve again those it already holds.
     """
-    incumbent = tuple(int(b) for b in incumbent)
+    incumbent = check_selection(instance.z_count, incumbent)
     memo = oracle.memo_for(instance, memo)
     fr_bar = memo.evaluate(incumbent).fr
-    sel = support(incumbent)
+    sel = frozenset(compress(range(instance.z_count), incumbent))  # support(), the bits already checked
     constant, coeffs = _supported_half(memo, sel, fr_bar)
     for k in range(instance.z_count):
         if k not in sel:
@@ -147,8 +148,7 @@ def make_lift_ordering(
     unselected edge (sorted ascending by that value, ties by edge id),
     through ``memo`` (one per solve; a fresh one when None).
     """
-    sel = support(incumbent)
-    unselected = [k for k in range(instance.z_count) if k not in sel]
+    unselected = [k for k, bit in enumerate(check_selection(instance.z_count, incumbent)) if not bit]
     if strategy == BY_INDEX:
         return LiftOrdering(order=tuple(unselected))
     if strategy == BY_GAMMA:
@@ -170,8 +170,8 @@ def lifted_cut(
     matches its ``new_cut`` coefficient.  One oracle query per fragile edge,
     asked of ``memo`` as in ``new_cut``.
     """
-    incumbent = tuple(int(b) for b in incumbent)
-    sel = support(incumbent)
+    incumbent = check_selection(instance.z_count, incumbent)
+    sel = frozenset(compress(range(instance.z_count), incumbent))  # support(), the bits already checked
     check_lift_order(instance.z_count, sel, ordering.order)
     memo = oracle.memo_for(instance, memo)
     fr_bar = memo.evaluate(incumbent).fr

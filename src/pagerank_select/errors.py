@@ -26,7 +26,8 @@ class ParseError(PagerankSelectError):
 
 
 class DimensionMismatch(PagerankSelectError):
-    """Vector lengths disagree (selection vs. coefficients vs. fragile count)."""
+    """Vector lengths disagree (selection vs. coefficients vs. fragile count), or a selection
+    bit is not 0 or 1 (``check_selection``) or an edge id not an integer in [0, |Z|) (``check_forced``)."""
 
 
 class TooLargeToEnumerate(PagerankSelectError):

@@ -13,6 +13,7 @@ share across concurrent solves.
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,16 +38,30 @@ Selection = tuple[int, ...]
 
 DEFAULT_DAMPING = 0.85
 SENSES = ("<=", "=", ">=")
+_BITS = {0: 0, 1: 1}  # found by any bit equal to 0 or 1; gives it as a Python int
+
+
+def check_selection(z_count: int, y) -> Selection:
+    """The one selection rule: ``y`` as a tuple of Python ints, checked to
+    hold exactly ``z_count`` entries, each equal to 0 or 1 (a Python or numpy
+    int or bool, or 0.0 / 1.0).  DimensionMismatch for anything else."""
+    try:
+        bits = tuple(map(_BITS.__getitem__, y))
+        if len(bits) == z_count:
+            return bits
+    except (KeyError, TypeError):  # an entry other than 0 or 1, or one that cannot be hashed; y not iterable
+        pass
+    raise DimensionMismatch(f"selection {y!r} is not {z_count} bits, each 0 or 1")
 
 
 def support(y: Selection) -> frozenset[int]:
-    """Indices of the activated fragile edges."""
-    return frozenset(k for k, bit in enumerate(y) if bit)
+    """Indices of the activated fragile edges, the bits checked by check_selection."""
+    return frozenset(k for k, bit in enumerate(check_selection(len(y), y)) if bit)
 
 
 def from_support(ids: Iterable[int], z_count: int) -> Selection:
-    """Selection vector with ones exactly at the given fragile-edge ids."""
-    on = set(ids)
+    """Selection vector with ones exactly at the given fragile-edge ids, checked as check_forced checks them."""
+    on = check_forced(z_count, ids, ())[0]
     return tuple(1 if k in on else 0 for k in range(z_count))
 
 
@@ -458,33 +473,26 @@ def _constraints_from_json(obj, z_count: int) -> ConstraintSet:
     return constraints
 
 
-def constraints_to_json(constraints: ConstraintSet):
-    if constraints.is_empty:
-        return None
-    out: dict = {
-        "rows": [
-            {"coeffs": list(row.coeffs), "sense": row.sense, "rhs": row.rhs}
-            for row in constraints.rows
-        ]
-    }
-    if constraints.cardinality is not None:
-        sense, k = constraints.cardinality
-        out["cardinality"] = {"sense": sense, "k": k}
-    else:
-        out["cardinality"] = None
-    return out
-
-
 def instance_to_json(instance: Instance, constraints: ConstraintSet = EMPTY_CONSTRAINTS) -> dict:
-    """The file schema of an instance, its fixed edges sorted; they come from
+    """The file schema of an instance, every integer a Python int.  The rows
+    are checked first, by the rules read_instance applies (ParseError, a
+    wrong row length included); the fixed edges come sorted from
     ``Instance.edge_array``, so an invalid instance raises as validate does."""
+    try:
+        constraints.compiled_rows(instance.z_count)
+    except DimensionMismatch as exc:
+        raise ParseError(str(exc)) from None
+    rows = [{"coeffs": [int(c) for c in r.coeffs], "sense": r.sense, "rhs": int(r.rhs)} for r in constraints.rows]
+    card = constraints.cardinality
     return {
-        "n": instance.n,
-        "target": instance.target,
+        "n": operator.index(instance.n),
+        "target": operator.index(instance.target),
         "edges": instance.edge_array.tolist(),
-        "fragile": [list(e) for e in instance.fragile],
+        "fragile": [list(map(operator.index, e)) for e in instance.fragile],
         "damping": instance.damping,
-        "constraints": constraints_to_json(constraints),
+        "constraints": None if constraints.is_empty else {
+            "rows": rows, "cardinality": None if card is None else {"sense": card[0], "k": int(card[1])}
+        },
     }
 
 

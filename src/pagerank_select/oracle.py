@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chain
-from .instance import Instance, Selection, check_forced
+from .instance import Instance, Selection, check_forced, check_selection
 
 MEAN_IMPROVEMENT = 1e-12
 
@@ -201,19 +201,20 @@ class Memo:
     def evaluate(self, y: Selection) -> Evaluation:
         """What a policy-iteration sweep reads at selection ``y``, evaluated
         once per selection.  A solve reads its incumbents' return times
-        here too, so that a later sweep through an incumbent finds it.  A
-        tuple is looked up as given first; entries are keyed by the bits as
-        ints, so any form of one selection finds the same entry."""
-        if type(y) is tuple:
+        here too, so that a later sweep through an incumbent finds it.  ``y``
+        is looked up as given first; entries are keyed by the tuple that
+        ``instance.check_selection`` returns, which checks ``y`` on a miss."""
+        try:
             entry = self._evaluations.get(y)
-            if entry is not None:
-                return entry
-        y = tuple(map(int, y))
-        entry = self._evaluations.get(y)
+        except TypeError:  # a form that is no dict key
+            entry = None
         if entry is None:
-            profile = chain.low_rank_hitting_times(self.walk, y)
-            entry = Evaluation(profile.fr, profile.h[self._watched].tolist(), float(profile.h.sum()))
-            self._evaluations[y] = entry
+            y = check_selection(self.instance.z_count, y)
+            entry = self._evaluations.get(y)
+            if entry is None:
+                profile = chain.low_rank_hitting_times(self.walk, y)
+                entry = Evaluation(profile.fr, profile.h[self._watched].tolist(), float(profile.h.sum()))
+                self._evaluations[y] = entry
         return entry
 
 

@@ -362,7 +362,7 @@ class TestLowRankHittingTimes:
             chain.low_rank_hitting_times(chain.factor_walk(inst), ())
 
     def test_every_form_of_a_selection_gives_the_same_bits(self):
-        # a bit counts as selected by its truth value, whatever its type
+        # every form that instance.check_selection accepts gives the int tuple's bits
         rng = np.random.default_rng(40)
         for inst in build_corpus(6, seed0=41, z_lo=1, z_hi=10):
             walk = chain.factor_walk(inst)

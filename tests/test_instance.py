@@ -1,4 +1,5 @@
 import json
+import math
 import time
 import tracemalloc
 from itertools import product
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 
 import pagerank_select as ps
-from pagerank_select import ConstraintSet, Row
-from pagerank_select.instance import instance_from_json, instance_to_json
+from pagerank_select import ConstraintSet, Row, chain, oracle
+from pagerank_select.instance import check_selection, instance_from_json, instance_to_json
 from pagerank_select.errors import (
     DampingRangeError,
+    DimensionMismatch,
     DuplicateEdgeError,
     InfeasibleSpec,
     NodeIndexError,
@@ -529,3 +531,140 @@ class TestSelectionHelpers:
     def test_from_support(self):
         assert ps.from_support({0, 2}, 3) == (1, 0, 1)
         assert ps.from_support([], 2) == (0, 0)
+
+
+def _profile(p):
+    return p.h.tobytes(), p.fr.hex()
+
+
+# Every public function that takes a selection, as (name, call), each call
+# made with the instance of selection_case and a selection; the result is
+# reduced to something whose equality is bitwise equality.
+SELECTION_TAKERS = [
+    ("hitting_times", lambda c, y: _profile(ps.hitting_times(c.inst, y))),
+    ("low_rank_hitting_times", lambda c, y: _profile(chain.low_rank_hitting_times(c.walk, y))),
+    ("transition_matrix", lambda c, y: chain.transition_matrix(c.inst, y).tobytes()),
+    ("stationary", lambda c, y: chain.stationary(c.inst, y).tobytes()),
+    ("Memo.evaluate", lambda c, y: repr(oracle.Memo(c.inst).evaluate(y))),
+    ("l_shaped_cut", lambda c, y: ps.l_shaped_cut(c.inst, y, 0.0).to_json()),
+    ("new_cut", lambda c, y: ps.new_cut(c.inst, y).to_json()),
+    ("lifted_cut", lambda c, y: ps.lifted_cut(c.inst, y, ps.LiftOrdering((2, 1))).to_json()),
+    ("make_lift_ordering", lambda c, y: ps.make_lift_ordering(c.inst, y, ps.BY_GAMMA)),
+    ("eval_cut", lambda c, y: ps.eval_cut(c.cut, y).hex()),
+    ("is_feasible", lambda c, y: ps.is_feasible(c.cons, y)),
+    ("bf_exact_lift", lambda c, y: ps.bf_exact_lift(c.inst, c.cons, y, (2, 1), [], 1).hex()),
+    ("support", lambda c, y: ps.support(y)),
+]
+
+# One selection, (1, 0, 0), in every form the rule accepts
+GOOD_FORMS = [
+    pytest.param([1, 0, 0], id="list"),
+    pytest.param((True, False, False), id="bools"),
+    pytest.param(tuple(np.array([1, 0, 0], dtype=np.int64)), id="numpy-ints"),
+    pytest.param(np.array([1, 0, 0], dtype=bool), id="numpy-bool-array"),
+    pytest.param((1.0, 0.0, 0.0), id="floats"),
+]
+
+BAD_FORMS = [
+    pytest.param((0.5, 0, 0), id="half"),
+    pytest.param((2, 0, 0), id="two"),
+    pytest.param((-1, 0, 0), id="minus-one"),
+    pytest.param(("x", 0, 0), id="string"),
+    pytest.param((math.nan, 0, 0), id="nan"),
+    pytest.param(([0], 0, 0), id="unhashable"),
+    pytest.param((0, 0), id="too-short"),
+    pytest.param((0, 0, 0, 0), id="too-long"),
+]
+
+
+class _Case:
+    def __init__(self):
+        self.inst, _ = ps.generate_random(8, 0.3, 3, None, seed=3)
+        # card_le:1 written as a row, so that is_feasible knows the arity
+        self.cons = ConstraintSet(rows=(Row((1, 1, 1), "<=", 1),))
+        self.walk = chain.factor_walk(self.inst)
+        self.cut = ps.new_cut(self.inst, (0, 1, 0))
+
+
+@pytest.fixture(scope="module")
+def selection_case():
+    return _Case()
+
+
+class TestOneSelectionRule:
+    """instance.check_selection is the one selection rule: every function
+    that takes a selection accepts exactly the same inputs and gives one
+    answer for every form of a selection."""
+
+    @pytest.mark.parametrize("name, call", SELECTION_TAKERS, ids=[name for name, _ in SELECTION_TAKERS])
+    @pytest.mark.parametrize("y", GOOD_FORMS)
+    def test_every_form_gives_the_int_tuple_answer(self, selection_case, name, call, y):
+        assert call(selection_case, y) == call(selection_case, (1, 0, 0))
+
+    @pytest.mark.parametrize(
+        "call, y",
+        [
+            pytest.param(call, form.values[0], id=f"{name}-{form.id}")
+            for name, call in SELECTION_TAKERS
+            for form in BAD_FORMS
+            if name != "support" or len(form.values[0]) == 3  # support takes its arity from y
+        ],
+    )
+    def test_every_bad_selection_raises(self, selection_case, call, y):
+        with pytest.raises(DimensionMismatch):
+            call(selection_case, y)
+
+    def test_the_rule(self):
+        assert check_selection(3, np.array([True, False, True])) == (1, 0, 1)
+        assert all(type(b) is int for b in check_selection(2, (np.True_, 1.0)))
+        assert check_selection(0, ()) == ()
+        with pytest.raises(DimensionMismatch):
+            check_selection(1, 1)
+
+    def test_a_memo_holds_one_entry_per_selection(self, selection_case):
+        memo = oracle.Memo(selection_case.inst)
+        first = memo.evaluate((1, 0, 0))
+        for form in GOOD_FORMS:
+            assert memo.evaluate(form.values[0]) is first
+
+    @pytest.mark.parametrize("edge_id", [-1, 3, True, 1.5])
+    def test_edge_ids_follow_the_forced_id_rule(self, selection_case, edge_id):
+        with pytest.raises(DimensionMismatch):
+            ps.construction_coefficient(selection_case.cut, edge_id)
+        with pytest.raises(DimensionMismatch):
+            ps.from_support({edge_id}, 3)
+
+
+class TestWriterAppliesTheReadersRules:
+    @pytest.mark.parametrize(
+        "cons",
+        [
+            pytest.param(ConstraintSet(rows=(Row((0.5, 0.5, 0.5), ">=", 1),)), id="half-row"),
+            pytest.param(ConstraintSet(rows=(Row((1, 1), "<=", 1),)), id="short-row"),
+            pytest.param(ConstraintSet(cardinality=("<=", True)), id="bool-cardinality"),
+        ],
+    )
+    def test_a_row_the_reader_refuses_is_not_written(self, tmp_path, cons):
+        inst, _ = ps.generate_random(8, 0.3, 3, None, seed=3)
+        path = tmp_path / "inst.json"
+        with pytest.raises(ParseError):
+            ps.write_instance(path, inst, cons)
+        assert not path.exists()
+
+    def test_numpy_integers_round_trip(self, tmp_path):
+        inst, _ = ps.generate_random(8, 0.3, 3, None, seed=3)
+        as_numpy = ps.Instance(
+            n=np.int64(inst.n),
+            target=np.int64(inst.target),
+            edges=inst.edges,
+            fragile=tuple(tuple(np.int64(e) for e in edge) for edge in inst.fragile),
+            damping=inst.damping,
+        )
+        cons = ConstraintSet(
+            rows=(Row(tuple(np.ones(3, dtype=np.int64)), "<=", np.int64(2)),), cardinality=(">=", np.int64(1))
+        )
+        path = tmp_path / "inst.json"
+        ps.write_instance(path, as_numpy, cons)
+        back_inst, back_cons = ps.read_instance(path)
+        assert (back_inst, back_cons) == (inst, cons)
+        assert type(back_inst.n) is int and type(back_cons.rows[0].rhs) is int
