@@ -119,7 +119,7 @@ class Instance:
         in sorted order.  Validates the instance first: the walk builder
         counts every edge listed."""
         validate(self)
-        ends = _endpoints(self.edges)
+        ends = _endpoints(self.edges, "edges")
         return _edge_array(ends[np.argsort(ends[:, 0] * self.n + ends[:, 1])])
 
     @cached_property
@@ -134,14 +134,25 @@ def _edge_array(pairs) -> np.ndarray:
     return arr
 
 
-def _endpoints(pairs) -> np.ndarray | None:
+def _endpoints(pairs, field: str) -> np.ndarray | None:
     """A collection of pairs as an (m, 2) intp array in iteration order, read
     straight from the pairs with no list in between; None when an endpoint
-    does not fit in intp."""
+    does not fit in intp.  Each endpoint goes through ``operator.index``, so
+    none is truncated: a pair with an endpoint that is no integer (a float,
+    say) raises ParseError, as the file reader does, naming the pair and
+    ``field``, its list in the file schema."""
     try:
-        return np.fromiter(chain.from_iterable(pairs), dtype=np.intp, count=2 * len(pairs)).reshape(-1, 2)
+        ids = map(operator.index, chain.from_iterable(pairs))
+        return np.fromiter(ids, dtype=np.intp, count=2 * len(pairs)).reshape(-1, 2)
     except OverflowError:
         return None
+    except TypeError:
+        for pair in pairs:
+            try:
+                tuple(map(operator.index, pair))
+            except TypeError:
+                raise ParseError(f'"{field}" endpoints must be integers, got {pair!r}') from None
+        raise
 
 
 @dataclass(frozen=True)
@@ -231,6 +242,10 @@ def _coerce(raw) -> tuple[Instance, list[Edge] | None]:
     (needed to detect duplicates that a frozenset would silently collapse),
     or an Instance with None, since its frozenset holds no duplicates."""
     if isinstance(raw, Instance):
+        for field in ("n", "target"):  # the endpoints are checked by _endpoints
+            value = getattr(raw, field)
+            if not _is_integer(value):
+                raise ParseError(f'"{field}" must be an integer, got {value!r}')
         return raw, None
     if not isinstance(raw, dict):
         raise ParseError(f"expected a mapping or an Instance, got {type(raw).__name__}")
@@ -254,10 +269,11 @@ def _coerce(raw) -> tuple[Instance, list[Edge] | None]:
     return inst, edge_list
 
 
-def _outside(pairs, n: int) -> list[Edge]:
+def _outside(pairs, n: int, field: str) -> list[Edge]:
     """The pairs with an endpoint outside [0, n), in iteration order.  The
-    scan runs on their array; Python only lists what it found."""
-    ends = _endpoints(pairs)
+    scan runs on their array (ParseError for an endpoint that is no integer,
+    see _endpoints); Python only lists what it found."""
+    ends = _endpoints(pairs, field)
     if ends is not None and ((ends >= 0) & (ends < n)).all():
         return []
     return [(i, j) for (i, j) in pairs if not (0 <= i < n and 0 <= j < n)]
@@ -272,13 +288,18 @@ def _violations(inst: Instance, edge_list: list[Edge] | None) -> list[tuple[type
     edges are reported in ``edge_list``'s order, or sorted for an Instance."""
     found: list[tuple[type, str]] = []
     n = inst.n
+    # Before the node count, so that every endpoint is checked to be an integer
+    if edge_list is None:
+        fixed_outside = sorted(_outside(inst.edges, n, "edges"))
+    else:
+        fixed_outside = _outside(edge_list, n, "edges")
+    fragile_outside = _outside(inst.fragile, n, "fragile")
     if n < 1:
         found.append((NodeIndexError, f"node count must be positive, got {n}"))
         return found
     if not 0 <= inst.target < n:
         found.append((NodeIndexError, f"target {inst.target} outside [0, {n})"))
-    fixed_outside = sorted(_outside(inst.edges, n)) if edge_list is None else _outside(edge_list, n)
-    for name, bad in (("fixed", fixed_outside), ("fragile", _outside(inst.fragile, n))):
+    for name, bad in (("fixed", fixed_outside), ("fragile", fragile_outside)):
         for (i, j) in bad:
             found.append((NodeIndexError, f"{name} edge ({i}, {j}) has an endpoint outside [0, {n})"))
     fixed_dupes = [] if edge_list is None or len(edge_list) == len(inst.edges) else _repeated(edge_list)
@@ -477,17 +498,19 @@ def instance_to_json(instance: Instance, constraints: ConstraintSet = EMPTY_CONS
     """The file schema of an instance, every integer a Python int.  The rows
     are checked first, by the rules read_instance applies (ParseError, a
     wrong row length included); the fixed edges come sorted from
-    ``Instance.edge_array``, so an invalid instance raises as validate does."""
+    ``Instance.edge_array``, read before any other instance field, so an
+    invalid instance raises as validate does."""
     try:
         constraints.compiled_rows(instance.z_count)
     except DimensionMismatch as exc:
         raise ParseError(str(exc)) from None
+    edges = instance.edge_array.tolist()
     rows = [{"coeffs": [int(c) for c in r.coeffs], "sense": r.sense, "rhs": int(r.rhs)} for r in constraints.rows]
     card = constraints.cardinality
     return {
         "n": operator.index(instance.n),
         "target": operator.index(instance.target),
-        "edges": instance.edge_array.tolist(),
+        "edges": edges,
         "fragile": [list(map(operator.index, e)) for e in instance.fragile],
         "damping": instance.damping,
         "constraints": None if constraints.is_empty else {

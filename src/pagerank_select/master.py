@@ -6,23 +6,24 @@ the only continuous variable and every cut is affine in y, so once the
 feasible selections are listed the master is a running maximum over them
 (Kelley 1960; Laporte & Louveaux 1993): ``feasible_set`` enumerates them once
 per solve, level by level in numpy, and each ``solve_master`` call folds the
-cuts it is given into a running theta.  An empty set raises Infeasible (CLI
-exit 2) and an enumeration whose points would take more than
-``POINTS_MAX_BYTES`` raises TooLargeToEnumerate (CLI exit 3) before that
-level is allocated.
+cuts it is given into a running theta.  ``FeasibleSet.fold_faces`` folds
+bounds that hold on a whole face of the cube, such as answered oracle
+queries, into the same theta.  An empty set raises Infeasible (CLI exit 2)
+and an enumeration whose points would take more than ``POINTS_MAX_BYTES``
+raises TooLargeToEnumerate (CLI exit 3) before that level is allocated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .cuts import Cut
 from .errors import DimensionMismatch, Infeasible, TooLargeToEnumerate
-from .instance import ConstraintSet, Selection
+from .instance import ConstraintSet, Selection, check_forced
 
 # Largest enumeration level that feasible_set builds, at 8 bytes per fragile
 # edge and per constraint row of each candidate.  64 MiB admits the whole
@@ -52,11 +53,26 @@ class FeasibleSet:
 
     ``points`` holds the feasible selections in lexicographic order (read-only
     floats, at least one); ``theta`` holds, per point, the maximum of zero and
-    every cut folded in so far."""
+    every cut and face bound folded in so far."""
 
     z_count: int
     points: np.ndarray
     theta: np.ndarray
+
+    def fold_faces(self, faces: Iterable[tuple[Iterable[int], Iterable[int], float]]) -> None:
+        """Raise theta to ``bound`` on each face ``(on, off, bound)``: at the
+        points with every edge in ``on`` at 1 and every edge in ``off`` at 0.
+
+        An answered oracle query is such a bound, since its value is the
+        least return time over its whole face, feasible or not (Laporte &
+        Louveaux's optimality cut, stated on a face).  The bound itself is
+        written where it is larger, through a mask: the same bound as an
+        affine cut can sum to an ulp above it.  A running maximum, so a face
+        folded again changes nothing.  Ids are checked by check_forced."""
+        for on, off, bound in faces:
+            on, off = check_forced(self.z_count, on, off)
+            face = (self.points[:, [*on, *off]] == [1] * len(on) + [0] * len(off)).all(axis=1)
+            np.maximum(self.theta, bound, out=self.theta, where=face)
 
 
 def feasible_set(constraints: ConstraintSet, z_count: int) -> FeasibleSet:

@@ -18,6 +18,8 @@ activating its cheapest free target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -184,6 +186,13 @@ class Memo:
     def gamma_solves(self) -> int:
         """Policy iterations actually run: the distinct queries answered."""
         return len(self._gamma)
+
+    @property
+    def answers(self) -> Mapping[tuple[frozenset[int], frozenset[int]], GammaResult]:
+        """Every distinct query answered so far, ``(forced_on, forced_off)``
+        to its result, in the order first asked: a read-only view, which
+        grows as the memo answers and asks no query."""
+        return MappingProxyType(self._gamma)
 
     def gamma(self, query: GammaQuery) -> GammaResult:
         """``gamma(instance, query)``, run once per distinct forced pair.

@@ -3,8 +3,10 @@
 Each round solves the master over the accumulated pool, evaluates the true
 objective at the master's incumbent, and stops once the incumbent value and
 the master bound meet within the gap tolerance; otherwise one cut of the
-chosen family is separated at the incumbent and the loop repeats.  Every cut
-is tight at its incumbent, so an incumbent can never recur while a gap
+chosen family is separated at the incumbent and the loop repeats.  Before
+each master solve, every oracle query answered since the last one is folded
+into the master as a bound on its face, at no further query.  Every cut is
+tight at its incumbent, so an incumbent can never recur while a gap
 persists; if that happens anyway a separated cut is numerically invalid and
 the loop aborts loudly rather than cycling.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from . import cuts as cut_families, master as master_mod, oracle
 from .errors import DampingRangeError, NoConvergence
@@ -75,8 +78,9 @@ def solve(
     partial trace with status "iter_limit" once max_iters cuts have been
     separated without closing the gap.  One ``master.FeasibleSet`` and one
     ``oracle.Memo`` serve the whole solve: each round folds only its new cut
-    into the master, and each distinct oracle query and each incumbent's
-    value is computed once; the memo counts the queries.
+    and the memo's new answers into the master, and each distinct oracle
+    query and each incumbent's value is computed once; the memo counts the
+    queries.
     """
     if ordering_strategy not in cut_families.ORDERING_STRATEGIES:
         raise ValueError(f"unknown ordering strategy {ordering_strategy!r}")
@@ -90,6 +94,8 @@ def solve(
     feasible = master_mod.feasible_set(constraints, instance.z_count)
     memo = oracle.Memo(instance)
     separate = cut_families.separator(family, memo, ordering_strategy)
+    answers = memo.answers
+    folded = 0  # the answers already folded into the master as face bounds
 
     fresh: list[cut_families.Cut] = []  # the cut separated last round
     lower: list[float] = []
@@ -99,6 +105,8 @@ def solve(
     separated: set[Selection] = set()
 
     while True:
+        feasible.fold_faces((on, off, answer.value) for (on, off), answer in islice(answers.items(), folded, None))
+        folded = len(answers)
         result = master_mod.solve_master(fresh, feasible)
         incumbent = result.y
         value = memo.evaluate(incumbent).fr

@@ -169,6 +169,47 @@ class TestValidateInstance:
         inst, _ = ps.generate_random(30, 0.1, 3, None, seed=4)
         assert inst.edge_array.tolist() == [list(e) for e in sorted(inst.edges)]
 
+    FIELDS = dict(n=3, target=0, edges=frozenset({(0, 1), (1, 2)}), fragile=((2, 0),))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n", 3.0, '"n" must be an integer, got 3.0'),
+            ("target", 1.0, '"target" must be an integer, got 1.0'),
+            ("fragile", ((2, 0.5),), '"fragile" endpoints must be integers, got (2, 0.5)'),
+            ("edges", frozenset({(0, 1), (1.0, 2)}), '"edges" endpoints must be integers, got (1.0, 2)'),
+        ],
+    )
+    def test_a_float_id_is_refused_as_the_file_reader_refuses_it(self, tmp_path, field, value, message):
+        inst = ps.Instance(**{**self.FIELDS, field: value})
+        with pytest.raises(ParseError) as raised:
+            ps.validate(inst)
+        assert str(raised.value) == message
+        assert ps.validation_errors(inst) == [message]
+        with pytest.raises(ParseError):
+            ps.hitting_times(inst, (0,))  # no walk on truncated ids
+        with pytest.raises(ParseError):
+            ps.write_instance(tmp_path / "written.json", inst)
+        assert not (tmp_path / "written.json").exists()
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "n": inst.n, "target": inst.target, "edges": [list(e) for e in inst.edges],
+            "fragile": [list(e) for e in inst.fragile],
+        }))
+        with pytest.raises(ParseError):
+            ps.read_instance(path)
+
+    def test_float_endpoint_is_refused_before_the_node_count(self):
+        inst = ps.Instance(**{**self.FIELDS, "n": 0, "fragile": ((2, 0.5),)})
+        with pytest.raises(ParseError, match="endpoints must be integers"):
+            ps.validate(inst)
+
+    def test_numpy_integer_ids_still_validate(self):
+        i = np.int64
+        inst = ps.Instance(n=i(3), target=i(0), edges=frozenset({(i(0), i(1)), (1, 2)}), fragile=((i(2), 0),))
+        assert ps.validate(inst) is inst
+        assert inst.edge_array.tolist() == [[0, 1], [1, 2]]
+
 
 class TestGenerator:
     def test_deterministic_for_fixed_seed(self):

@@ -7,7 +7,7 @@ import pytest
 
 import pagerank_select as ps
 from pagerank_select import ConstraintSet, Cut, Row, master as master_mod
-from pagerank_select.errors import DimensionMismatch, Infeasible, ParseError, TooLargeToEnumerate
+from pagerank_select.errors import DimensionMismatch, Infeasible, OverlapError, ParseError, TooLargeToEnumerate
 from pagerank_select.master import feasible_set, solve_master
 
 
@@ -299,6 +299,72 @@ class TestPoolState:
         assert np.array_equal(feasible.theta, theta)
         result = solve_master(good, feasible)
         assert result == solve_master(cuts + good, feasible_set(ps.EMPTY_CONSTRAINTS, 4))
+
+
+class TestFoldFaces:
+    """A face bound (on, off, g) raises theta to exactly g at the points with
+    every edge of ``on`` at 1 and every edge of ``off`` at 0, and nowhere else."""
+
+    @pytest.fixture()
+    def folded(self):
+        feasible = feasible_set(ConstraintSet(cardinality=("<=", 3)), 6)
+        solve_master(random_pool(np.random.default_rng(23), 6, 4), feasible)
+        return feasible
+
+    @staticmethod
+    def expected(feasible, theta, on, off, bound):
+        inside = [all(p[k] == 1 for k in on) and all(p[k] == 0 for k in off) for p in feasible.points]
+        return np.where(inside, np.maximum(theta, bound), theta)
+
+    @pytest.mark.parametrize("on, off", [({0, 3}, {1}), ({5}, ()), ((), {2, 4}), ((), ())])
+    def test_the_face_and_nothing_else_is_raised_to_its_bound(self, folded, on, off):
+        theta = folded.theta.copy()
+        bound = float(np.median(theta))  # raises some points of the face, not all
+        folded.fold_faces([(on, off, bound)])
+        assert folded.theta.tobytes() == self.expected(folded, theta, on, off, bound).tobytes()
+        raised = folded.theta != theta
+        assert raised.any() and (folded.theta[raised] == bound).all()
+
+    def test_the_empty_face_is_every_point(self, folded):
+        theta = folded.theta.copy()
+        folded.fold_faces([((), (), 4.0)])
+        assert np.array_equal(folded.theta, np.maximum(theta, 4.0))
+
+    def test_a_face_with_no_feasible_point_changes_nothing(self, folded):
+        theta = folded.theta.tobytes()
+        folded.fold_faces([({0, 1, 2, 3}, (), 1e6), ({1, 2, 4, 5}, {0}, 1e6)])  # at most 3 edges on
+        assert folded.theta.tobytes() == theta
+
+    def test_folding_again_changes_no_bit(self, folded):
+        faces = [({0}, {1}, 3.0), ((), {5}, 2.0), ({2, 4}, (), 5.5)]
+        folded.fold_faces(faces)
+        theta = folded.theta.tobytes()
+        folded.fold_faces(faces)
+        folded.fold_faces(faces[::-1])
+        assert folded.theta.tobytes() == theta
+
+    def test_faces_and_cuts_fold_in_any_order(self):
+        rng = np.random.default_rng(29)
+        cuts = random_pool(rng, 5, 3)
+        faces = [({0}, {4}, 2.5), ((), {1, 2}, 4.0), ({3}, (), 1.0)]
+        first, last = feasible_set(ps.EMPTY_CONSTRAINTS, 5), feasible_set(ps.EMPTY_CONSTRAINTS, 5)
+        first.fold_faces(faces)
+        by_faces_first = solve_master(cuts, first)
+        solve_master(cuts, last)
+        last.fold_faces(faces)
+        assert solve_master([], last) == by_faces_first
+        assert first.theta.tobytes() == last.theta.tobytes()
+
+    @pytest.mark.parametrize(
+        "on, off, error",
+        [({6}, (), DimensionMismatch), ((), {-1}, DimensionMismatch), ({1.0}, (), DimensionMismatch),
+         ({True}, (), DimensionMismatch), ({2}, {2}, OverlapError)],
+    )
+    def test_ids_are_checked(self, folded, on, off, error):
+        theta = folded.theta.tobytes()
+        with pytest.raises(error):
+            folded.fold_faces([(on, off, 1e6)])
+        assert folded.theta.tobytes() == theta
 
 
 class TestFeasibleSet:

@@ -226,6 +226,107 @@ class TestGammaSolves:
         assert len(spy) == 2 * first.gamma_solves
 
 
+class TestFaceBounds:
+    """Every oracle answer of a solve is folded into its master as a bound on
+    the answer's face, at no query of its own."""
+
+    @pytest.fixture()
+    def kept(self, monkeypatch):
+        """The memo and the feasible set of each solve."""
+        memos, sets = [], []
+
+        class Recording(oracle.Memo):
+            def __init__(self, instance):
+                super().__init__(instance)
+                memos.append(self)
+
+        real = master_mod.feasible_set
+
+        def recorded(*args):
+            sets.append(real(*args))
+            return sets[-1]
+
+        monkeypatch.setattr(oracle, "Memo", Recording)
+        monkeypatch.setattr(master_mod, "feasible_set", recorded)
+        return memos, sets
+
+    CASES = [
+        (10, 0.3, 7, "card_le:3", 5, 0.85),
+        (12, 0.2, 8, "card_ge:2", 9, 0.99),
+        (9, 0.25, 6, "cover:2", 14, 0.5),
+        (12, 0.15, 8, "card_eq:3", 1103, 0.999),
+    ]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n, density, z_count, spec, seed, damping", CASES)
+    def test_folded_answers_are_valid_at_every_point(self, kept, family, n, density, z_count, spec, seed, damping):
+        memos, sets = kept
+        inst, cons = ps.generate_random(n, density, z_count, spec, seed=seed, damping=damping)
+        assert ps.solve(inst, cons, family=family).status == OPTIMAL
+        (memo,), (solved,) = memos, sets
+        assert memo.answers
+        faces = master_mod.feasible_set(cons, z_count)
+        faces.fold_faces((on, off, answer.value) for (on, off), answer in memo.answers.items())
+        assert (solved.theta >= faces.theta).all()  # every answer was folded
+        for point, bound in zip(faces.points, faces.theta):  # through the evaluator that answered
+            assert bound <= memo.evaluate(point).fr + 1e-9
+
+    def test_answers_are_read_in_order_and_cost_no_query(self):
+        inst, cons = ps.generate_random(10, 0.3, 7, "card_le:3", seed=5)
+        memo = oracle.Memo(inst)
+        separate = cut_families.separator(NEW, memo)
+        separate((0,) * inst.z_count)
+        calls = memo.gamma_calls
+        keys = list(memo.answers)
+        assert len(keys) == memo.gamma_solves == inst.z_count
+        assert keys == [(frozenset({k}), frozenset()) for k in range(inst.z_count)]
+        assert memo.gamma_calls == calls
+        with pytest.raises(TypeError):
+            memo.answers[keys[0]] = None
+
+    @pytest.mark.parametrize(
+        "family, strategy", [(L_SHAPED, BY_INDEX), (NEW, BY_INDEX), (LIFTED, BY_INDEX), (LIFTED, BY_GAMMA)]
+    )
+    def test_the_solve_asks_only_what_its_cuts_ask(self, monkeypatch, family, strategy):
+        asked = []
+        real = cut_families.separator
+
+        def counted(family, memo, ordering_strategy):
+            before = memo.gamma_calls
+            separate = real(family, memo, ordering_strategy)
+            asked.append(memo.gamma_calls - before)  # the lshaped bound
+
+            def separated(incumbent):
+                before = memo.gamma_calls
+                cut = separate(incumbent)
+                asked.append(memo.gamma_calls - before)
+                return cut
+
+            return separated
+
+        monkeypatch.setattr(cut_families, "separator", counted)
+        for inst in build_corpus(4, seed0=37, n_lo=6, n_hi=12, z_lo=3, z_hi=7):
+            for cons in (ps.EMPTY_CONSTRAINTS, ConstraintSet(cardinality=(">=", 2))):
+                asked.clear()
+                report = ps.solve(inst, cons, family=family, ordering_strategy=strategy)
+                assert len(asked) == report.iterations + 1
+                assert report.gamma_calls_total == sum(asked)
+                # the gamma ordering asks one more query per unselected edge
+                per_round = inst.z_count * (2 if strategy == BY_GAMMA else 1)
+                assert report.gamma_calls_total <= per_round * max(1, report.iterations)
+
+    @pytest.mark.parametrize(
+        "seed, rounds, value", [(0, 9, 60.81641370046789), (3, 5, 131.0904877227314), (7, 4, 123.60451206854304)]
+    )
+    def test_new_cut_rounds_on_the_n100_card_le_instances(self, seed, rounds, value):
+        # 21 / 41 / 24 rounds before face bounds; the optima are unchanged
+        inst, cons = ps.generate_random(100, 0.05, 14, "card_le:3", seed=seed)
+        report = ps.solve(inst, cons, family=NEW)
+        assert report.status == OPTIMAL
+        assert report.iterations == rounds
+        assert report.best_value == value
+
+
 class TestOneEvaluationPerSelection:
     @pytest.fixture()
     def spies(self, monkeypatch):
