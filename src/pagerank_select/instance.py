@@ -136,19 +136,26 @@ def _edge_array(pairs) -> np.ndarray:
 
 def _endpoints(pairs, field: str) -> np.ndarray | None:
     """A collection of pairs as an (m, 2) intp array in iteration order, read
-    straight from the pairs with no list in between; None when an endpoint
-    does not fit in intp.  Each endpoint goes through ``operator.index``, so
-    none is truncated: a pair with an endpoint that is no integer (a float,
-    say) raises ParseError, as the file reader does, naming the pair and
-    ``field``, its list in the file schema."""
+    straight from the pairs with no list of them in between; None when an
+    endpoint does not fit in intp.  Each entry must have two items and each
+    endpoint goes through ``operator.index``, so none is truncated or
+    dropped: an entry that is no pair, or a pair with an endpoint that is no
+    integer (a float, say), raises ParseError, as the file reader does,
+    naming the entry and ``field``, its list in the file schema."""
+    if len(pairs) == 0:  # no rows to unpack
+        return np.empty((0, 2), dtype=np.intp)
     try:
-        ids = map(operator.index, chain.from_iterable(pairs))
-        return np.fromiter(ids, dtype=np.intp, count=2 * len(pairs)).reshape(-1, 2)
+        # strict, and two rows to unpack: every entry has exactly two items
+        sources, targets = zip(*pairs, strict=True)
+        ids = map(operator.index, chain(sources, targets))
+        return np.fromiter(ids, dtype=np.intp, count=2 * len(pairs)).reshape(2, -1).T
     except OverflowError:
         return None
-    except TypeError:
+    except (TypeError, ValueError):
         for pair in pairs:
             try:
+                if len(pair) != 2:
+                    raise _not_a_pair(pair, field)
                 tuple(map(operator.index, pair))
             except TypeError:
                 raise ParseError(f'"{field}" endpoints must be integers, got {pair!r}') from None
@@ -228,9 +235,13 @@ def _as_list(value, what: str) -> list | tuple:
     return value
 
 
+def _not_a_pair(item, field: str) -> ParseError:
+    return ParseError(f'"{field}" entries must be [i, j] pairs, got {item!r}')
+
+
 def _as_pair(item, field: str) -> Edge:
     if not isinstance(item, (list, tuple)) or len(item) != 2:
-        raise ParseError(f'"{field}" entries must be [i, j] pairs, got {item!r}')
+        raise _not_a_pair(item, field)
     i, j = item
     if isinstance(i, bool) or isinstance(j, bool) or not isinstance(i, int) or not isinstance(j, int):
         raise ParseError(f'"{field}" endpoints must be integers, got {item!r}')

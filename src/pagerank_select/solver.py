@@ -5,7 +5,10 @@ objective at the master's incumbent, and stops once the incumbent value and
 the master bound meet within the gap tolerance; otherwise one cut of the
 chosen family is separated at the incumbent and the loop repeats.  Before
 each master solve, every oracle query answered since the last one is folded
-into the master as a bound on its face, at no further query.  Every cut is
+into the master as a bound on its face, at no further query.  When the
+separation asked the unconstrained minimum before round one (``lshaped``)
+and its minimiser meets the rows, that minimiser is the first incumbent: no
+feasible point can do better, so round zero closes the gap.  Every cut is
 tight at its incumbent, so an incumbent can never recur while a gap
 persists; if that happens anyway a separated cut is numerically invalid and
 the loop aborts loudly rather than cycling.
@@ -33,10 +36,12 @@ class SolveReport:
     """Trace of one cutting-plane run.
 
     ``lower_bounds``/``upper_bounds`` hold one entry per master solve (the
-    master bound and the best incumbent value so far), so they are one longer
-    than ``iterations``, the number of cuts separated.  ``gamma_calls_total``
-    counts the oracle queries the solve asked its memo; ``gamma_solves`` the
-    policy iterations actually run, one per distinct query of the solve.
+    master bound and the best incumbent value so far, counting the
+    unconstrained minimiser when the memo holds it and it is feasible), so
+    they are one longer than ``iterations``, the number of cuts separated.
+    ``gamma_calls_total`` counts the oracle queries the solve asked its memo;
+    ``gamma_solves`` the policy iterations actually run, one per distinct
+    query of the solve.
     """
 
     status: str
@@ -80,7 +85,9 @@ def solve(
     ``oracle.Memo`` serve the whole solve: each round folds only its new cut
     and the memo's new answers into the master, and each distinct oracle
     query and each incumbent's value is computed once; the memo counts the
-    queries.
+    queries.  When the memo already holds the unconstrained query (the
+    ``lshaped`` bound) and its argmin is a point of the feasible set, that
+    argmin is the incumbent before round one, at the memo's own value.
     """
     if ordering_strategy not in cut_families.ORDERING_STRATEGIES:
         raise ValueError(f"unknown ordering strategy {ordering_strategy!r}")
@@ -102,6 +109,9 @@ def solve(
     upper: list[float] = []
     best_y: Selection | None = None
     best_val = math.inf
+    root = answers.get((frozenset(), frozenset()))
+    if root is not None and (feasible.points == root.argmin).all(axis=1).any():
+        best_y, best_val = root.argmin, root.value
     separated: set[Selection] = set()
 
     while True:

@@ -10,7 +10,7 @@ from itertools import product
 import numpy as np
 
 import pagerank_select as ps
-from pagerank_select import oracle
+from pagerank_select import ConstraintSet, Row, oracle
 from pagerank_select.errors import InfeasibleSpec
 
 
@@ -50,6 +50,35 @@ def build_corpus(
             continue
         out.append(inst)
     return out
+
+
+# The differential corpus: two instances per damping and constraint spec
+DAMPINGS = (0.5, 0.85, 0.99, 0.999)
+SPECS = ("none", "card_le:3", "card_ge:2", "card_eq:3", "cover:2", "rows")
+
+
+def mixed_rows(z_count):
+    """Rows of each sense with mixed signs, feasible for any |Z| >= 5."""
+    pad = (0,) * (z_count - 5)
+    return ConstraintSet(rows=(
+        Row((1, -1, 2, -1, 0) + pad, "<=", 1),
+        Row((0, 1, 0, 1, -1) + pad, "=", 1),
+        Row((1,) * z_count, ">=", 2),
+    ))
+
+
+def differential_case(damping, spec, draw):
+    """The differential corpus's instance ``draw`` of (damping, spec): n in
+    8..60 and |Z| in 5..10, drawn from a generator seeded by the case's place
+    in the grid."""
+    index = 2 * (DAMPINGS.index(damping) * len(SPECS) + SPECS.index(spec)) + draw
+    rng = np.random.default_rng(4_000 + index)
+    n, z_count = int(rng.integers(8, 61)), int(rng.integers(5, 11))
+    density = float(rng.uniform(0.05, 0.3)) * 12 / n
+    inst, cons = ps.generate_random(
+        n, density, z_count, None if spec == "rows" else spec, seed=index, damping=damping
+    )
+    return inst, mixed_rows(z_count) if spec == "rows" else cons
 
 
 def fr_table(inst):

@@ -181,13 +181,36 @@ class TestValidateInstance:
         ],
     )
     def test_a_float_id_is_refused_as_the_file_reader_refuses_it(self, tmp_path, field, value, message):
-        inst = ps.Instance(**{**self.FIELDS, field: value})
+        self.assert_refused_everywhere(tmp_path, ps.Instance(**{**self.FIELDS, field: value}), message)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("edges", frozenset({(0, 1), (0, 1, 2)}), '"edges" entries must be [i, j] pairs, got (0, 1, 2)'),
+            ("fragile", ((2, 0, 1), (1, 0, 2)), '"fragile" entries must be [i, j] pairs, got (2, 0, 1)'),
+            ("edges", frozenset({(0, 1), (1,)}), '"edges" entries must be [i, j] pairs, got (1,)'),
+            # four ids in all, as two pairs would have
+            ("fragile", ((0, 1, 2), (2,)), '"fragile" entries must be [i, j] pairs, got (0, 1, 2)'),
+        ],
+    )
+    def test_an_entry_that_is_no_pair_is_refused_as_the_file_reader_refuses_it(self, tmp_path, field, value, message):
+        self.assert_refused_everywhere(tmp_path, ps.Instance(**{**self.FIELDS, field: value}), message)
+
+    def test_fixed_entries_that_are_no_pairs_are_refused_whatever_their_order(self):
+        inst = ps.Instance(**{**self.FIELDS, "edges": frozenset({(0, 1, 2), (2,)})})
+        with pytest.raises(ParseError, match=r'^"edges" entries must be \[i, j\] pairs, got \((0, 1, 2|2,)\)$'):
+            ps.validate(inst)
+
+    @staticmethod
+    def assert_refused_everywhere(tmp_path, inst, message):
+        """validate, validation_errors, the evaluators, write_instance and
+        the file reader all refuse ``inst``; the first two with ``message``."""
         with pytest.raises(ParseError) as raised:
             ps.validate(inst)
         assert str(raised.value) == message
         assert ps.validation_errors(inst) == [message]
         with pytest.raises(ParseError):
-            ps.hitting_times(inst, (0,))  # no walk on truncated ids
+            ps.hitting_times(inst, (0,) * inst.z_count)  # no walk on truncated ids
         with pytest.raises(ParseError):
             ps.write_instance(tmp_path / "written.json", inst)
         assert not (tmp_path / "written.json").exists()

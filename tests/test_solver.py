@@ -8,7 +8,7 @@ from pagerank_select import chain, cuts as cut_families, master as master_mod, o
 from pagerank_select.cuts import BY_GAMMA, BY_INDEX, FAMILIES, L_SHAPED, LIFTED, NEW
 from pagerank_select.errors import DampingRangeError, Infeasible, NoConvergence
 from pagerank_select.solver import ITER_LIMIT, OPTIMAL
-from helpers import build_corpus
+from helpers import DAMPINGS, SPECS, build_corpus, differential_case
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +153,9 @@ class TestMasterCalls:
 
         for name in calls:
             monkeypatch.setattr(master_mod, name, counted(name, getattr(master_mod, name)))
-        cons = ConstraintSet(cardinality=("<=", 2))
+        # under card_le:2 the unconstrained minimiser is feasible, and lshaped
+        # closes at round zero; under card_le:1 it is not
+        cons = ConstraintSet(cardinality=("<=", 1))
         for family in FAMILIES:
             calls.update(feasible_set=0, solve_master=0)
             report = ps.solve(frozen, cons, family=family)
@@ -186,6 +188,8 @@ class TestGammaAccounting:
                 asked.clear()
                 report = ps.solve(inst, cons, family=family, ordering_strategy=strategy)
                 assert report.gamma_calls_total == len(asked)
+                # only lshaped asks the unconstrained query, for its bound
+                assert (oracle.GammaQuery() in asked) == (family == L_SHAPED)
 
 
 class TestGammaSolves:
@@ -325,6 +329,47 @@ class TestFaceBounds:
         assert report.status == OPTIMAL
         assert report.iterations == rounds
         assert report.best_value == value
+
+
+class TestUnconstrainedIncumbent:
+    """When the memo holds the unconstrained query (the lshaped bound) and
+    its argmin is feasible, that argmin is the first incumbent, and round
+    zero closes the gap."""
+
+    def test_feasible_root_argmin_closes_at_round_zero(self):
+        inst, cons = ps.generate_random(40, 0.1, 12, "card_le:3", seed=0)
+        root = oracle.Memo(inst).gamma(oracle.GammaQuery())
+        report = ps.solve(inst, cons, family=L_SHAPED)
+        assert report.status == OPTIMAL
+        assert report.iterations == 0
+        assert report.lower_bounds == report.upper_bounds == (root.value,)
+        assert report.best_y == root.argmin
+        assert report.best_value == root.value
+        assert report.gamma_calls_total == report.gamma_solves == 1
+
+    def test_infeasible_root_argmin_takes_every_round(self):
+        # the root argmin breaks card_le:3 here, so the loop runs as before
+        inst, cons = ps.generate_random(40, 0.1, 12, "card_le:3", seed=1)
+        assert not ps.is_feasible(cons, oracle.Memo(inst).gamma(oracle.GammaQuery()).argmin)
+        report = ps.solve(inst, cons, family=L_SHAPED)
+        assert report.status == OPTIMAL
+        assert report.iterations == 299
+
+    def test_zero_rounds_exactly_when_the_root_argmin_is_feasible(self):
+        cases = [differential_case(damping, spec, draw) for damping in DAMPINGS for spec in SPECS for draw in (0, 1)]
+        cases.append(ps.generate_random(12, 0.15, 8, "card_eq:3", seed=1103, damping=0.999))
+        feasible_roots = 0
+        for inst, cons in cases:
+            root = oracle.Memo(inst).gamma(oracle.GammaQuery())
+            report = ps.solve(inst, cons, family=L_SHAPED)
+            assert report.status == OPTIMAL
+            if ps.is_feasible(cons, root.argmin):
+                feasible_roots += 1
+                assert report.iterations == 0
+                assert (report.best_y, report.best_value) == (root.argmin, root.value)
+            else:
+                assert report.iterations >= 1
+        assert 0 < feasible_roots < len(cases)
 
 
 class TestOneEvaluationPerSelection:
