@@ -10,7 +10,7 @@ class OverlapError(PagerankSelectError):
 
 
 class NodeIndexError(PagerankSelectError):
-    """A node index lies outside [0, n), or the node count is not positive."""
+    """A node index lies outside [0, n), or the node count is not positive or does not fit in intp."""
 
 
 class DampingRangeError(PagerankSelectError):
@@ -39,7 +39,8 @@ class TooLargeForDense(PagerankSelectError):
 
 
 class InfeasibleSpec(PagerankSelectError):
-    """Random-instance spec asks for a negative number of fragile edges, or for
+    """Random-instance spec gives a count that is not an integer or a density
+    outside [0, 1], or asks for a negative number of fragile edges, or for
     more fragile edges than non-edges exist."""
 
 

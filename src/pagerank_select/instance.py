@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -38,6 +38,8 @@ Selection = tuple[int, ...]
 
 DEFAULT_DAMPING = 0.85
 SENSES = ("<=", "=", ">=")
+_CARDINALITY_SPECS = {"card_le": "<=", "card_ge": ">=", "card_eq": "="}  # spec name -> sense
+_INTP_MAX = int(np.iinfo(np.intp).max)
 _BITS = {0: 0, 1: 1}  # found by any bit equal to 0 or 1; gives it as a Python int
 
 
@@ -67,7 +69,12 @@ def from_support(ids: Iterable[int], z_count: int) -> Selection:
 
 def _is_integer(value) -> bool:
     """The integer rule of edge ids and constraint rows: no bool, no float."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return _is_integer_type(type(value))
+
+
+def _is_integer_type(kind: type) -> bool:
+    """The integer rule on a value's type: an int or a numpy integer, not a bool."""
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 
 def check_forced(z_count: int, forced_on, forced_off) -> tuple[frozenset[int], frozenset[int]]:
@@ -116,50 +123,58 @@ class Instance:
     @cached_property
     def edge_array(self) -> np.ndarray:
         """Fixed edges as a read-only (m, 2) array of (source, target) rows,
-        in sorted order.  Validates the instance first: the walk builder
-        counts every edge listed."""
-        validate(self)
-        ends = _endpoints(self.edges, "edges")
+        in sorted order.  Validates the instance first, as validate does, on
+        the array it sorts: the walk builder counts every edge listed."""
+        _, ends, fragile = _coerce(self)
+        _raise_first(_violations(self, ends, fragile, sort_fixed=True))
         return _edge_array(ends[np.argsort(ends[:, 0] * self.n + ends[:, 1])])
 
     @cached_property
     def fragile_array(self) -> np.ndarray:
         """Fragile edges as a read-only (|Z|, 2) array; row k is edge id k."""
-        return _edge_array(self.fragile)
+        return _edge_array(_endpoints(self.fragile, "fragile"))
 
 
-def _edge_array(pairs) -> np.ndarray:
-    arr = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+def _edge_array(ends: np.ndarray) -> np.ndarray:
+    arr = np.ascontiguousarray(ends, dtype=np.intp)
     arr.setflags(write=False)
     return arr
 
 
-def _endpoints(pairs, field: str) -> np.ndarray | None:
-    """A collection of pairs as an (m, 2) intp array in iteration order, read
-    straight from the pairs with no list of them in between; None when an
-    endpoint does not fit in intp.  Each entry must have two items and each
-    endpoint goes through ``operator.index``, so none is truncated or
-    dropped: an entry that is no pair, or a pair with an endpoint that is no
-    integer (a float, say), raises ParseError, as the file reader does,
-    naming the entry and ``field``, its list in the file schema."""
-    if len(pairs) == 0:  # no rows to unpack
+def _endpoints(entries, field: str) -> np.ndarray:
+    """The one edge reader: ``entries``, a file's edge list or an Instance's
+    collection of pairs, as the (m, 2) array of their endpoints in iteration
+    order.  An entry is a list or tuple of exactly two integers, each as
+    _is_integer defines one (no bool, no float); the first entry that is not
+    raises ParseError naming it and ``field``, its list in the file schema.
+    The array is intp, or holds Python ints when an endpoint does not fit in
+    intp: such an endpoint lies outside [0, n) for every n validate accepts."""
+    if len(entries) == 0:  # no rows to unpack
         return np.empty((0, 2), dtype=np.intp)
-    try:
-        # strict, and two rows to unpack: every entry has exactly two items
-        sources, targets = zip(*pairs, strict=True)
-        ids = map(operator.index, chain(sources, targets))
-        return np.fromiter(ids, dtype=np.intp, count=2 * len(pairs)).reshape(2, -1).T
-    except OverflowError:
-        return None
-    except (TypeError, ValueError):
-        for pair in pairs:
+    # Both rules depend on the type alone, so each runs once per type present.
+    # A refusal, or an id past intp, falls through to the walk below, which
+    # names the first entry refused.
+    pairs = all(issubclass(kind, (list, tuple)) for kind in set(map(type, entries)))
+    if pairs and set(map(len, entries)) == {2}:
+        ids = list(chain.from_iterable(entries))
+        if all(map(_is_integer_type, set(map(type, ids)))):
             try:
-                if len(pair) != 2:
-                    raise _not_a_pair(pair, field)
-                tuple(map(operator.index, pair))
-            except TypeError:
-                raise ParseError(f'"{field}" endpoints must be integers, got {pair!r}') from None
-        raise
+                return np.array(ids, dtype=np.intp).reshape(-1, 2)
+            except OverflowError:
+                pass
+    rows = []
+    for entry in entries:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise ParseError(f'"{field}" entries must be [i, j] pairs, got {entry!r}')
+        if not all(map(_is_integer, entry)):
+            raise ParseError(f'"{field}" endpoints must be integers, got {entry!r}')
+        rows.append(tuple(map(int, entry)))
+    return np.array(rows, dtype=object)  # every entry a pair: an endpoint overflowed intp
+
+
+def _rows(ends: np.ndarray) -> list[Edge]:
+    """The rows of an endpoint array as tuples of Python ints."""
+    return list(zip(ends[:, 0].tolist(), ends[:, 1].tolist()))
 
 
 @dataclass(frozen=True)
@@ -222,102 +237,70 @@ EMPTY_CONSTRAINTS = ConstraintSet()
 # validation
 
 
-def _as_int(value, what: str) -> int:
-    """A JSON integer: an int that is not a bool, never a truncated float."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _as_list(value, what: str) -> list | tuple:
     if not isinstance(value, (list, tuple)):
         raise ParseError(f"{what} must be a list, got {value!r}")
     return value
 
 
-def _not_a_pair(item, field: str) -> ParseError:
-    return ParseError(f'"{field}" entries must be [i, j] pairs, got {item!r}')
-
-
-def _as_pair(item, field: str) -> Edge:
-    if not isinstance(item, (list, tuple)) or len(item) != 2:
-        raise _not_a_pair(item, field)
-    i, j = item
-    if isinstance(i, bool) or isinstance(j, bool) or not isinstance(i, int) or not isinstance(j, int):
-        raise ParseError(f'"{field}" endpoints must be integers, got {item!r}')
-    return (i, j)
-
-
-def _coerce(raw) -> tuple[Instance, list[Edge] | None]:
-    """Build an Instance from a schema dict; returns it with the raw edge list
-    (needed to detect duplicates that a frozenset would silently collapse),
-    or an Instance with None, since its frozenset holds no duplicates."""
-    if isinstance(raw, Instance):
-        for field in ("n", "target"):  # the endpoints are checked by _endpoints
-            value = getattr(raw, field)
-            if not _is_integer(value):
-                raise ParseError(f'"{field}" must be an integer, got {value!r}')
-        return raw, None
-    if not isinstance(raw, dict):
+def _coerce(raw) -> tuple[Instance, np.ndarray, np.ndarray]:
+    """The Instance of ``raw``, an Instance or a schema dict, with its fixed
+    and fragile endpoints as _endpoints reads them.  A dict's edge lists are
+    read once, and its Instance is built from their arrays; the fixed array
+    keeps the repeats that the Instance's frozenset drops."""
+    if not isinstance(raw, (Instance, dict)):
         raise ParseError(f"expected a mapping or an Instance, got {type(raw).__name__}")
-    missing = [k for k in ("n", "target", "edges", "fragile") if k not in raw]
+    fields = vars(raw) if isinstance(raw, Instance) else raw
+    missing = [k for k in ("n", "target", "edges", "fragile") if k not in fields]
     if missing:
         raise ParseError("missing field(s): " + ", ".join(missing))
-    n = _as_int(raw["n"], '"n"')
-    target = _as_int(raw["target"], '"target"')
+    for field in ("n", "target"):
+        if not _is_integer(fields[field]):
+            raise ParseError(f'"{field}" must be an integer, got {fields[field]!r}')
+    if isinstance(raw, Instance):
+        return raw, _endpoints(raw.edges, "edges"), _endpoints(raw.fragile, "fragile")
     damping = raw.get("damping", DEFAULT_DAMPING)
     if isinstance(damping, bool) or not isinstance(damping, (int, float)):
         raise ParseError(f'"damping" must be a number, got {damping!r}')
-    edge_list = [_as_pair(item, "edges") for item in _as_list(raw["edges"], '"edges"')]
-    fragile = tuple(_as_pair(item, "fragile") for item in _as_list(raw["fragile"], '"fragile"'))
-    inst = Instance(
-        n=n,
-        target=target,
-        edges=frozenset(edge_list),
-        fragile=fragile,
-        damping=float(damping),
-    )
-    return inst, edge_list
+    fixed, fragile = (_endpoints(_as_list(raw[field], f'"{field}"'), field) for field in ("edges", "fragile"))
+    return _instance_of_arrays(raw["n"], raw["target"], fixed, fragile, float(damping)), fixed, fragile
 
 
-def _outside(pairs, n: int, field: str) -> list[Edge]:
-    """The pairs with an endpoint outside [0, n), in iteration order.  The
-    scan runs on their array (ParseError for an endpoint that is no integer,
-    see _endpoints); Python only lists what it found."""
-    ends = _endpoints(pairs, field)
-    if ends is not None and ((ends >= 0) & (ends < n)).all():
-        return []
-    return [(i, j) for (i, j) in pairs if not (0 <= i < n and 0 <= j < n)]
+def _instance_of_arrays(n, target, fixed: np.ndarray, fragile: np.ndarray, damping) -> Instance:
+    """The Instance whose edges are the rows of two endpoint arrays, as tuples
+    of Python ints; the same rows in the same order give the same frozenset
+    iteration order."""
+    return Instance(n=n, target=target, edges=frozenset(_rows(fixed)), fragile=tuple(_rows(fragile)), damping=damping)
 
 
-def _repeated(pairs) -> list[Edge]:
-    return sorted(e for e, count in Counter(pairs).items() if count > 1)
+def _repeated(rows: list[Edge]) -> list[Edge]:
+    return sorted(e for e, count in Counter(rows).items() if count > 1)
 
 
-def _violations(inst: Instance, edge_list: list[Edge] | None) -> list[tuple[type, str]]:
-    """Every instance violation, in the order validate reports them.  Fixed
-    edges are reported in ``edge_list``'s order, or sorted for an Instance."""
+def _violations(inst: Instance, fixed: np.ndarray, fragile: np.ndarray, sort_fixed: bool) -> list[tuple[type, str]]:
+    """Every instance violation, in the order validate reports them, found
+    on the endpoint arrays.  Fixed edges are reported in ``fixed``'s order,
+    or sorted when ``sort_fixed`` (an Instance's set has no order)."""
     found: list[tuple[type, str]] = []
     n = inst.n
-    # Before the node count, so that every endpoint is checked to be an integer
-    if edge_list is None:
-        fixed_outside = sorted(_outside(inst.edges, n, "edges"))
-    else:
-        fixed_outside = _outside(edge_list, n, "edges")
-    fragile_outside = _outside(inst.fragile, n, "fragile")
     if n < 1:
         found.append((NodeIndexError, f"node count must be positive, got {n}"))
         return found
+    if n > _INTP_MAX:  # no walk could be built; endpoint arrays assume every id fits
+        found.append((NodeIndexError, f"node count {n} does not fit in intp (at most {_INTP_MAX})"))
+        return found
     if not 0 <= inst.target < n:
         found.append((NodeIndexError, f"target {inst.target} outside [0, {n})"))
-    for name, bad in (("fixed", fixed_outside), ("fragile", fragile_outside)):
-        for (i, j) in bad:
+    for name, ends, ordered in (("fixed", fixed, sort_fixed), ("fragile", fragile, False)):
+        bad = _rows(ends[((ends < 0) | (ends >= n)).any(axis=1)])
+        for (i, j) in sorted(bad) if ordered else bad:
             found.append((NodeIndexError, f"{name} edge ({i}, {j}) has an endpoint outside [0, {n})"))
-    fixed_dupes = [] if edge_list is None or len(edge_list) == len(inst.edges) else _repeated(edge_list)
-    for name, dupes in (("fixed", fixed_dupes), ("fragile", _repeated(inst.fragile))):
+    fragile_rows = _rows(fragile)
+    fixed_dupes = [] if len(inst.edges) == len(fixed) else _repeated(_rows(fixed))
+    for name, dupes in (("fixed", fixed_dupes), ("fragile", _repeated(fragile_rows))):
         if dupes:
             found.append((DuplicateEdgeError, f"duplicate {name} edge(s): {dupes}"))
-    overlap = sorted({e for e in inst.fragile if e in inst.edges})
+    overlap = sorted({e for e in fragile_rows if e in inst.edges})
     if overlap:
         found.append((OverlapError, f"edge(s) listed as both fixed and fragile: {overlap}"))
     if not 0.0 < inst.damping <= 1.0:
@@ -331,8 +314,8 @@ def _check(raw, with_constraints: bool = False) -> tuple[Instance, ConstraintSet
     instance's first.  Raises ParseError when the instance fields are
     malformed; a malformed constraint field or row, a wrong row length
     included, is listed as a ParseError violation."""
-    inst, edge_list = _coerce(raw)
-    found = _violations(inst, edge_list)
+    inst, fixed, fragile = _coerce(raw)
+    found = _violations(inst, fixed, fragile, sort_fixed=inst is raw)
     constraints = EMPTY_CONSTRAINTS
     if with_constraints:
         try:
@@ -396,12 +379,8 @@ def parse_constraint_spec(spec: str | None, z_count: int, rng=None) -> Constrain
         k = int(arg)
     except ValueError:
         raise ParseError(f"constraint spec argument must be an integer, got {arg!r}") from None
-    if name == "card_le":
-        return ConstraintSet(cardinality=("<=", k))
-    if name == "card_ge":
-        return ConstraintSet(cardinality=(">=", k))
-    if name == "card_eq":
-        return ConstraintSet(cardinality=("=", k))
+    if name in _CARDINALITY_SPECS:
+        return ConstraintSet(cardinality=(_CARDINALITY_SPECS[name], k))
     if name == "cover":
         if z_count == 0:
             raise ParseError("cover constraint needs at least one fragile edge")
@@ -415,12 +394,12 @@ def parse_constraint_spec(spec: str | None, z_count: int, rng=None) -> Constrain
     raise ParseError(f"unknown constraint spec {spec!r}")
 
 
-def _decode_pairs(flat: np.ndarray, n: int) -> Iterator[Edge]:
+def _decode_pairs(flat: np.ndarray, n: int) -> np.ndarray:
     """The ordered pairs (i, j) numbered ``flat`` (see generate_random), as
-    int tuples in that order."""
+    the rows of an endpoint array in that order."""
     i, j = np.divmod(flat, max(n - 1, 1))
     j += j >= i
-    return zip(i.tolist(), j.tolist())
+    return np.column_stack((i, j))
 
 
 def generate_random(
@@ -434,15 +413,22 @@ def generate_random(
     """Seeded random instance: fixed edges drawn Bernoulli over ordered pairs,
     fragile edges sampled from the remaining non-edges, target drawn uniformly.
 
-    Deterministic for a fixed seed.  Raises InfeasibleSpec for a negative
+    Deterministic for a fixed seed.  Raises InfeasibleSpec for an ``n`` or
+    ``fragile_count`` that is not an integer (as _is_integer defines one), a
+    ``fixed_edge_prob`` outside [0, 1] (NaN included), a negative
     fragile_count, or when fewer than fragile_count non-edges remain after
-    the fixed draw.
+    the fixed draw; NodeIndexError for a node count below 1.
 
     The ordered pairs (i, j), i != j, are numbered row-major: pair p is row
     ``i = p // (n - 1)``, and column ``j' = p % (n - 1)`` skipping the
     diagonal, ``j = j' + (j' >= i)``.  Only the drawn pairs are decoded, so
     the work is O(m) plus a float and a bit per ordered pair.
     """
+    for what, count in (("node count", n), ("fragile edge count", fragile_count)):
+        if not _is_integer(count):
+            raise InfeasibleSpec(f"{what} must be an integer, got {count!r}")
+    if not 0.0 <= fixed_edge_prob <= 1.0:
+        raise InfeasibleSpec(f"fixed edge density must lie in [0, 1], got {fixed_edge_prob}")
     if n < 1:
         raise NodeIndexError(f"node count must be positive, got {n}")
     if fragile_count < 0:
@@ -464,15 +450,9 @@ def generate_random(
     picks = np.asarray(picks, dtype=np.intp)
     picks += np.searchsorted(hits - np.arange(len(hits)), picks, side="right")
     target = int(rng.integers(n))
-    inst = validate(
-        Instance(
-            n=n,
-            target=target,
-            edges=frozenset(_decode_pairs(hits, n)),  # insertion order sets iteration order
-            fragile=tuple(_decode_pairs(picks, n)),
-            damping=damping,
-        )
-    )
+    fixed, fragile = _decode_pairs(hits, n), _decode_pairs(picks, n)
+    inst = _instance_of_arrays(n, target, fixed, fragile, damping)
+    _raise_first(_violations(inst, fixed, fragile, sort_fixed=False))  # validate's checks; no entry to read
     constraints = parse_constraint_spec(constraint_spec, fragile_count, rng)
     return inst, constraints
 
@@ -522,7 +502,7 @@ def instance_to_json(instance: Instance, constraints: ConstraintSet = EMPTY_CONS
         "n": operator.index(instance.n),
         "target": operator.index(instance.target),
         "edges": edges,
-        "fragile": [list(map(operator.index, e)) for e in instance.fragile],
+        "fragile": instance.fragile_array.tolist(),
         "damping": instance.damping,
         "constraints": None if constraints.is_empty else {
             "rows": rows, "cardinality": None if card is None else {"sense": card[0], "k": int(card[1])}

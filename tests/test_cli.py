@@ -93,6 +93,21 @@ class TestValidate:
         assert named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"edges": [[0, 1], [True, 2]]}, '"edges" endpoints must be integers, got [True, 2]'),
+            ({"n": 2**80, "edges": [[2**70, 1]]}, f"node count {2**80} does not fit in intp"),
+        ],
+    )
+    def test_an_invalid_edge_file_is_an_input_error(self, capsys, tmp_path, fields, message):
+        path = tmp_path / "edges.json"
+        path.write_text(json.dumps(malformed_dict(fields)))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"invalid: {message}")
+
 
 class TestRowsPastExactArithmetic:
     @pytest.mark.parametrize("command", ["validate", "solve", "brute"])
@@ -132,6 +147,15 @@ class TestGen:
             "--seed", "0", "--out", str(tmp_path / "x.json"),
         )
         assert code == 1
+
+    @pytest.mark.parametrize("density", ["nan", "-3", "1.5"])
+    def test_density_outside_the_unit_interval_is_an_input_error(self, capsys, tmp_path, density):
+        out_file = tmp_path / "x.json"
+        code, out, err = run(capsys, "gen", "--n", "6", "--density", density, "--fragile", "2", "--out", str(out_file))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: fixed edge density must lie in [0, 1]")
+        assert not out_file.exists()
 
     def test_negative_fragile_count_is_an_input_error(self, capsys, tmp_path):
         out_file = tmp_path / "x.json"

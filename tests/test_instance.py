@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 import tracemalloc
 from itertools import product
@@ -9,7 +10,7 @@ import pytest
 
 import pagerank_select as ps
 from pagerank_select import ConstraintSet, Row, chain, oracle
-from pagerank_select.instance import check_selection, instance_from_json, instance_to_json
+from pagerank_select.instance import check_selection, instance_from_json, instance_to_json, parse_constraint_spec
 from pagerank_select.errors import (
     DampingRangeError,
     DimensionMismatch,
@@ -20,6 +21,8 @@ from pagerank_select.errors import (
     ParseError,
 )
 from helpers import build_corpus
+
+INTP_MAX = int(np.iinfo(np.intp).max)
 
 
 def minimal_dict(**overrides):
@@ -202,25 +205,95 @@ class TestValidateInstance:
             ps.validate(inst)
 
     @staticmethod
-    def assert_refused_everywhere(tmp_path, inst, message):
-        """validate, validation_errors, the evaluators, write_instance and
-        the file reader all refuse ``inst``; the first two with ``message``."""
-        with pytest.raises(ParseError) as raised:
-            ps.validate(inst)
-        assert str(raised.value) == message
-        assert ps.validation_errors(inst) == [message]
-        with pytest.raises(ParseError):
+    def assert_refused_everywhere(tmp_path, inst, message, error=ParseError, in_file=True):
+        """validate and validation_errors refuse ``inst`` and the dict of its
+        fields with ``error`` and ``message``; the evaluators, write_instance
+        and, when ``in_file``, the file reader refuse it with ``error``, the
+        file reader with ``message`` too when JSON gives the entries back as
+        they were."""
+        data = {"n": inst.n, "target": inst.target, "edges": list(inst.edges), "fragile": list(inst.fragile)}
+        for raw in (inst, data):
+            with pytest.raises(error) as raised:
+                ps.validate(raw)
+            assert str(raised.value) == message
+            assert ps.validation_errors(raw) == [message]
+        with pytest.raises(error):
             ps.hitting_times(inst, (0,) * inst.z_count)  # no walk on truncated ids
-        with pytest.raises(ParseError):
+        with pytest.raises(error):
             ps.write_instance(tmp_path / "written.json", inst)
         assert not (tmp_path / "written.json").exists()
+        if not in_file:
+            return
         path = tmp_path / "inst.json"
-        path.write_text(json.dumps({
-            "n": inst.n, "target": inst.target, "edges": [list(e) for e in inst.edges],
-            "fragile": [list(e) for e in inst.fragile],
-        }))
-        with pytest.raises(ParseError):
+        path.write_text(json.dumps(data))
+        with pytest.raises(error) as raised:
             ps.read_instance(path)
+        if json.loads(path.read_text()) == data:  # a tuple comes back as a list, and prints as one
+            assert str(raised.value) == message
+
+    # Entry forms for the one edge reader, each the fragile edge of FIELDS,
+    # written as JSON reads it back: (entry, error, message of every reader)
+    ENTRY_FORMS = [
+        pytest.param([True, 2], ParseError, '"fragile" endpoints must be integers, got [True, 2]', id="bool-source"),
+        pytest.param([2, False], ParseError, '"fragile" endpoints must be integers, got [2, False]', id="bool-target"),
+        pytest.param("ab", ParseError, '"fragile" entries must be [i, j] pairs, got \'ab\'', id="string"),
+        pytest.param(5, ParseError, '"fragile" entries must be [i, j] pairs, got 5', id="integer"),
+        pytest.param({"i": 2, "j": 0}, ParseError, "\"fragile\" entries must be [i, j] pairs, got {'i': 2, 'j': 0}",
+                     id="dict"),
+        pytest.param([0, 1, 2], ParseError, '"fragile" entries must be [i, j] pairs, got [0, 1, 2]', id="triple"),
+        pytest.param([1], ParseError, '"fragile" entries must be [i, j] pairs, got [1]', id="single"),
+        pytest.param([2, 0.5], ParseError, '"fragile" endpoints must be integers, got [2, 0.5]', id="float"),
+        pytest.param([2, 10**30], NodeIndexError, f"fragile edge (2, {10**30}) has an endpoint outside [0, 3)",
+                     id="past-intp"),
+    ]
+
+    @pytest.mark.parametrize("entry, error, message", ENTRY_FORMS)
+    def test_every_entry_form_gets_one_verdict(self, tmp_path, entry, error, message):
+        self.assert_refused_everywhere(tmp_path, ps.Instance(**{**self.FIELDS, "fragile": (entry,)}), message, error)
+
+    @pytest.mark.parametrize("entry", [(True, 2), (2, False)])
+    def test_a_bool_endpoint_is_refused_as_the_file_reader_refuses_it(self, tmp_path, entry):
+        inst = ps.Instance(**{**self.FIELDS, "edges": frozenset({(0, 1), entry})})
+        self.assert_refused_everywhere(tmp_path, inst, f'"edges" endpoints must be integers, got {entry!r}')
+
+    def test_an_array_entry_is_refused(self, tmp_path):
+        inst = ps.Instance(**{**self.FIELDS, "fragile": (np.array([2, 0]),)})
+        message = '"fragile" entries must be [i, j] pairs, got array([2, 0])'
+        self.assert_refused_everywhere(tmp_path, inst, message, in_file=False)
+
+    def test_a_list_entry_reads_as_its_pair(self):
+        as_list = ps.Instance(**{**self.FIELDS, "fragile": ([2, 0],)})
+        assert ps.validate(as_list) is as_list
+        assert ps.validation_errors(as_list) == []
+        assert as_list.fragile_array.tolist() == [[2, 0]]
+        as_tuple = ps.Instance(**self.FIELDS)
+        assert ps.hitting_times(as_list, (1,)).fr == ps.hitting_times(as_tuple, (1,)).fr
+        repeated = ps.Instance(**{**self.FIELDS, "fragile": ([2, 0], (2, 0))})
+        assert ps.validation_errors(repeated) == ["duplicate fragile edge(s): [(2, 0)]"]
+
+    @pytest.mark.parametrize("n", [INTP_MAX + 1, 2**80])
+    def test_a_node_count_past_intp_is_refused(self, tmp_path, n):
+        # before any array of ids is built: edge_array and write_instance
+        # raised a bare TypeError on such an instance
+        inst = ps.Instance(n=n, target=0, edges=frozenset({(2**70, 1)}), fragile=())
+        data = {"n": n, "target": 0, "edges": [[2**70, 1]], "fragile": []}
+        message = f"node count {n} does not fit in intp (at most {INTP_MAX})"
+        for raw in (inst, data):
+            with pytest.raises(NodeIndexError) as raised:
+                ps.validate(raw)
+            assert str(raised.value) == message
+            assert ps.validation_errors(raw) == [message]
+        with pytest.raises(NodeIndexError, match=re.escape(message)):
+            ps.write_instance(tmp_path / "written.json", inst)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(NodeIndexError, match=re.escape(message)):
+            ps.read_instance(path)
+
+    def test_the_largest_intp_node_count_validates(self):
+        n = INTP_MAX
+        inst = ps.Instance(n=n, target=n - 1, edges=frozenset({(n - 1, 0)}), fragile=((0, n - 1),))
+        assert ps.validation_errors(inst) == []
 
     def test_float_endpoint_is_refused_before_the_node_count(self):
         inst = ps.Instance(**{**self.FIELDS, "n": 0, "fragile": ((2, 0.5),)})
@@ -271,6 +344,59 @@ class TestGenerator:
             ps.generate_random(5, 0.2, 3, "bogus:1", seed=0)
         with pytest.raises(ParseError):
             ps.generate_random(5, 0.2, 3, "card_le", seed=0)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((6, math.nan, 2), "fixed edge density must lie in [0, 1], got nan"),
+            ((6, -3.0, 2), "fixed edge density must lie in [0, 1], got -3.0"),
+            ((6, 1.5, 2), "fixed edge density must lie in [0, 1], got 1.5"),
+            ((10.0, 0.3, 2), "node count must be an integer, got 10.0"),
+            ((True, 0.3, 0), "node count must be an integer, got True"),
+            ((10, 0.3, 2.0), "fragile edge count must be an integer, got 2.0"),
+            ((10, 0.3, "2"), "fragile edge count must be an integer, got '2'"),
+        ],
+    )
+    def test_arguments_are_checked_before_any_draw(self, monkeypatch, args, message):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew a random number"))
+        with pytest.raises(InfeasibleSpec) as caught:
+            ps.generate_random(*args, None, seed=0)
+        assert str(caught.value) == message
+
+    def test_numpy_integer_counts_give_the_same_instance(self):
+        plain = ps.generate_random(12, 0.3, 4, "card_le:2", seed=7)
+        assert ps.generate_random(np.int64(12), np.float64(0.3), np.int32(4), "card_le:2", seed=7) == plain
+        assert ps.generate_random(12, 0, 4, None, seed=7)[0] == ps.generate_random(12, 0.0, 4, None, seed=7)[0]
+
+    @pytest.mark.parametrize(
+        "spec, constraints",
+        [
+            (None, ConstraintSet()),
+            ("none", ConstraintSet()),
+            ("card_le:2", ConstraintSet(cardinality=("<=", 2))),
+            ("card_ge:0", ConstraintSet(cardinality=(">=", 0))),
+            ("card_eq:3", ConstraintSet(cardinality=("=", 3))),
+            ("card_le:-1", ConstraintSet(cardinality=("<=", -1))),
+            ("cover:2", ConstraintSet(rows=(Row((0, 1, 1), ">=", 1),))),
+        ],
+    )
+    def test_constraint_spec_compiles_to(self, spec, constraints):
+        assert parse_constraint_spec(spec, 3, np.random.default_rng(0)) == constraints
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("card_le", "constraint spec 'card_le' is missing its :K argument"),
+            ("card_ge:x", "constraint spec argument must be an integer, got 'x'"),
+            ("card_lt:2", "unknown constraint spec 'card_lt:2'"),
+            ("CARD_LE:2", "unknown constraint spec 'CARD_LE:2'"),
+            ("cover:4", "cover size 4 outside [1, 3]"),
+        ],
+    )
+    def test_constraint_spec_refused_with_its_message(self, spec, message):
+        with pytest.raises(ParseError) as caught:
+            parse_constraint_spec(spec, 3, np.random.default_rng(0))
+        assert str(caught.value) == message
 
 
 # generate_random's output, recorded from the tuple-per-pair generator it
@@ -566,6 +692,12 @@ class TestEdgeListPairs:
         inst, _ = instance_from_json(malformed_dict({"edges": [[0, 1], Pair((1, 2)), [Id(2), 1]]}))
         assert inst.edges == frozenset({(0, 1), (1, 2), (2, 1)})
 
+    def test_numpy_integer_endpoints_read_as_in_an_instance(self):
+        i = np.int64
+        inst, _ = instance_from_json(malformed_dict({"edges": [[i(0), 1], [1, i(2)]], "fragile": [[i(2), i(0)]]}))
+        assert inst.edges == frozenset({(0, 1), (1, 2)}) and inst.fragile == ((2, 0),)
+        assert all(type(v) is int for edge in (*inst.edges, *inst.fragile) for v in edge)
+
     @pytest.mark.parametrize(
         "bad, message",
         [
@@ -574,7 +706,8 @@ class TestEdgeListPairs:
             ({1, 2}, "entries must be [i, j] pairs"),
             ([1, True], "endpoints must be integers"),
             ([1.0, 2], "endpoints must be integers"),
-            ([np.int64(1), 2], "endpoints must be integers"),
+            ([np.True_, 2], "endpoints must be integers"),
+            ([1, np.float64(2.0)], "endpoints must be integers"),
         ],
     )
     @pytest.mark.parametrize("field", ["edges", "fragile"])
