@@ -127,7 +127,7 @@ class Instance:
         the array it sorts: the walk builder counts every edge listed."""
         _, ends, fragile = _coerce(self)
         _raise_first(_violations(self, ends, fragile, sort_fixed=True))
-        return _edge_array(ends[np.argsort(ends[:, 0] * self.n + ends[:, 1])])
+        return _edge_array(ends[np.lexsort((ends[:, 1], ends[:, 0]))])
 
     @cached_property
     def fragile_array(self) -> np.ndarray:
@@ -245,9 +245,10 @@ def _as_list(value, what: str) -> list | tuple:
 
 def _coerce(raw) -> tuple[Instance, np.ndarray, np.ndarray]:
     """The Instance of ``raw``, an Instance or a schema dict, with its fixed
-    and fragile endpoints as _endpoints reads them.  A dict's edge lists are
-    read once, and its Instance is built from their arrays; the fixed array
-    keeps the repeats that the Instance's frozenset drops."""
+    and fragile endpoints as _endpoints reads them.  The damping of either
+    is a Python int or float, never a bool.  A dict's edge lists are read
+    once, and its Instance is built from their arrays; the fixed array keeps
+    the repeats that the Instance's frozenset drops."""
     if not isinstance(raw, (Instance, dict)):
         raise ParseError(f"expected a mapping or an Instance, got {type(raw).__name__}")
     fields = vars(raw) if isinstance(raw, Instance) else raw
@@ -257,11 +258,11 @@ def _coerce(raw) -> tuple[Instance, np.ndarray, np.ndarray]:
     for field in ("n", "target"):
         if not _is_integer(fields[field]):
             raise ParseError(f'"{field}" must be an integer, got {fields[field]!r}')
-    if isinstance(raw, Instance):
-        return raw, _endpoints(raw.edges, "edges"), _endpoints(raw.fragile, "fragile")
-    damping = raw.get("damping", DEFAULT_DAMPING)
+    damping = fields.get("damping", DEFAULT_DAMPING)
     if isinstance(damping, bool) or not isinstance(damping, (int, float)):
         raise ParseError(f'"damping" must be a number, got {damping!r}')
+    if isinstance(raw, Instance):
+        return raw, _endpoints(raw.edges, "edges"), _endpoints(raw.fragile, "fragile")
     fixed, fragile = (_endpoints(_as_list(raw[field], f'"{field}"'), field) for field in ("edges", "fragile"))
     return _instance_of_arrays(raw["n"], raw["target"], fixed, fragile, float(damping)), fixed, fragile
 

@@ -1,15 +1,14 @@
-"""Restricted master problem: minimize theta over the feasible cube under a cut pool.
+"""Restricted master problem: minimize theta over the feasible cube.
 
-The objective at a selection y is ``max(0, max_k cut_k(y))``; the solver needs
-its global minimum and the lexicographically smallest minimizer.  Theta is
-the only continuous variable and every cut is affine in y, so once the
-feasible selections are listed the master is a running maximum over them
-(Kelley 1960; Laporte & Louveaux 1993): ``feasible_set`` enumerates them once
-per solve, level by level in numpy, and each ``solve_master`` call folds the
-cuts it is given into a running theta.  ``FeasibleSet.fold_faces`` folds
-bounds that hold on a whole face of the cube, such as answered oracle
-queries, into the same theta.  An empty set raises Infeasible (CLI exit 2)
-and an enumeration whose points would take more than ``POINTS_MAX_BYTES``
+Theta at a selection is the largest lower bound on its return time found so
+far, and at least zero.  Each such bound holds on a face of the cube: an
+answered oracle query on its whole face, an evaluated incumbent's return
+time at its own point.  So once ``feasible_set`` has listed the feasible
+selections (once per solve, level by level in numpy), the master is a
+running maximum over them (Kelley 1960; Laporte & Louveaux 1993):
+``FeasibleSet.fold_faces`` raises it, and ``solve_master`` takes its
+lexicographically smallest argmin.  An empty set raises Infeasible (CLI exit
+2) and an enumeration whose points would take more than ``POINTS_MAX_BYTES``
 raises TooLargeToEnumerate (CLI exit 3) before that level is allocated.
 """
 
@@ -17,26 +16,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .cuts import Cut
-from .errors import DimensionMismatch, Infeasible, TooLargeToEnumerate
+from .errors import Infeasible, TooLargeToEnumerate
 from .instance import ConstraintSet, Selection, check_forced
 
 # Largest enumeration level that feasible_set builds, at 8 bytes per fragile
 # edge and per constraint row of each candidate.  64 MiB admits the whole
 # cube up to 18 fragile edges (36 MiB of points).  On a 2-CPU host with one
-# BLAS thread that cube enumerates in 60 ms and one cut folds into it in
-# 12 ms.  A fold works through the points in blocks of FOLD_BLOCK_BYTES, so
-# its temporaries stay within one block: ten folds into that cube raised
-# peak RSS by 3.4 MiB, where one temporary as large as the points raised it
-# by 38 MiB.
+# BLAS thread that cube enumerates in 50-90 ms, and a face fixing all 18
+# edges folds into it in 10 ms.  A fold works through the points in blocks
+# of FOLD_BLOCK_BYTES, so its temporaries stay within one block: ten such
+# folds into that cube left peak RSS where the enumeration had put it, and
+# tracemalloc saw a 4.5 MiB peak, where one mask over all the points at once
+# raised peak RSS by 37 MiB (a 40.5 MiB peak).
 POINTS_MAX_BYTES = 2**26
-# Largest product of points and cut coefficients one fold step allocates, at
-# 8 bytes per fragile edge and point: 4 MiB, so the whole cube up to 15
-# fragile edges folds in one block.
+# Largest gather of a face's columns one fold step allocates, at 8 bytes per
+# fragile edge and point: 4 MiB, so the whole cube up to 15 fragile edges,
+# and every benchmark workload, folds in one block.
 FOLD_BLOCK_BYTES = 2**22
 
 
@@ -45,6 +44,7 @@ class MasterResult:
     y: Selection
     theta: float
     nodes_explored: int  # feasible points scanned
+    index: int  # the row of y in the feasible set's points and theta
 
 
 @dataclass(eq=False)
@@ -53,7 +53,9 @@ class FeasibleSet:
 
     ``points`` holds the feasible selections in lexicographic order (read-only
     floats, at least one); ``theta`` holds, per point, the maximum of zero and
-    every cut and face bound folded in so far."""
+    every face bound folded in so far.  The solver also raises theta at an
+    incumbent's own row to its return time, by the row that
+    ``MasterResult.index`` names."""
 
     z_count: int
     points: np.ndarray
@@ -66,13 +68,19 @@ class FeasibleSet:
         An answered oracle query is such a bound, since its value is the
         least return time over its whole face, feasible or not (Laporte &
         Louveaux's optimality cut, stated on a face).  The bound itself is
-        written where it is larger, through a mask: the same bound as an
-        affine cut can sum to an ulp above it.  A running maximum, so a face
-        folded again changes nothing.  Ids are checked by check_forced."""
+        written where it is larger, through a mask.  A running maximum, so a
+        face folded again changes nothing.  Ids are checked by check_forced.
+        Each face is folded in blocks of FOLD_BLOCK_BYTES, so its temporaries
+        stay within one block."""
+        block = max(1, FOLD_BLOCK_BYTES // (8 * max(self.z_count, 1)))
         for on, off, bound in faces:
             on, off = check_forced(self.z_count, on, off)
-            face = (self.points[:, [*on, *off]] == [1] * len(on) + [0] * len(off)).all(axis=1)
-            np.maximum(self.theta, bound, out=self.theta, where=face)
+            ids, bits = [*on, *off], [1] * len(on) + [0] * len(off)
+            for start in range(0, len(self.theta), block):
+                rows = slice(start, start + block)
+                face = (self.points[rows, ids] == bits).all(axis=1)
+                theta = self.theta[rows]
+                np.maximum(theta, bound, out=theta, where=face)
 
 
 def feasible_set(constraints: ConstraintSet, z_count: int) -> FeasibleSet:
@@ -114,7 +122,7 @@ def feasible_set(constraints: ConstraintSet, z_count: int) -> FeasibleSet:
     if not len(lhs):
         raise Infeasible("constraint set admits no selection")
 
-    # Fortran order, so that points.T is C-contiguous for solve_master
+    # Fortran order, so that each edge's column is contiguous for fold_faces
     points = np.empty((len(lhs), z_count), order="F")
     index = np.arange(len(lhs))
     for depth in reversed(range(z_count)):
@@ -125,42 +133,13 @@ def feasible_set(constraints: ConstraintSet, z_count: int) -> FeasibleSet:
     return FeasibleSet(z_count=z_count, points=points, theta=np.zeros(len(points)))
 
 
-def solve_master(cuts: Sequence[Cut], feasible: FeasibleSet) -> MasterResult:
-    """Fold ``cuts`` into the feasible set's running theta and globally
-    minimize ``max(0, max_k cut_k(y))`` over every cut folded so far.
-
-    A running maximum is idempotent, so a cut passed again changes nothing;
-    the solver passes each round's one new cut.  Every arity is checked
-    before any fold.  Deterministic: among equal-theta optima the
-    lexicographically smallest selection is returned.
+def solve_master(feasible: FeasibleSet) -> MasterResult:
+    """Globally minimize the feasible set's running theta, the maximum of
+    zero and every bound folded into it so far; the set is not changed.
+    Deterministic: among equal-theta optima the lexicographically smallest
+    selection is returned, with its row in ``points`` and ``theta``.
     """
-    for cut in cuts:
-        if len(cut.coeffs) != feasible.z_count:
-            raise DimensionMismatch(
-                f"cut arity {len(cut.coeffs)} does not match {feasible.z_count} fragile edges"
-            )
-    columns, theta = feasible.points.T, feasible.theta
-    block = max(1, FOLD_BLOCK_BYTES // (8 * max(feasible.z_count, 1)))
-    for cut in cuts:
-        coeffs = np.array(cut.coeffs, dtype=float)[:, None]
-        for start in range(0, len(theta), block):
-            _fold(columns[:, start : start + block], coeffs, cut.constant, theta[start : start + block])
-
+    theta = feasible.theta
     best = int(theta.argmin())  # first minimum; the points are in lexicographic order
     y = tuple(feasible.points[best].astype(np.intp).tolist())
-    return MasterResult(y=y, theta=float(theta[best]), nodes_explored=len(theta))
-
-
-def _fold(columns: np.ndarray, coeffs: np.ndarray, constant: float, theta: np.ndarray) -> None:
-    """Raise ``theta`` (a view) to the cut at the points whose transposes are
-    ``columns``.  Reducing over the leading axis of the C-contiguous product
-    adds row after row, so each point's sum runs in edge order, as eval_cut
-    sums it; a BLAS product regroups the terms and can move a tie by an ulp.
-    A lone column is a one-dimensional run to numpy, which it sums pairwise,
-    so a one-point block is reduced through a two-column view of itself."""
-    if columns.shape[1] == 1:
-        lhs = np.add.reduce(np.broadcast_to(columns, (len(columns), 2)) * coeffs, axis=0)[:1]
-    else:
-        lhs = np.add.reduce(columns * coeffs, axis=0)
-    lhs += constant
-    np.maximum(theta, lhs, out=theta)
+    return MasterResult(y=y, theta=float(theta[best]), nodes_explored=len(theta), index=best)

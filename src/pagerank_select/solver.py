@@ -1,16 +1,17 @@
 """Exact cutting-plane loop: alternate master solves and cut separation.
 
-Each round solves the master over the accumulated pool, evaluates the true
-objective at the master's incumbent, and stops once the incumbent value and
-the master bound meet within the gap tolerance; otherwise one cut of the
-chosen family is separated at the incumbent and the loop repeats.  Before
-each master solve, every oracle query answered since the last one is folded
-into the master as a bound on its face, at no further query.  When the
-separation asked the unconstrained minimum before round one (``lshaped``)
-and its minimiser meets the rows, that minimiser is the first incumbent: no
-feasible point can do better, so round zero closes the gap.  Every cut is
-tight at its incumbent, so an incumbent can never recur while a gap
-persists; if that happens anyway a separated cut is numerically invalid and
+Each round solves the master, evaluates the true objective at the master's
+incumbent, and stops once the incumbent value and the master bound meet
+within the gap tolerance; otherwise one cut of the chosen family is
+separated at the incumbent and the loop repeats.  The master folds no cut.
+It folds each oracle query answered so far as a bound on its face, and each
+incumbent's return time at its own point; in exact arithmetic these imply
+every cut the families build, so a cut tightens the master through the
+queries it asks.  When the separation asked the unconstrained minimum
+before round one (``lshaped``) and its minimiser meets the rows, that
+minimiser is the first incumbent: no feasible point can do better, so round
+zero closes the gap.  A raised incumbent can recur only with the gap closed,
+unless its return time or the gap tolerance is not a finite number; then
 the loop aborts loudly rather than cycling.
 """
 
@@ -39,6 +40,8 @@ class SolveReport:
     master bound and the best incumbent value so far, counting the
     unconstrained minimiser when the memo holds it and it is feasible), so
     they are one longer than ``iterations``, the number of cuts separated.
+    The master bound is that of the face bounds and incumbent values folded
+    so far, never of the cuts themselves.
     ``gamma_calls_total`` counts the oracle queries the solve asked its memo;
     ``gamma_solves`` the policy iterations actually run, one per distinct
     query of the solve.
@@ -82,10 +85,10 @@ def solve(
     ``max_iters``, or (after the enumeration) an unknown family; returns a
     partial trace with status "iter_limit" once max_iters cuts have been
     separated without closing the gap.  One ``master.FeasibleSet`` and one
-    ``oracle.Memo`` serve the whole solve: each round folds only its new cut
-    and the memo's new answers into the master, and each distinct oracle
-    query and each incumbent's value is computed once; the memo counts the
-    queries.  When the memo already holds the unconstrained query (the
+    ``oracle.Memo`` serve the whole solve: each round folds only the memo's
+    new answers and its incumbent's value into the master, and each distinct
+    oracle query and each incumbent's value is computed once; the memo counts
+    the queries.  When the memo already holds the unconstrained query (the
     ``lshaped`` bound) and its argmin is a point of the feasible set, that
     argmin is the incumbent before round one, at the memo's own value.
     """
@@ -104,7 +107,6 @@ def solve(
     answers = memo.answers
     folded = 0  # the answers already folded into the master as face bounds
 
-    fresh: list[cut_families.Cut] = []  # the cut separated last round
     lower: list[float] = []
     upper: list[float] = []
     best_y: Selection | None = None
@@ -117,7 +119,7 @@ def solve(
     while True:
         feasible.fold_faces((on, off, answer.value) for (on, off), answer in islice(answers.items(), folded, None))
         folded = len(answers)
-        result = master_mod.solve_master(fresh, feasible)
+        result = master_mod.solve_master(feasible)
         incumbent = result.y
         value = memo.evaluate(incumbent).fr
         if value < best_val:
@@ -133,10 +135,11 @@ def solve(
         if incumbent in separated:
             raise NoConvergence(
                 f"incumbent {incumbent} recurred with gap {best_val - result.theta:.3e}; "
-                "a separated cut is numerically invalid"
+                f"its return time {value!r} or the gap tolerance {eps!r} is not a finite number"
             )
         separated.add(incumbent)
-        fresh = [separate(incumbent)]
+        separate(incumbent)  # its answers, folded next round, tighten the master
+        feasible.theta[result.index] = max(feasible.theta[result.index], value)
 
     return SolveReport(
         status=status,

@@ -169,8 +169,17 @@ class TestValidateInstance:
         assert str(caught.value) == "edge(s) listed as both fixed and fragile: [(0, 1), (1, 2)]"
 
     def test_edge_array_is_sorted(self):
-        inst, _ = ps.generate_random(30, 0.1, 3, None, seed=4)
-        assert inst.edge_array.tolist() == [list(e) for e in sorted(inst.edges)]
+        for n, density, seed in [(30, 0.1, 4), (40, 0.1, 0), (300, 0.02, 1)]:
+            inst, _ = ps.generate_random(n, density, 3, None, seed=seed)
+            assert inst.edge_array.tolist() == [list(e) for e in sorted(inst.edges)]
+
+    def test_edge_array_is_sorted_where_a_source_major_key_wraps(self, tmp_path):
+        # source * n + target passes 2**63 here
+        n = 2**40
+        inst = ps.Instance(n=n, target=0, edges=frozenset({(n - 1, 0), (0, 1), (n - 2, 5)}), fragile=())
+        assert inst.edge_array.tolist() == [[0, 1], [n - 2, 5], [n - 1, 0]]
+        ps.write_instance(tmp_path / "wide.json", inst)
+        assert json.loads((tmp_path / "wide.json").read_text())["edges"] == [[0, 1], [n - 2, 5], [n - 1, 0]]
 
     FIELDS = dict(n=3, target=0, edges=frozenset({(0, 1), (1, 2)}), fragile=((2, 0),))
 
@@ -299,6 +308,24 @@ class TestValidateInstance:
         inst = ps.Instance(**{**self.FIELDS, "n": 0, "fragile": ((2, 0.5),)})
         with pytest.raises(ParseError, match="endpoints must be integers"):
             ps.validate(inst)
+
+    @pytest.mark.parametrize("damping", ["0.5", None, True, np.float32(0.85)])
+    def test_damping_follows_the_file_readers_rule(self, damping):
+        message = f'"damping" must be a number, got {damping!r}'
+        inst = ps.Instance(**self.FIELDS, damping=damping)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            ps.validate(inst)
+        assert ps.validation_errors(inst) == [message]
+        with pytest.raises(ParseError, match=re.escape(message)):
+            ps.hitting_times(inst, (0,))
+        if not isinstance(damping, np.floating):  # no JSON value
+            assert ps.validation_errors(minimal_dict(damping=damping)) == [message]
+
+    @pytest.mark.parametrize("damping", [1, 0.5, np.float64(0.85)])
+    def test_python_ints_and_floats_are_dampings(self, damping):
+        inst = ps.Instance(**self.FIELDS, damping=damping)
+        assert ps.validate(inst) is inst
+        assert ps.hitting_times(inst, (0,)).fr == ps.hitting_times(ps.Instance(**self.FIELDS, damping=float(damping)), (0,)).fr
 
     def test_numpy_integer_ids_still_validate(self):
         i = np.int64

@@ -6,24 +6,27 @@ import numpy as np
 import pytest
 
 import pagerank_select as ps
-from pagerank_select import ConstraintSet, Cut, Row, master as master_mod
+from pagerank_select import ConstraintSet, Row, master as master_mod
 from pagerank_select.errors import DimensionMismatch, Infeasible, OverlapError, ParseError, TooLargeToEnumerate
 from pagerank_select.master import feasible_set, solve_master
 
 
-def random_pool(rng, z_count, cut_count):
-    cuts = []
-    for _ in range(cut_count):
-        incumbent = tuple(int(b) for b in rng.integers(0, 2, size=z_count))
-        cuts.append(
-            Cut(
-                constant=float(rng.uniform(0.0, 6.0)),
-                coeffs=tuple(float(x) for x in rng.uniform(-3.0, 3.0, size=z_count)),
-                family="new",
-                incumbent=incumbent,
-            )
-        )
-    return cuts
+def random_faces(rng, z_count, count):
+    """Face bounds (on, off, g): each edge forced on or off with probability
+    1/5 each, and g uniform in [-1, 6), so some bounds are negative."""
+    faces = []
+    for _ in range(count):
+        state = rng.choice(3, size=z_count, p=(0.6, 0.2, 0.2))
+        on = {int(k) for k in np.flatnonzero(state == 1)}
+        off = {int(k) for k in np.flatnonzero(state == 2)}
+        faces.append((on, off, float(rng.uniform(-1.0, 6.0))))
+    return faces
+
+
+def folded_set(constraints, z_count, faces):
+    feasible = feasible_set(constraints, z_count)
+    feasible.fold_faces(faces)
+    return feasible
 
 
 SENSES = ("<=", ">=", "=")
@@ -59,29 +62,33 @@ def reference_points(constraints, z_count):
     return cube[keep].astype(float)
 
 
-def reference_master(cuts, points):
-    """(y, theta) of the master by a dense evaluation of the whole pool."""
-    if cuts:
-        A = np.array([cut.coeffs for cut in cuts], dtype=float)
-        a0 = np.array([cut.constant for cut in cuts])
-        theta = np.maximum((points @ A.T + a0).max(axis=1), 0.0)
-    else:
-        theta = np.zeros(len(points))
+def bound_at(faces, y):
+    """The largest of zero and every face bound whose face holds ``y``."""
+    return max([0.0] + [g for on, off, g in faces if all(y[k] for k in on) and not any(y[k] for k in off)])
+
+
+def reference_master(faces, points):
+    """(y, theta) of the master by a dense evaluation of every face."""
+    theta = np.zeros(len(points))
+    for on, off, g in faces:
+        inside = (points[:, sorted(on)] == 1).all(axis=1) & (points[:, sorted(off)] == 0).all(axis=1)
+        theta = np.where(inside, np.maximum(theta, g), theta)
     best = int(np.argmin(theta))
     return tuple(int(b) for b in points[best]), float(theta[best])
 
 
 class TestTrivialCases:
     def test_no_cuts_theta_zero_lex_smallest(self):
-        result = solve_master([], feasible_set(ps.EMPTY_CONSTRAINTS, 3))
+        result = solve_master(feasible_set(ps.EMPTY_CONSTRAINTS, 3))
         assert result.theta == 0.0
         assert result.y == (0, 0, 0)
+        assert result.index == 0
 
-    def test_single_cut_arithmetic(self):
-        cut = Cut(constant=5.0, coeffs=(-2.0,), family="new", incumbent=(1,))
-        result = solve_master([cut], feasible_set(ps.EMPTY_CONSTRAINTS, 1))
+    def test_single_face_bound(self):
+        result = solve_master(folded_set(ps.EMPTY_CONSTRAINTS, 1, [({0}, (), 3.0), ((), {0}, 5.0)]))
         assert result.y == (1,)
-        assert result.theta == pytest.approx(3.0)
+        assert result.theta == 3.0
+        assert result.index == 1
 
     def test_contradictory_rows(self):
         cons = ConstraintSet(rows=(Row((1,), "=", 1), Row((1,), "=", 0)))
@@ -89,19 +96,13 @@ class TestTrivialCases:
             feasible_set(cons, 1)
 
     def test_zero_fragile_edges(self):
-        result = solve_master([], feasible_set(ps.EMPTY_CONSTRAINTS, 0))
+        result = solve_master(feasible_set(ps.EMPTY_CONSTRAINTS, 0))
         assert result.y == ()
         assert result.theta == 0.0
 
     def test_theta_never_negative(self):
-        cut = Cut(constant=-7.0, coeffs=(1.0, 1.0), family="new", incumbent=(0, 0))
-        result = solve_master([cut], feasible_set(ps.EMPTY_CONSTRAINTS, 2))
+        result = solve_master(folded_set(ps.EMPTY_CONSTRAINTS, 2, [((), (), -7.0), ({0}, {1}, -1.0)]))
         assert result.theta == 0.0
-
-    def test_arity_checked(self):
-        cut = Cut(constant=1.0, coeffs=(1.0, 2.0), family="new", incumbent=(0, 0))
-        with pytest.raises(DimensionMismatch):
-            solve_master([cut], feasible_set(ps.EMPTY_CONSTRAINTS, 3))
 
 
 class TestAgainstEnumeration:
@@ -109,196 +110,139 @@ class TestAgainstEnumeration:
         rng = np.random.default_rng(10)
         for _ in range(40):
             z = int(rng.integers(0, 9))
-            cuts = random_pool(rng, z, int(rng.integers(0, 5)))
+            faces = random_faces(rng, z, int(rng.integers(0, 5)))
             cons = random_constraints(rng, z)
-            best = math.inf
-            for bits in ps.enumerate_feasible(cons, z):
-                theta = max([0.0] + [ps.eval_cut(c, bits) for c in cuts])
-                best = min(best, theta)
+            best = min((bound_at(faces, bits) for bits in ps.enumerate_feasible(cons, z)), default=math.inf)
             if math.isinf(best):
                 with pytest.raises(Infeasible):
                     feasible_set(cons, z)
             else:
-                assert abs(solve_master(cuts, feasible_set(cons, z)).theta - best) <= 1e-12
+                assert solve_master(folded_set(cons, z, faces)).theta == best
 
-    def test_theta_matches_cut_evaluation_at_returned_point(self):
+    def test_theta_matches_the_bounds_at_returned_point(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             z = int(rng.integers(1, 7))
-            cuts = random_pool(rng, z, 3)
-            result = solve_master(cuts, feasible_set(ps.EMPTY_CONSTRAINTS, z))
-            direct = max([0.0] + [ps.eval_cut(c, result.y) for c in cuts])
-            assert abs(result.theta - direct) <= 1e-12
+            faces = random_faces(rng, z, 3)
+            result = solve_master(folded_set(ps.EMPTY_CONSTRAINTS, z, faces))
+            assert result.theta == bound_at(faces, result.y)
 
 
 class TestAgainstReference:
-    def test_matches_reference_one_cut_at_a_time(self):
+    def test_matches_reference_one_face_at_a_time(self):
         rng = np.random.default_rng(12)
         for _ in range(60):
             z = int(rng.integers(0, 17))
             cons = random_constraints(rng, z)
             points = reference_points(cons, z)
-            cuts = random_pool(rng, z, int(rng.integers(1, 7)))
+            faces = random_faces(rng, z, int(rng.integers(1, 7)))
             if len(points) == 0:
                 with pytest.raises(Infeasible):
                     feasible_set(cons, z)
                 continue
             feasible = feasible_set(cons, z)
-            for count in range(len(cuts) + 1):
-                result = solve_master(cuts[max(count - 1, 0) : count], feasible)  # the newest cut only
-                y, theta = reference_master(cuts[:count], points)
+            for count in range(len(faces) + 1):
+                feasible.fold_faces(faces[max(count - 1, 0) : count])  # the newest face only
+                result = solve_master(feasible)
+                y, theta = reference_master(faces[:count], points)
                 assert result.y == y
-                assert abs(result.theta - theta) <= 1e-12
+                assert result.theta == theta
                 assert result.nodes_explored == len(points)
+                assert tuple(int(b) for b in points[result.index]) == y
 
     def test_past_the_old_enumeration_cutoff(self):
         rng = np.random.default_rng(15)
         for z in (13, 14, 15, 16):
             cons = ConstraintSet(cardinality=("<=", 3))
-            cuts = random_pool(rng, z, 5)
-            result = solve_master(cuts, feasible_set(cons, z))
-            y, theta = reference_master(cuts, reference_points(cons, z))
-            assert result.y == y
-            assert abs(result.theta - theta) <= 1e-12
-
-    def test_theta_is_each_points_cut_evaluation_bitwise(self):
-        # the fold sums each cut in edge order, exactly as eval_cut does
-        rng = np.random.default_rng(16)
-        cases = [(1, ps.EMPTY_CONSTRAINTS), (12, ps.EMPTY_CONSTRAINTS), (16, ConstraintSet(cardinality=("<=", 3)))]
-        for z, cons in cases:
-            feasible = feasible_set(cons, z)
-            cuts = random_pool(rng, z, 4)
-            solve_master(cuts, feasible)
-            for point, theta in zip(feasible.points, feasible.theta):
-                y = tuple(int(b) for b in point)
-                assert theta == max([0.0] + [ps.eval_cut(c, y) for c in cuts])
-
-    @pytest.mark.parametrize("z", [8, 10, 12])
-    @pytest.mark.parametrize("whole_cube", [False, True])
-    def test_one_point_blocks_sum_in_edge_order(self, z, whole_cube, monkeypatch):
-        # numpy sums a lone column pairwise along the edges; a one-point
-        # feasible set and a last block holding only the all-ones point
-        # (2**z = 3k + 1 points in blocks of 3) must still match eval_cut
-        rng = np.random.default_rng(30 + z)
-        cons = ps.EMPTY_CONSTRAINTS if whole_cube else ConstraintSet(cardinality=("=", z))
-        monkeypatch.setattr(master_mod, "FOLD_BLOCK_BYTES", 8 * z * 3)
-        for cut in random_pool(rng, z, 20):
-            # nonnegative coefficients, so theta is the cut itself at every point
-            cut = Cut(cut.constant, tuple(map(abs, cut.coeffs)), cut.family, cut.incumbent)
-            feasible = feasible_set(cons, z)
-            solve_master([cut], feasible)
-            expected = [ps.eval_cut(cut, tuple(int(b) for b in point)) for point in feasible.points]
-            assert feasible.theta.tobytes() == np.array(expected).tobytes()
+            faces = random_faces(rng, z, 5)
+            result = solve_master(folded_set(cons, z, faces))
+            assert (result.y, result.theta) == reference_master(faces, reference_points(cons, z))
 
     def test_fold_temporaries_stay_within_one_block(self, monkeypatch):
-        rng = np.random.default_rng(20)
-        cuts = random_pool(rng, 14, 2)
-        whole = feasible_set(ps.EMPTY_CONSTRAINTS, 14)  # 1.75 MiB of points
-        solve_master(cuts, whole)
+        face = [(set(range(7)), set(range(7, 14)), 2.5)]  # every edge fixed: the largest gather
+        whole = folded_set(ps.EMPTY_CONSTRAINTS, 14, face)  # 1.75 MiB of points
         monkeypatch.setattr(master_mod, "FOLD_BLOCK_BYTES", 8 * 14 * 100)  # 100 points
         blocked = feasible_set(ps.EMPTY_CONSTRAINTS, 14)
         tracemalloc.start()
         try:
-            result = solve_master(cuts, blocked)
+            blocked.fold_faces(face)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
         assert blocked.theta.tobytes() == whole.theta.tobytes()
-        assert result == solve_master([], whole)
 
-    def test_root_bound_is_a_relaxation(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            z = int(rng.integers(1, 8))
-            cuts = random_pool(rng, z, 3)
-            result = solve_master(cuts, feasible_set(ps.EMPTY_CONSTRAINTS, z))
-            root = max(
-                [0.0]
-                + [c.constant + sum(min(a, 0.0) for a in c.coeffs) for c in cuts]
-            )
-            assert root <= result.theta + 1e-12
+    def test_an_18_edge_face_folds_within_one_block(self):
+        # the whole 18-edge cube (36 MiB of points) in blocks of the real size
+        feasible = feasible_set(ps.EMPTY_CONSTRAINTS, 18)
+        face = (set(range(0, 18, 2)), set(range(1, 18, 2)), 2.5)
+        tracemalloc.start()
+        try:
+            feasible.fold_faces([face])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * master_mod.FOLD_BLOCK_BYTES
+        assert np.flatnonzero(feasible.theta).tolist() == [int("10" * 9, 2)]
+        assert feasible.theta.max() == 2.5
 
     def test_deterministic(self):
         rng = np.random.default_rng(14)
-        cuts = random_pool(rng, 6, 4)
+        faces = random_faces(rng, 6, 4)
         cons = ConstraintSet(cardinality=("<=", 3))
-        first = solve_master(cuts, feasible_set(cons, 6))
-        second = solve_master(cuts, feasible_set(cons, 6))
+        first = solve_master(folded_set(cons, 6, faces))
+        second = solve_master(folded_set(cons, 6, faces))
         assert first == second
 
     def test_selection_is_python_ints(self):
         rng = np.random.default_rng(21)
         for z in (0, 1, 5, 12):
-            result = solve_master(random_pool(rng, z, 2), feasible_set(ps.EMPTY_CONSTRAINTS, z))
+            result = solve_master(folded_set(ps.EMPTY_CONSTRAINTS, z, random_faces(rng, z, 2)))
             assert type(result.y) is tuple
             assert all(type(b) is int for b in result.y)
+            assert type(result.index) is int
 
     def test_one_block_and_many_blocks_fold_the_same_bytes(self, monkeypatch):
-        # the usual single-block fold takes no slices; blocks of 11 points
-        # leave a partial last block on every feasible set here
+        # the usual single-block fold takes no slices; blocks of one point,
+        # and blocks of 11 points, which leave a partial last block on every
+        # feasible set here
         rng = np.random.default_rng(22)
         cases = [(12, ConstraintSet(cardinality=("<=", 3))), (9, ps.EMPTY_CONSTRAINTS), (10, random_constraints(rng, 10))]
         for z, cons in cases:
-            rounds = [random_pool(rng, z, 1) for _ in range(5)]
-            whole = feasible_set(cons, z)
-            with monkeypatch.context() as patch:
-                patch.setattr(master_mod, "FOLD_BLOCK_BYTES", 8 * z * 11)
-                blocked = feasible_set(cons, z)
-                blocked_results = [solve_master(cuts, blocked) for cuts in rounds]
+            faces = random_faces(rng, z, 5)
+            whole = folded_set(cons, z, faces)
             assert len(whole.points) % 11
-            assert [solve_master(cuts, whole) for cuts in rounds] == blocked_results
-            assert whole.theta.tobytes() == blocked.theta.tobytes()
+            for block in (1, 11):
+                with monkeypatch.context() as patch:
+                    patch.setattr(master_mod, "FOLD_BLOCK_BYTES", 8 * z * block)
+                    blocked = folded_set(cons, z, faces)
+                assert whole.theta.tobytes() == blocked.theta.tobytes()
 
 
 class TestPoolState:
     @pytest.fixture()
     def folded(self):
         rng = np.random.default_rng(17)
-        cuts = random_pool(rng, 4, 3)
-        feasible = feasible_set(ps.EMPTY_CONSTRAINTS, 4)
-        solve_master(cuts, feasible)
-        return cuts, feasible
+        return folded_set(ps.EMPTY_CONSTRAINTS, 4, random_faces(rng, 4, 3))
 
     def test_fresh_set_has_zero_theta_and_nothing_folded(self):
         feasible = feasible_set(ps.EMPTY_CONSTRAINTS, 3)
         assert np.array_equal(feasible.theta, np.zeros(8))
 
-    def test_same_pool_again_gives_the_same_answer(self, folded):
-        cuts, feasible = folded
-        theta = feasible.theta.copy()
-        again = solve_master(list(cuts), feasible)
-        assert again == solve_master(cuts, feasible_set(ps.EMPTY_CONSTRAINTS, 4))
-        assert np.array_equal(feasible.theta, theta)
+    def test_the_argmin_changes_nothing(self, folded):
+        theta = folded.theta.tobytes()
+        first = solve_master(folded)
+        assert solve_master(folded) == first
+        assert folded.theta.tobytes() == theta
 
-    def test_whole_pool_every_round_equals_each_cut_once(self):
-        rng = np.random.default_rng(19)
-        for z, cons in [(5, ps.EMPTY_CONSTRAINTS), (12, ConstraintSet(cardinality=("<=", 4)))]:
-            cuts = random_pool(rng, z, 6)
-            whole, once = feasible_set(cons, z), feasible_set(cons, z)
-            for count in range(1, len(cuts) + 1):
-                by_pool = solve_master(cuts[:count], whole)
-                by_cut = solve_master(cuts[count - 1 : count], once)
-                assert by_pool == by_cut
-                assert whole.theta.tobytes() == once.theta.tobytes()
-
-    def test_a_cut_passed_again_changes_no_bit(self, folded):
-        cuts, feasible = folded
-        theta = feasible.theta.tobytes()
-        for cut in cuts + cuts[::-1]:
-            solve_master([cut], feasible)
-            assert feasible.theta.tobytes() == theta
-
-    def test_arity_checked_on_new_cuts_before_any_fold(self, folded):
-        cuts, feasible = folded
-        theta = feasible.theta.copy()
-        good = random_pool(np.random.default_rng(18), 4, 1)
-        short = Cut(constant=1.0, coeffs=(1.0, 2.0), family="new", incumbent=(0, 0))
-        with pytest.raises(DimensionMismatch):
-            solve_master(good + [short], feasible)
-        assert np.array_equal(feasible.theta, theta)
-        result = solve_master(good, feasible)
-        assert result == solve_master(cuts + good, feasible_set(ps.EMPTY_CONSTRAINTS, 4))
+    def test_raising_the_row_at_index_moves_the_argmin(self, folded):
+        # the solver raises an incumbent's row to its return time
+        seen = []
+        for _ in range(len(folded.theta)):
+            result = solve_master(folded)
+            seen.append(result.index)
+            folded.theta[result.index] = max(folded.theta[result.index], 100.0)
+        assert sorted(seen) == list(range(len(folded.theta)))
 
 
 class TestFoldFaces:
@@ -307,9 +251,11 @@ class TestFoldFaces:
 
     @pytest.fixture()
     def folded(self):
-        feasible = feasible_set(ConstraintSet(cardinality=("<=", 3)), 6)
-        solve_master(random_pool(np.random.default_rng(23), 6, 4), feasible)
-        return feasible
+        # one bound per edge on, in [3, 6), and per edge off, in [0, 3), so
+        # theta varies from point to point, and over every face tested below
+        bounds = np.random.default_rng(23).uniform((3.0, 0.0), (6.0, 3.0), size=(6, 2))
+        faces = [face for k, (g_on, g_off) in enumerate(bounds) for face in (({k}, (), g_on), ((), {k}, g_off))]
+        return folded_set(ConstraintSet(cardinality=("<=", 3)), 6, faces)
 
     @staticmethod
     def expected(feasible, theta, on, off, bound):
@@ -319,7 +265,9 @@ class TestFoldFaces:
     @pytest.mark.parametrize("on, off", [({0, 3}, {1}), ({5}, ()), ((), {2, 4}), ((), ())])
     def test_the_face_and_nothing_else_is_raised_to_its_bound(self, folded, on, off):
         theta = folded.theta.copy()
-        bound = float(np.median(theta))  # raises some points of the face, not all
+        expected = self.expected(folded, theta, on, off, math.inf)
+        inside = theta[expected == math.inf]
+        bound = float(inside.min() + inside.max()) / 2  # raises some points of the face, not all
         folded.fold_faces([(on, off, bound)])
         assert folded.theta.tobytes() == self.expected(folded, theta, on, off, bound).tobytes()
         raised = folded.theta != theta
@@ -343,16 +291,11 @@ class TestFoldFaces:
         folded.fold_faces(faces[::-1])
         assert folded.theta.tobytes() == theta
 
-    def test_faces_and_cuts_fold_in_any_order(self):
-        rng = np.random.default_rng(29)
-        cuts = random_pool(rng, 5, 3)
-        faces = [({0}, {4}, 2.5), ((), {1, 2}, 4.0), ({3}, (), 1.0)]
-        first, last = feasible_set(ps.EMPTY_CONSTRAINTS, 5), feasible_set(ps.EMPTY_CONSTRAINTS, 5)
-        first.fold_faces(faces)
-        by_faces_first = solve_master(cuts, first)
-        solve_master(cuts, last)
-        last.fold_faces(faces)
-        assert solve_master([], last) == by_faces_first
+    def test_faces_fold_in_any_order(self):
+        faces = random_faces(np.random.default_rng(29), 5, 6)
+        first = folded_set(ps.EMPTY_CONSTRAINTS, 5, faces)
+        last = folded_set(ps.EMPTY_CONSTRAINTS, 5, faces[::-1])
+        assert solve_master(first) == solve_master(last)
         assert first.theta.tobytes() == last.theta.tobytes()
 
     @pytest.mark.parametrize(

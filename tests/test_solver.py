@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import pagerank_select as ps
@@ -52,8 +54,10 @@ class TestTrivialCases:
             ps.solve(frozen, max_iters=-5)
 
     def test_recurring_incumbent_aborts_loudly(self, frozen, monkeypatch):
-        # a separation that never tightens anything leaves the master stuck on
-        # the same incumbent; the loop must diagnose that instead of cycling
+        # a separation that asks nothing still closes: each round raises its
+        # incumbent's theta to its return time, so no incumbent recurs while
+        # a gap persists; a NaN return time raises nothing, and the loop must
+        # diagnose the recurrence instead of cycling
         def useless_cut(instance, incumbent, memo=None):
             return cut_families.Cut(
                 constant=0.0,
@@ -63,7 +67,17 @@ class TestTrivialCases:
             )
 
         monkeypatch.setattr(cut_families, "new_cut", useless_cut)
-        with pytest.raises(NoConvergence):
+        report = ps.solve(frozen, family=NEW)
+        assert report.status == OPTIMAL
+        assert report.gamma_calls_total == 0
+        assert 1 <= report.iterations <= 2**frozen.z_count
+        assert report.best_value == oracle.Memo(frozen).evaluate(ps.bf_min(frozen)[0]).fr
+
+        real_evaluate = oracle.Memo.evaluate
+        monkeypatch.setattr(
+            oracle.Memo, "evaluate", lambda memo, y: dataclasses.replace(real_evaluate(memo, y), fr=math.nan)
+        )
+        with pytest.raises(NoConvergence, match="not a finite number"):
             ps.solve(frozen, family=NEW)
 
 
@@ -274,6 +288,30 @@ class TestFaceBounds:
         assert (solved.theta >= faces.theta).all()  # every answer was folded
         for point, bound in zip(faces.points, faces.theta):  # through the evaluator that answered
             assert bound <= memo.evaluate(point).fr + 1e-9
+
+    @pytest.mark.parametrize(
+        "family, strategy", [(L_SHAPED, BY_INDEX), (NEW, BY_INDEX), (LIFTED, BY_INDEX), (LIFTED, BY_GAMMA)]
+    )
+    def test_a_cuts_own_answers_and_incumbent_imply_it(self, family, strategy):
+        # Why the master folds no cut.  Every construction coefficient is at
+        # most 0, so away from the incumbent a cut is at most the coefficient
+        # of any one edge it changes, min(fr_bar, g) <= g, and the point lies
+        # in the face that g bounds; at the incumbent the cut is fr_bar.
+        rng = np.random.default_rng(53)
+        cases = [(damping, spec, draw) for damping in DAMPINGS for spec in SPECS for draw in (0, 1)]
+        for case in cases:
+            inst, cons = differential_case(*case)
+            points = master_mod.feasible_set(cons, inst.z_count).points
+            for row in rng.choice(len(points), size=min(5, len(points)), replace=False):
+                incumbent = tuple(int(b) for b in points[row])
+                memo = oracle.Memo(inst)
+                cut = cut_families.separator(family, memo, strategy)(incumbent)
+                implied = master_mod.feasible_set(cons, inst.z_count)
+                implied.fold_faces((on, off, answer.value) for (on, off), answer in memo.answers.items())
+                implied.theta[row] = max(implied.theta[row], memo.evaluate(incumbent).fr)
+                for point, theta in zip(points, implied.theta):
+                    value = ps.eval_cut(cut, point)
+                    assert theta >= value - 1e-12 * abs(value), (case, incumbent, point)
 
     def test_answers_are_read_in_order_and_cost_no_query(self):
         inst, cons = ps.generate_random(10, 0.3, 7, "card_le:3", seed=5)
