@@ -259,12 +259,17 @@ def _coerce(raw) -> tuple[Instance, np.ndarray, np.ndarray]:
         if not _is_integer(fields[field]):
             raise ParseError(f'"{field}" must be an integer, got {fields[field]!r}')
     damping = fields.get("damping", DEFAULT_DAMPING)
-    if isinstance(damping, bool) or not isinstance(damping, (int, float)):
-        raise ParseError(f'"damping" must be a number, got {damping!r}')
+    _check_damping(damping)
     if isinstance(raw, Instance):
         return raw, _endpoints(raw.edges, "edges"), _endpoints(raw.fragile, "fragile")
     fixed, fragile = (_endpoints(_as_list(raw[field], f'"{field}"'), field) for field in ("edges", "fragile"))
     return _instance_of_arrays(raw["n"], raw["target"], fixed, fragile, float(damping)), fixed, fragile
+
+
+def _check_damping(damping) -> None:
+    """The one damping rule: a Python int or float, never a bool."""
+    if isinstance(damping, bool) or not isinstance(damping, (int, float)):
+        raise ParseError(f'"damping" must be a number, got {damping!r}')
 
 
 def _instance_of_arrays(n, target, fixed: np.ndarray, fragile: np.ndarray, damping) -> Instance:
@@ -418,7 +423,8 @@ def generate_random(
     ``fragile_count`` that is not an integer (as _is_integer defines one), a
     ``fixed_edge_prob`` outside [0, 1] (NaN included), a negative
     fragile_count, or when fewer than fragile_count non-edges remain after
-    the fixed draw; NodeIndexError for a node count below 1.
+    the fixed draw; NodeIndexError for a node count below 1; ParseError for
+    a damping that _coerce would refuse, before any draw.
 
     The ordered pairs (i, j), i != j, are numbered row-major: pair p is row
     ``i = p // (n - 1)``, and column ``j' = p % (n - 1)`` skipping the
@@ -434,6 +440,7 @@ def generate_random(
         raise NodeIndexError(f"node count must be positive, got {n}")
     if fragile_count < 0:
         raise InfeasibleSpec(f"fragile edge count must be nonnegative, got {fragile_count}")
+    _check_damping(damping)
     rng = np.random.default_rng(seed)
     pair_count = n * (n - 1)
     if fragile_count > pair_count:

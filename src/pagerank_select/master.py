@@ -8,7 +8,7 @@ selections (once per solve, level by level in numpy), the master is a
 running maximum over them (Kelley 1960; Laporte & Louveaux 1993):
 ``FeasibleSet.fold_faces`` raises it, and ``solve_master`` takes its
 lexicographically smallest argmin.  An empty set raises Infeasible (CLI exit
-2) and an enumeration whose points would take more than ``POINTS_MAX_BYTES``
+2) and an enumeration whose candidates would take more than ``POINTS_MAX_BYTES``
 raises TooLargeToEnumerate (CLI exit 3) before that level is allocated.
 """
 
@@ -24,19 +24,13 @@ from .errors import Infeasible, TooLargeToEnumerate
 from .instance import ConstraintSet, Selection, check_forced
 
 # Largest enumeration level that feasible_set builds, at 8 bytes per fragile
-# edge and per constraint row of each candidate.  64 MiB admits the whole
-# cube up to 18 fragile edges (36 MiB of points).  On a 2-CPU host with one
-# BLAS thread that cube enumerates in 50-90 ms, and a face fixing all 18
-# edges folds into it in 10 ms.  A fold works through the points in blocks
-# of FOLD_BLOCK_BYTES, so its temporaries stay within one block: ten such
-# folds into that cube left peak RSS where the enumeration had put it, and
-# tracemalloc saw a 4.5 MiB peak, where one mask over all the points at once
-# raised peak RSS by 37 MiB (a 40.5 MiB peak).
+# edge and per constraint row of each candidate: the enumeration's budget.
+# The points it keeps take one byte per edge, an eighth of the edge part.
+# 64 MiB admits the whole cube up to 18 fragile edges, whose points take
+# 4.5 MiB; tracemalloc saw the enumeration peak at 14.5 MiB, and a face
+# fixing all 18 edges folds into it in about 1 ms at a 2.75 MiB peak (2-CPU
+# host, one BLAS thread).
 POINTS_MAX_BYTES = 2**26
-# Largest gather of a face's columns one fold step allocates, at 8 bytes per
-# fragile edge and point: 4 MiB, so the whole cube up to 15 fragile edges,
-# and every benchmark workload, folds in one block.
-FOLD_BLOCK_BYTES = 2**22
 
 
 @dataclass(frozen=True)
@@ -52,12 +46,11 @@ class FeasibleSet:
     """What the master minimizes over, with its state across one solve's rounds.
 
     ``points`` holds the feasible selections in lexicographic order (read-only
-    floats, at least one); ``theta`` holds, per point, the maximum of zero and
+    bools, at least one); ``theta`` holds, per point, the maximum of zero and
     every face bound folded in so far.  The solver also raises theta at an
     incumbent's own row to its return time, by the row that
     ``MasterResult.index`` names."""
 
-    z_count: int
     points: np.ndarray
     theta: np.ndarray
 
@@ -69,18 +62,11 @@ class FeasibleSet:
         least return time over its whole face, feasible or not (Laporte &
         Louveaux's optimality cut, stated on a face).  The bound itself is
         written where it is larger, through a mask.  A running maximum, so a
-        face folded again changes nothing.  Ids are checked by check_forced.
-        Each face is folded in blocks of FOLD_BLOCK_BYTES, so its temporaries
-        stay within one block."""
-        block = max(1, FOLD_BLOCK_BYTES // (8 * max(self.z_count, 1)))
+        face folded again changes nothing.  Ids are checked by check_forced."""
         for on, off, bound in faces:
-            on, off = check_forced(self.z_count, on, off)
-            ids, bits = [*on, *off], [1] * len(on) + [0] * len(off)
-            for start in range(0, len(self.theta), block):
-                rows = slice(start, start + block)
-                face = (self.points[rows, ids] == bits).all(axis=1)
-                theta = self.theta[rows]
-                np.maximum(theta, bound, out=theta, where=face)
+            on, off = check_forced(self.points.shape[1], on, off)
+            face = self.points[:, list(on)].all(axis=1) & ~self.points[:, list(off)].any(axis=1)
+            np.maximum(self.theta, bound, out=self.theta, where=face)
 
 
 def feasible_set(constraints: ConstraintSet, z_count: int) -> FeasibleSet:
@@ -123,14 +109,14 @@ def feasible_set(constraints: ConstraintSet, z_count: int) -> FeasibleSet:
         raise Infeasible("constraint set admits no selection")
 
     # Fortran order, so that each edge's column is contiguous for fold_faces
-    points = np.empty((len(lhs), z_count), order="F")
+    points = np.empty((len(lhs), z_count), dtype=bool, order="F")
     index = np.arange(len(lhs))
     for depth in reversed(range(z_count)):
         candidate = kept[depth][index]
         points[:, depth] = candidate & 1
         index = candidate >> 1
     points.setflags(write=False)
-    return FeasibleSet(z_count=z_count, points=points, theta=np.zeros(len(points)))
+    return FeasibleSet(points=points, theta=np.zeros(len(points)))
 
 
 def solve_master(feasible: FeasibleSet) -> MasterResult:

@@ -81,8 +81,8 @@ def solve(
 
     Raises Infeasible when the constraint set admits no selection,
     TooLargeToEnumerate when its feasible selections would pass
-    ``master.POINTS_MAX_BYTES``, and ValueError for a negative ``eps`` or
-    ``max_iters``, or (after the enumeration) an unknown family; returns a
+    ``master.POINTS_MAX_BYTES``, and ValueError for a negative or NaN ``eps``
+    or ``max_iters``, or (after the enumeration) an unknown family; returns a
     partial trace with status "iter_limit" once max_iters cuts have been
     separated without closing the gap.  One ``master.FeasibleSet`` and one
     ``oracle.Memo`` serve the whole solve: each round folds only the memo's
@@ -96,9 +96,9 @@ def solve(
         raise ValueError(f"unknown ordering strategy {ordering_strategy!r}")
     if instance.damping >= 1.0:
         raise DampingRangeError("the cutting-plane solver requires damping < 1")
-    if eps < 0:
+    if not eps >= 0:  # NaN too
         raise ValueError(f"gap tolerance must be nonnegative, got {eps}")
-    if max_iters < 0:
+    if not max_iters >= 0:
         raise ValueError(f"iteration limit must be nonnegative, got {max_iters}")
 
     feasible = master_mod.feasible_set(constraints, instance.z_count)

@@ -536,6 +536,12 @@ class TestGeneratorGolden:
             ps.generate_random(n, density, z_count, constraint, seed=seed)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("damping", [True, np.float32(0.85), "0.5"])
+    def test_damping_follows_the_file_readers_rule(self, damping):
+        with pytest.raises(ParseError) as caught:
+            ps.generate_random(6, 0.3, 4, None, seed=42, damping=damping)
+        assert str(caught.value) == f'"damping" must be a number, got {damping!r}'
+
     def test_memory_per_ordered_pair(self):
         # A float and a bit per ordered pair, plus the edges drawn: at most
         # 32 bytes per pair.  A Python tuple per pair costs about 100.

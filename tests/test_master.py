@@ -158,22 +158,8 @@ class TestAgainstReference:
             result = solve_master(folded_set(cons, z, faces))
             assert (result.y, result.theta) == reference_master(faces, reference_points(cons, z))
 
-    def test_fold_temporaries_stay_within_one_block(self, monkeypatch):
-        face = [(set(range(7)), set(range(7, 14)), 2.5)]  # every edge fixed: the largest gather
-        whole = folded_set(ps.EMPTY_CONSTRAINTS, 14, face)  # 1.75 MiB of points
-        monkeypatch.setattr(master_mod, "FOLD_BLOCK_BYTES", 8 * 14 * 100)  # 100 points
-        blocked = feasible_set(ps.EMPTY_CONSTRAINTS, 14)
-        tracemalloc.start()
-        try:
-            blocked.fold_faces(face)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
-        assert blocked.theta.tobytes() == whole.theta.tobytes()
-
-    def test_an_18_edge_face_folds_within_one_block(self):
-        # the whole 18-edge cube (36 MiB of points) in blocks of the real size
+    def test_an_18_edge_face_folds_within_4_mib(self):
+        # one mask over the whole 18-edge cube (4.5 MiB of points)
         feasible = feasible_set(ps.EMPTY_CONSTRAINTS, 18)
         face = (set(range(0, 18, 2)), set(range(1, 18, 2)), 2.5)
         tracemalloc.start()
@@ -182,7 +168,7 @@ class TestAgainstReference:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * master_mod.FOLD_BLOCK_BYTES
+        assert peak < 4 * 2**20
         assert np.flatnonzero(feasible.theta).tolist() == [int("10" * 9, 2)]
         assert feasible.theta.max() == 2.5
 
@@ -201,22 +187,6 @@ class TestAgainstReference:
             assert type(result.y) is tuple
             assert all(type(b) is int for b in result.y)
             assert type(result.index) is int
-
-    def test_one_block_and_many_blocks_fold_the_same_bytes(self, monkeypatch):
-        # the usual single-block fold takes no slices; blocks of one point,
-        # and blocks of 11 points, which leave a partial last block on every
-        # feasible set here
-        rng = np.random.default_rng(22)
-        cases = [(12, ConstraintSet(cardinality=("<=", 3))), (9, ps.EMPTY_CONSTRAINTS), (10, random_constraints(rng, 10))]
-        for z, cons in cases:
-            faces = random_faces(rng, z, 5)
-            whole = folded_set(cons, z, faces)
-            assert len(whole.points) % 11
-            for block in (1, 11):
-                with monkeypatch.context() as patch:
-                    patch.setattr(master_mod, "FOLD_BLOCK_BYTES", 8 * z * block)
-                    blocked = folded_set(cons, z, faces)
-                assert whole.theta.tobytes() == blocked.theta.tobytes()
 
 
 class TestPoolState:
@@ -317,7 +287,7 @@ class TestFeasibleSet:
             cons = random_constraints(rng, z)
             points = feasible_set(cons, z).points
             expected = list(ps.enumerate_feasible(cons, z))
-            assert points.dtype == float
+            assert points.dtype == bool
             assert points.shape == (len(expected), z)
             assert [tuple(int(b) for b in p) for p in points] == expected
 
@@ -350,6 +320,16 @@ class TestFeasibleSet:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+    def test_the_18_edge_cube_enumerates_within_16_mib(self):
+        tracemalloc.start()
+        try:
+            points = feasible_set(ps.EMPTY_CONSTRAINTS, 18).points
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert points.shape == (2**18, 18)
 
     def test_pruned_sets_fit_where_the_cube_does_not(self):
         with pytest.raises(TooLargeToEnumerate):

@@ -53,6 +53,12 @@ class TestTrivialCases:
         with pytest.raises(ValueError, match="iteration limit"):
             ps.solve(frozen, max_iters=-5)
 
+    @pytest.mark.parametrize("limit", [{"eps": math.nan}, {"max_iters": math.nan}])
+    def test_nan_limit_rejected_before_any_round(self, frozen, limit, monkeypatch):
+        monkeypatch.setattr(master_mod, "feasible_set", None)  # nothing may be enumerated
+        with pytest.raises(ValueError, match="must be nonnegative, got nan"):
+            ps.solve(frozen, **limit)
+
     def test_recurring_incumbent_aborts_loudly(self, frozen, monkeypatch):
         # a separation that asks nothing still closes: each round raises its
         # incumbent's theta to its return time, so no incumbent recurs while
