@@ -21,49 +21,23 @@ from .instance import (
 ENUM_LIMIT = 20
 
 
-def is_feasible(constraints: ConstraintSet, y: Selection) -> bool:
-    """True iff every row (and the cardinality shortcut) is satisfied by y, its bits checked by check_selection."""
-    y = check_selection(len(y), y)
-    return _satisfies(constraints.compiled_rows(len(y)), y)
-
-
-def _satisfies(rows, y: Selection) -> bool:
-    for row in rows:
-        lhs = sum(c * b for c, b in zip(row.coeffs, y))
-        if row.sense == "<=":
-            ok = lhs <= row.rhs
-        elif row.sense == ">=":
-            ok = lhs >= row.rhs
-        else:
-            ok = lhs == row.rhs
-        if not ok:
-            return False
-    return True
+def is_feasible(constraints: ConstraintSet, z_count: int, y: Selection) -> bool:
+    """True iff the selection ``y`` of ``z_count`` bits, checked by
+    check_selection, meets every row (and the cardinality shortcut)."""
+    return constraints.compiled_rows(z_count).admits(y)
 
 
 def _selections(constraints: ConstraintSet, z_count: int, on=frozenset(), off=frozenset()) -> Iterator[Selection]:
     """The feasible selections with the positions in ``on`` set and those in
-    ``off`` clear, in lexicographic order over the free positions.  Raises
-    TooLargeToEnumerate when called, before anything is yielded, if more than
-    ENUM_LIMIT positions are free."""
-    free = [k for k in range(z_count) if k not in on and k not in off]
-    if len(free) > ENUM_LIMIT:
-        raise TooLargeToEnumerate(f"{len(free)} free fragile edges exceed the enumeration limit {ENUM_LIMIT}")
-    template = [0] * z_count
-    for k in on:
-        template[k] = 1
-
-    def points() -> Iterator[Selection]:
-        rows = constraints.compiled_rows(z_count)  # checked once per walk
-        for bits in product((0, 1), repeat=len(free)):
-            y = list(template)
-            for k, bit in zip(free, bits):
-                y[k] = bit
-            point = tuple(y)
-            if _satisfies(rows, point):
-                yield point
-
-    return points()
+    ``off`` clear, in lexicographic order over the free positions: every
+    point of that face, each tested by ``admits``.  Raises
+    TooLargeToEnumerate when called if more than ENUM_LIMIT positions are
+    free, and then checks the rows."""
+    choices = [(1,) if k in on else (0,) if k in off else (0, 1) for k in range(z_count)]
+    free = sum(len(bits) - 1 for bits in choices)
+    if free > ENUM_LIMIT:
+        raise TooLargeToEnumerate(f"{free} free fragile edges exceed the enumeration limit {ENUM_LIMIT}")
+    return filter(constraints.compiled_rows(z_count).admits, product(*choices))
 
 
 def enumerate_feasible(constraints: ConstraintSet, z_count: int) -> Iterator[Selection]:

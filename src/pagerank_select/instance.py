@@ -40,7 +40,7 @@ DEFAULT_DAMPING = 0.85
 SENSES = ("<=", "=", ">=")
 _CARDINALITY_SPECS = {"card_le": "<=", "card_ge": ">=", "card_eq": "="}  # spec name -> sense
 _INTP_MAX = int(np.iinfo(np.intp).max)
-_BITS = {0: 0, 1: 1}  # found by any bit equal to 0 or 1; gives it as a Python int
+_BIT = {0: 0, 1: 1}.__getitem__  # finds any bit equal to 0 or 1; gives it as a Python int
 
 
 def check_selection(z_count: int, y) -> Selection:
@@ -48,7 +48,7 @@ def check_selection(z_count: int, y) -> Selection:
     hold exactly ``z_count`` entries, each equal to 0 or 1 (a Python or numpy
     int or bool, or 0.0 / 1.0).  DimensionMismatch for anything else."""
     try:
-        bits = tuple(map(_BITS.__getitem__, y))
+        bits = tuple(map(_BIT, y))
         if len(bits) == z_count:
             return bits
     except (KeyError, TypeError):  # an entry other than 0 or 1, or one that cannot be hashed; y not iterable
@@ -186,6 +186,31 @@ class Row:
     rhs: int
 
 
+class CompiledRows:
+    """The checked rows over ``z_count`` fragile edges, and the one row test:
+    the Rows, their coefficients as a (z_count, m) int64 array, and each
+    row's bounds, at -inf / +inf where its sense sets none (floats, exact
+    since every row sum stays below 2**53)."""
+
+    def __init__(self, z_count: int, rows: tuple[Row, ...]):
+        self.z_count = z_count
+        self.rows = rows
+        self.coeffs = np.array([row.coeffs for row in rows], dtype=np.int64).reshape(len(rows), z_count).T
+        self.lower = np.array([-np.inf if row.sense == "<=" else row.rhs for row in rows], dtype=float)
+        self.upper = np.array([np.inf if row.sense == ">=" else row.rhs for row in rows], dtype=float)
+        # the same rows as Python ints and floats: the twins call admits at every point
+        self._bounded = list(zip(self.coeffs.T.tolist(), self.lower.tolist(), self.upper.tolist()))
+
+    def admits(self, y) -> bool:
+        """True iff ``y``, checked by check_selection, meets every row: each
+        row's integer sum lies within its bounds."""
+        y = check_selection(self.z_count, y)
+        for coeffs, lo, hi in self._bounded:
+            if not lo <= sum(map(operator.mul, coeffs, y)) <= hi:
+                return False
+        return True
+
+
 @dataclass(frozen=True)
 class ConstraintSet:
     """Linear rows over the selection bits plus an optional cardinality shortcut.
@@ -196,9 +221,10 @@ class ConstraintSet:
     rows: tuple[Row, ...] = ()
     cardinality: tuple[str, int] | None = None
 
-    def compiled_rows(self, z_count: int) -> tuple[Row, ...]:
-        """All rows, with the cardinality shortcut expanded to an all-ones row;
-        the one row check.  Raises ParseError for a coefficient or bound that
+    def compiled_rows(self, z_count: int) -> CompiledRows:
+        """All rows, with the cardinality shortcut expanded to an all-ones row,
+        as the CompiledRows that test a selection against them; the one row
+        check.  Raises ParseError for a coefficient or bound that
         is not an integer, an unknown sense, or absolute values summing to
         2**53 or more; DimensionMismatch for a wrong-length row."""
         for idx, row in enumerate(self.rows):
@@ -223,7 +249,7 @@ class ConstraintSet:
         for row in rows:
             if sum(abs(int(c)) for c in row.coeffs) + abs(int(row.rhs)) >= 2**53:
                 raise ParseError("constraint rows with coefficients or bounds of 2**53 and more are not supported")
-        return rows
+        return CompiledRows(z_count, rows)
 
     @property
     def is_empty(self) -> bool:

@@ -14,7 +14,6 @@ raises TooLargeToEnumerate (CLI exit 3) before that level is allocated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -70,17 +69,16 @@ class FeasibleSet:
 
 
 def feasible_set(constraints: ConstraintSet, z_count: int) -> FeasibleSet:
-    """Enumerate the feasible selections once, under rows ``compiled_rows`` checked.
+    """Enumerate the feasible selections once, under the coefficients and
+    bounds of the rows that ``compiled_rows`` checks and returns.
 
     Each level extends every surviving prefix by bit 0, then bit 1, and drops
     the prefixes that no completion can bring inside some row's bounds, so
     the points come out in lexicographic order.  Raises Infeasible when no
     selection satisfies the rows, and TooLargeToEnumerate when a level's
     candidates would pass POINTS_MAX_BYTES."""
-    rows = constraints.compiled_rows(z_count)
-    coeffs = np.array([row.coeffs for row in rows], dtype=np.int64).reshape(len(rows), z_count).T
-    upper = np.array([math.inf if row.sense == ">=" else row.rhs for row in rows])
-    lower = np.array([-math.inf if row.sense == "<=" else row.rhs for row in rows])
+    compiled = constraints.compiled_rows(z_count)
+    coeffs, lower, upper, rows = compiled.coeffs, compiled.lower, compiled.upper, compiled.rows
     # reach_lo[d] / reach_hi[d]: the least / most that bits d.. can add to each row
     reach_lo = np.zeros((z_count + 1, len(rows)), dtype=np.int64)
     reach_hi = np.zeros_like(reach_lo)

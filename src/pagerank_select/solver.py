@@ -89,8 +89,8 @@ def solve(
     new answers and its incumbent's value into the master, and each distinct
     oracle query and each incumbent's value is computed once; the memo counts
     the queries.  When the memo already holds the unconstrained query (the
-    ``lshaped`` bound) and its argmin is a point of the feasible set, that
-    argmin is the incumbent before round one, at the memo's own value.
+    ``lshaped`` bound) and the compiled rows admit its argmin, that argmin is
+    the incumbent before round one, at the memo's own value.
     """
     if ordering_strategy not in cut_families.ORDERING_STRATEGIES:
         raise ValueError(f"unknown ordering strategy {ordering_strategy!r}")
@@ -112,7 +112,7 @@ def solve(
     best_y: Selection | None = None
     best_val = math.inf
     root = answers.get((frozenset(), frozenset()))
-    if root is not None and (feasible.points == root.argmin).all(axis=1).any():
+    if root is not None and constraints.compiled_rows(instance.z_count).admits(root.argmin):
         best_y, best_val = root.argmin, root.value
     separated: set[Selection] = set()
 

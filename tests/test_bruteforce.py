@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 
 import pagerank_select as ps
@@ -23,28 +24,33 @@ def frozen():
 
 class TestFeasibility:
     def test_empty_constraints_accept_everything(self):
-        assert ps.is_feasible(ps.EMPTY_CONSTRAINTS, (0, 1, 1))
-        assert ps.is_feasible(ps.EMPTY_CONSTRAINTS, ())
+        assert ps.is_feasible(ps.EMPTY_CONSTRAINTS, 3, (0, 1, 1))
+        assert ps.is_feasible(ps.EMPTY_CONSTRAINTS, 0, ())
 
     def test_cardinality_shortcut(self):
         cons = ConstraintSet(cardinality=("<=", 1))
-        assert not ps.is_feasible(cons, (1, 1))
-        assert ps.is_feasible(cons, (1, 0))
+        assert not ps.is_feasible(cons, 2, (1, 1))
+        assert ps.is_feasible(cons, 2, (1, 0))
 
     def test_covering_row(self):
         cons = ConstraintSet(rows=(Row((1, 1), ">=", 1),))
-        assert ps.is_feasible(cons, (0, 1))
-        assert not ps.is_feasible(cons, (0, 0))
+        assert ps.is_feasible(cons, 2, (0, 1))
+        assert not ps.is_feasible(cons, 2, (0, 0))
 
     def test_equality_row(self):
         cons = ConstraintSet(rows=(Row((1, -1), "=", 0),))
-        assert ps.is_feasible(cons, (1, 1))
-        assert not ps.is_feasible(cons, (1, 0))
+        assert ps.is_feasible(cons, 2, (1, 1))
+        assert not ps.is_feasible(cons, 2, (1, 0))
 
     def test_dimension_mismatch(self):
         cons = ConstraintSet(rows=(Row((1, 1), "<=", 1),))
         with pytest.raises(DimensionMismatch):
-            ps.is_feasible(cons, (1, 0, 0))
+            ps.is_feasible(cons, 2, (1, 0, 0))
+        with pytest.raises(DimensionMismatch):
+            ps.is_feasible(cons, 3, (1, 0, 0))
+        for y in ((0, 0), (0, 0, 0, 0)):  # the arity is z_count, even where no row fixes it
+            with pytest.raises(DimensionMismatch):
+                ps.is_feasible(ps.EMPTY_CONSTRAINTS, 3, y)
 
 
 class TestEnumerate:
@@ -61,14 +67,48 @@ class TestEnumerate:
             ps.enumerate_feasible(ps.EMPTY_CONSTRAINTS, 21)
 
     def test_matches_filtering_the_cube(self):
-        cons = ConstraintSet(
-            rows=(Row((1, 2, -1, 0), "<=", 1),), cardinality=(">=", 1)
-        )
-        listed = list(ps.enumerate_feasible(cons, 4))
-        direct = [
-            bits for bits in product((0, 1), repeat=4) if ps.is_feasible(cons, bits)
-        ]
-        assert listed == direct
+        # against the row test written out here, at every point of each cube
+        cut = 0  # sets that keep some points of their cube but not all
+        for z_count in range(11):
+            cube = list(product((0, 1), repeat=z_count))
+            for cons in random_constraint_sets(np.random.default_rng(z_count), z_count):
+                listed = list(ps.enumerate_feasible(cons, z_count))
+                assert listed == [bits for bits in cube if meets_rows(cons, bits)], cons
+                kept = set(listed)
+                assert [ps.is_feasible(cons, z_count, bits) for bits in cube] == [bits in kept for bits in cube]
+                cut += 0 < len(listed) < len(cube)
+        assert cut >= 20
+
+
+SENSES = ("<=", ">=", "=")
+
+
+def random_constraint_sets(rng, z_count):
+    """Per sense, one mixed-sign row and one cardinality bound, then one set
+    with a row of every sense and a cardinality bound."""
+    def row(sense):
+        return Row(tuple(int(c) for c in rng.integers(-2, 3, size=z_count)), sense, int(rng.integers(-2, 3)))
+
+    def k():
+        return int(rng.integers(0, z_count + 1))
+
+    sets = [ConstraintSet(rows=(row(sense),)) for sense in SENSES]
+    sets += [ConstraintSet(cardinality=(sense, k())) for sense in SENSES]
+    sets.append(ConstraintSet(rows=tuple(row(sense) for sense in SENSES), cardinality=("<=", k())))
+    return sets
+
+
+def meets_rows(cons, y):
+    """The row test written out from the constraint set's fields: each sum
+    compared by its own sense, the cardinality as the sum of the bits."""
+    rows = [(row.coeffs, row.sense, row.rhs) for row in cons.rows]
+    if cons.cardinality is not None:
+        rows.append(((1,) * len(y), *cons.cardinality))
+    for coeffs, sense, rhs in rows:
+        lhs = sum(c * b for c, b in zip(coeffs, y))
+        if not {"<=": lhs <= rhs, ">=": lhs >= rhs, "=": lhs == rhs}[sense]:
+            return False
+    return True
 
 
 class TestBfMin:

@@ -23,7 +23,7 @@ def assert_matches_scan(inst, cons):
     for family in ps.FAMILIES:
         report = ps.solve(inst, cons, family=family)
         assert report.status == OPTIMAL, family
-        assert ps.is_feasible(cons, report.best_y), family
+        assert ps.is_feasible(cons, inst.z_count, report.best_y), family
         assert report.best_value == memo.evaluate(report.best_y).fr, family
         assert abs(report.best_value - scan) <= 1e-9, (family, report.best_value, scan)
 

@@ -679,7 +679,7 @@ class TestOneRowVerdict:
         with pytest.raises(ParseError, match=named):
             list(ps.enumerate_feasible(cons, 3))
         with pytest.raises(ParseError, match=named):
-            ps.is_feasible(cons, (1, 0, 1))
+            ps.is_feasible(cons, 3, (1, 0, 1))
         with pytest.raises(ParseError, match=named):
             instance_from_json(instance_to_json(inst, cons))
 
@@ -781,7 +781,8 @@ SELECTION_TAKERS = [
     ("lifted_cut", lambda c, y: ps.lifted_cut(c.inst, y, ps.LiftOrdering((2, 1))).to_json()),
     ("make_lift_ordering", lambda c, y: ps.make_lift_ordering(c.inst, y, ps.BY_GAMMA)),
     ("eval_cut", lambda c, y: ps.eval_cut(c.cut, y).hex()),
-    ("is_feasible", lambda c, y: ps.is_feasible(c.cons, y)),
+    ("is_feasible", lambda c, y: ps.is_feasible(c.cons, c.inst.z_count, y)),
+    ("compiled_rows.admits", lambda c, y: c.cons.compiled_rows(3).admits(y)),
     ("bf_exact_lift", lambda c, y: ps.bf_exact_lift(c.inst, c.cons, y, (2, 1), [], 1).hex()),
     ("support", lambda c, y: ps.support(y)),
 ]
@@ -810,8 +811,7 @@ BAD_FORMS = [
 class _Case:
     def __init__(self):
         self.inst, _ = ps.generate_random(8, 0.3, 3, None, seed=3)
-        # card_le:1 written as a row, so that is_feasible knows the arity
-        self.cons = ConstraintSet(rows=(Row((1, 1, 1), "<=", 1),))
+        self.cons = ConstraintSet(cardinality=("<=", 1))
         self.walk = chain.factor_walk(self.inst)
         self.cut = ps.new_cut(self.inst, (0, 1, 0))
 

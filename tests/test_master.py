@@ -56,7 +56,7 @@ def reference_points(constraints, z_count):
     (none when the rows contradict)."""
     cube = np.array(list(product((0, 1), repeat=z_count)), dtype=np.int64).reshape(2**z_count, z_count)
     keep = np.ones(len(cube), dtype=bool)
-    for row in constraints.compiled_rows(z_count):
+    for row in constraints.compiled_rows(z_count).rows:
         lhs = cube @ np.array(row.coeffs, dtype=np.int64)
         keep &= {"<=": lhs <= row.rhs, ">=": lhs >= row.rhs, "=": lhs == row.rhs}[row.sense]
     return cube[keep].astype(float)

@@ -394,7 +394,7 @@ class TestUnconstrainedIncumbent:
     def test_infeasible_root_argmin_takes_every_round(self):
         # the root argmin breaks card_le:3 here, so the loop runs as before
         inst, cons = ps.generate_random(40, 0.1, 12, "card_le:3", seed=1)
-        assert not ps.is_feasible(cons, oracle.Memo(inst).gamma(oracle.GammaQuery()).argmin)
+        assert not ps.is_feasible(cons, inst.z_count, oracle.Memo(inst).gamma(oracle.GammaQuery()).argmin)
         report = ps.solve(inst, cons, family=L_SHAPED)
         assert report.status == OPTIMAL
         assert report.iterations == 299
@@ -407,7 +407,7 @@ class TestUnconstrainedIncumbent:
             root = oracle.Memo(inst).gamma(oracle.GammaQuery())
             report = ps.solve(inst, cons, family=L_SHAPED)
             assert report.status == OPTIMAL
-            if ps.is_feasible(cons, root.argmin):
+            if ps.is_feasible(cons, inst.z_count, root.argmin):
                 feasible_roots += 1
                 assert report.iterations == 0
                 assert (report.best_y, report.best_value) == (root.argmin, root.value)
