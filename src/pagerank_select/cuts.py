@@ -12,16 +12,17 @@ Families:
   the incumbent's value, so the bound decays with Hamming distance.
 * ``new``: each edge's coefficient comes from one single-edge forced
   minimization, clipped at zero.
-* ``lifted``: keeps the supported-edge coefficients of ``new`` and up-lifts
-  the rest along an ordering, forcing the yet-unlifted edges off in each
-  minimization.  Stronger than ``new`` coefficientwise for any ordering.
+* ``lifted``: ``new`` with the yet-unlifted edges of an ordering forced off
+  in each unselected edge's minimization, built by the same loop.  Stronger
+  than ``new`` coefficientwise for any ordering.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import oracle
 from .errors import LTooLarge
@@ -91,23 +92,27 @@ def l_shaped_cut(
     ``lower_bound`` must not exceed the optimum; 0 is always legal, the
     unconstrained minimum is the sharpest legal choice.  Asks no oracle query,
     since the bound is supplied by the caller.  ``memo`` (one per solve; a
-    fresh one when None) supplies the incumbent's return time.
+    fresh one when None) supplies the incumbent's return time.  A bound that
+    is not a finite number raises ValueError before the memo is read.
     """
     incumbent = check_selection(instance.z_count, incumbent)
+    if not math.isfinite(lower_bound):
+        raise ValueError(f"lower bound must be a finite number, got {lower_bound}")
     fr_bar = oracle.memo_for(instance, memo).evaluate(incumbent).fr
     if lower_bound > fr_bar + L_GUARD:
-        raise LTooLarge(
-            f"lower bound {lower_bound} exceeds the incumbent value {fr_bar}"
-        )
+        raise LTooLarge(f"lower bound {lower_bound} exceeds the incumbent value {fr_bar}")
     gap = lower_bound - fr_bar
     constant = fr_bar + gap * (len(incumbent) - incumbent.count(0))  # times the support's size
     coeffs = tuple(-gap if b else gap for b in incumbent)
     return Cut(constant=constant, coeffs=coeffs, family=L_SHAPED, incumbent=incumbent)
 
 
-def _supported_half(memo: oracle.Memo, sel: frozenset[int], fr_bar: float) -> tuple[float, list[float]]:
-    """The supported-edge half of ``new`` and ``lifted``: constant and coefficients
-    from ``w = min(0, gamma(off e) - fr_bar)`` per supported edge, zeros elsewhere."""
+def _forced_cut(memo: oracle.Memo, incumbent: Selection, sel: frozenset[int], lifts: Iterable, family: str) -> Cut:
+    """The builder of ``new`` and ``lifted`` at a checked incumbent and its support
+    ``sel``.  Asks each edge of ``sel`` forced off, in id order, for ``w = min(0,
+    gamma - fr_bar)`` in the constant and ``-w`` at the edge; then each ``(edge,
+    tail)`` of ``lifts``, forced on with its tail off, for ``min(0, gamma - fr_bar)``."""
+    fr_bar = memo.evaluate(incumbent).fr
     constant = fr_bar
     coeffs = [0.0] * memo.instance.z_count
     for k in sorted(sel):
@@ -115,7 +120,10 @@ def _supported_half(memo: oracle.Memo, sel: frozenset[int], fr_bar: float) -> tu
         w = min(0.0, g - fr_bar)
         constant += w
         coeffs[k] = -w
-    return constant, coeffs
+    for k, tail in lifts:
+        g = memo.gamma(oracle.GammaQuery(forced_on=frozenset({k}), forced_off=tail)).value
+        coeffs[k] = min(0.0, g - fr_bar)
+    return Cut(constant=constant, coeffs=tuple(coeffs), family=family, incumbent=incumbent)
 
 
 def new_cut(instance: Instance, incumbent: Selection, memo: oracle.Memo | None = None) -> Cut:
@@ -123,20 +131,14 @@ def new_cut(instance: Instance, incumbent: Selection, memo: oracle.Memo | None =
 
     For a supported edge the construction coefficient is
     ``min(0, gamma(off e) - fr(incumbent))``; for the rest it is
-    ``min(0, gamma(on e) - fr(incumbent))``.  The queries are asked of
-    ``memo`` (one per solve; a fresh one when None), which counts them and
-    does not solve again those it already holds.
+    ``min(0, gamma(on e) - fr(incumbent))``, a lift with no tail.  The
+    queries are asked of ``memo`` (one per solve; a fresh one when None),
+    which counts them and does not solve again those it already holds.
     """
     incumbent = check_selection(instance.z_count, incumbent)
-    memo = oracle.memo_for(instance, memo)
-    fr_bar = memo.evaluate(incumbent).fr
     sel = frozenset(compress(range(instance.z_count), incumbent))  # support(), the bits already checked
-    constant, coeffs = _supported_half(memo, sel, fr_bar)
-    for k in range(instance.z_count):
-        if k not in sel:
-            g = memo.gamma(oracle.GammaQuery(forced_on=frozenset({k}))).value
-            coeffs[k] = min(0.0, g - fr_bar)
-    return Cut(constant=constant, coeffs=tuple(coeffs), family=NEW, incumbent=incumbent)
+    lifts = ((k, frozenset()) for k in range(instance.z_count) if k not in sel)
+    return _forced_cut(oracle.memo_for(instance, memo), incumbent, sel, lifts, NEW)
 
 
 def make_lift_ordering(
@@ -173,15 +175,8 @@ def lifted_cut(
     incumbent = check_selection(instance.z_count, incumbent)
     sel = frozenset(compress(range(instance.z_count), incumbent))  # support(), the bits already checked
     check_lift_order(instance.z_count, sel, ordering.order)
-    memo = oracle.memo_for(instance, memo)
-    fr_bar = memo.evaluate(incumbent).fr
-    constant, coeffs = _supported_half(memo, sel, fr_bar)
-    order = ordering.order
-    for pos, k in enumerate(order):
-        tail = frozenset(order[pos + 1 :])
-        g = memo.gamma(oracle.GammaQuery(forced_on=frozenset({k}), forced_off=tail)).value
-        coeffs[k] = min(0.0, g - fr_bar)
-    return Cut(constant=constant, coeffs=tuple(coeffs), family=LIFTED, incumbent=incumbent)
+    lifts = ((k, frozenset(ordering.order[pos + 1 :])) for pos, k in enumerate(ordering.order))
+    return _forced_cut(oracle.memo_for(instance, memo), incumbent, sel, lifts, LIFTED)
 
 
 def separator(family: str, memo: oracle.Memo, ordering_strategy: str = BY_INDEX) -> Callable[[Selection], Cut]:

@@ -14,6 +14,7 @@ raises TooLargeToEnumerate (CLI exit 3) before that level is allocated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -59,11 +60,13 @@ class FeasibleSet:
 
         An answered oracle query is such a bound, since its value is the
         least return time over its whole face, feasible or not (Laporte &
-        Louveaux's optimality cut, stated on a face).  The bound itself is
-        written where it is larger, through a mask.  A running maximum, so a
-        face folded again changes nothing.  Ids are checked by check_forced."""
+        Louveaux's optimality cut, stated on a face).  A running maximum through
+        a mask, so a face folded again changes nothing.  Ids are checked by
+        check_forced and a NaN bound raises ValueError, before its face folds."""
         for on, off, bound in faces:
             on, off = check_forced(self.points.shape[1], on, off)
+            if math.isnan(bound):
+                raise ValueError(f"face bound on {sorted(on)} off {sorted(off)} is not a number")
             face = self.points[:, list(on)].all(axis=1) & ~self.points[:, list(off)].any(axis=1)
             np.maximum(self.theta, bound, out=self.theta, where=face)
 

@@ -10,9 +10,9 @@ every cut the families build, so a cut tightens the master through the
 queries it asks.  When the separation asked the unconstrained minimum
 before round one (``lshaped``) and its minimiser meets the rows, that
 minimiser is the first incumbent: no feasible point can do better, so round
-zero closes the gap.  A raised incumbent can recur only with the gap closed,
-unless its return time or the gap tolerance is not a finite number; then
-the loop aborts loudly rather than cycling.
+zero closes the gap.  Each incumbent's row is raised to its own return time,
+so a finite incumbent cannot come back while a gap remains; a return time
+or master bound that is not a finite number raises in the round it is read.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ class SolveReport:
     ``lower_bounds``/``upper_bounds`` hold one entry per master solve (the
     master bound and the best incumbent value so far, counting the
     unconstrained minimiser when the memo holds it and it is feasible), so
-    they are one longer than ``iterations``, the number of cuts separated.
-    The master bound is that of the face bounds and incumbent values folded
-    so far, never of the cuts themselves.
+    they are one longer than ``iterations``, the cuts separated, each at an
+    incumbent not separated before.  The master bound is that of the face
+    bounds and incumbent values folded so far, never of the cuts themselves.
     ``gamma_calls_total`` counts the oracle queries the solve asked its memo;
     ``gamma_solves`` the policy iterations actually run, one per distinct
     query of the solve.
@@ -81,17 +81,20 @@ def solve(
 
     Raises Infeasible when the constraint set admits no selection,
     TooLargeToEnumerate when its feasible selections would pass
-    ``master.POINTS_MAX_BYTES``, and ValueError for a negative or NaN ``eps``
-    or ``max_iters``, or (after the enumeration) an unknown family; returns a
-    partial trace with status "iter_limit" once max_iters cuts have been
-    separated without closing the gap.  One ``master.FeasibleSet`` and one
-    ``oracle.Memo`` serve the whole solve: each round folds only the memo's
-    new answers and its incumbent's value into the master, and each distinct
-    oracle query and each incumbent's value is computed once; the memo counts
-    the queries.  When the memo already holds the unconstrained query (the
+    ``master.POINTS_MAX_BYTES``, ValueError (before the enumeration) for an
+    unknown family or ordering or a negative or NaN ``eps`` or ``max_iters``,
+    and NoConvergence in a round whose incumbent value or master bound is not
+    a finite number, before its cut; returns a partial trace with status
+    "iter_limit" once max_iters cuts have been separated without closing the
+    gap.  One ``master.FeasibleSet`` and one ``oracle.Memo`` serve the whole
+    solve: each round folds only the memo's new answers and its incumbent's
+    value into the master, and each distinct oracle query and each incumbent's
+    value is computed once.  When the memo holds the unconstrained query (the
     ``lshaped`` bound) and the compiled rows admit its argmin, that argmin is
     the incumbent before round one, at the memo's own value.
     """
+    if family not in cut_families.FAMILIES:
+        raise ValueError(f"unknown cut family {family!r}")
     if ordering_strategy not in cut_families.ORDERING_STRATEGIES:
         raise ValueError(f"unknown ordering strategy {ordering_strategy!r}")
     if instance.damping >= 1.0:
@@ -114,7 +117,7 @@ def solve(
     root = answers.get((frozenset(), frozenset()))
     if root is not None and constraints.compiled_rows(instance.z_count).admits(root.argmin):
         best_y, best_val = root.argmin, root.value
-    separated: set[Selection] = set()
+    iterations = 0  # cuts separated
 
     while True:
         feasible.fold_faces((on, off, answer.value) for (on, off), answer in islice(answers.items(), folded, None))
@@ -122,6 +125,10 @@ def solve(
         result = master_mod.solve_master(feasible)
         incumbent = result.y
         value = memo.evaluate(incumbent).fr
+        if not math.isfinite(value - result.theta):
+            raise NoConvergence(
+                f"incumbent {incumbent} has return time {value!r}, master bound {result.theta!r}: not a finite number"
+            )
         if value < best_val:
             best_y, best_val = incumbent, value
         lower.append(result.theta)
@@ -129,15 +136,10 @@ def solve(
         if best_val - result.theta <= eps:
             status = OPTIMAL
             break
-        if len(separated) >= max_iters:
+        if iterations >= max_iters:
             status = ITER_LIMIT
             break
-        if incumbent in separated:
-            raise NoConvergence(
-                f"incumbent {incumbent} recurred with gap {best_val - result.theta:.3e}; "
-                f"its return time {value!r} or the gap tolerance {eps!r} is not a finite number"
-            )
-        separated.add(incumbent)
+        iterations += 1
         separate(incumbent)  # its answers, folded next round, tighten the master
         feasible.theta[result.index] = max(feasible.theta[result.index], value)
 
@@ -149,5 +151,5 @@ def solve(
         upper_bounds=tuple(upper),
         gamma_calls_total=memo.gamma_calls,
         gamma_solves=memo.gamma_solves,
-        iterations=len(separated),
+        iterations=iterations,
     )

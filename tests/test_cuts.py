@@ -1,3 +1,4 @@
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -59,6 +60,16 @@ class TestLShaped:
         fr_bar = ps.hitting_times(frozen, (0, 0, 0, 0)).fr
         with pytest.raises(LTooLarge):
             ps.l_shaped_cut(frozen, (0, 0, 0, 0), fr_bar + 1.0)
+
+    @pytest.mark.parametrize("bound", [math.nan, -math.inf, math.inf])
+    def test_rejects_a_bound_that_is_not_finite(self, frozen, bound, monkeypatch):
+        # with an empty support, -inf * 0 would make the constant nan
+        def unread(memo, y):
+            raise AssertionError("the memo was read")
+
+        monkeypatch.setattr(ps.Memo, "evaluate", unread)
+        with pytest.raises(ValueError, match=f"lower bound must be a finite number, got {bound}"):
+            ps.l_shaped_cut(frozen, (0,) * frozen.z_count, bound)
 
     def test_constant_cut_when_bound_matches_incumbent(self):
         # with the incumbent at the optimum and the bound equal to it, every

@@ -268,6 +268,18 @@ class TestFoldFaces:
         assert solve_master(first) == solve_master(last)
         assert first.theta.tobytes() == last.theta.tobytes()
 
+    @pytest.mark.parametrize("nan", [math.nan, np.float64("nan")])
+    def test_a_nan_bound_raises_before_its_face_folds(self, folded, nan):
+        # the faces before it fold; it leaves theta as they left it
+        before = [({1}, (), 1e6), ((), {2}, 7.0)]
+        theta = folded.theta.copy()
+        for on, off, bound in before:
+            theta = self.expected(folded, theta, on, off, bound)
+        with pytest.raises(ValueError, match=r"face bound on \[0, 3\] off \[5\] is not a number"):
+            folded.fold_faces(before + [({0, 3}, {5}, nan), ((), (), 1e9)])
+        assert folded.theta.tobytes() == theta.tobytes()
+        assert not np.isnan(folded.theta).any()
+
     @pytest.mark.parametrize(
         "on, off, error",
         [({6}, (), DimensionMismatch), ((), {-1}, DimensionMismatch), ({1.0}, (), DimensionMismatch),

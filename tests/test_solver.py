@@ -45,9 +45,12 @@ class TestTrivialCases:
         with pytest.raises(DampingRangeError):
             ps.solve(inst)
 
-    def test_unknown_family_rejected(self, frozen):
-        with pytest.raises(ValueError):
+    def test_unknown_family_rejected(self, frozen, monkeypatch):
+        monkeypatch.setattr(master_mod, "feasible_set", None)  # nothing may be enumerated
+        with pytest.raises(ValueError, match="unknown cut family 'benders'"):
             ps.solve(frozen, family="benders")
+        with pytest.raises(ValueError, match="unknown cut family 'bogus'"):  # not Infeasible
+            ps.solve(frozen, ConstraintSet(cardinality=("<=", -1)), family="bogus")
 
     def test_negative_iteration_limit_rejected(self, frozen):
         with pytest.raises(ValueError, match="iteration limit"):
@@ -59,12 +62,15 @@ class TestTrivialCases:
         with pytest.raises(ValueError, match="must be nonnegative, got nan"):
             ps.solve(frozen, **limit)
 
-    def test_recurring_incumbent_aborts_loudly(self, frozen, monkeypatch):
-        # a separation that asks nothing still closes: each round raises its
-        # incumbent's theta to its return time, so no incumbent recurs while
-        # a gap persists; a NaN return time raises nothing, and the loop must
-        # diagnose the recurrence instead of cycling
+    def test_useless_cuts_close_and_a_nan_return_time_aborts_before_any_cut(self, frozen, monkeypatch):
+        # a separation that asks nothing still closes, with no record of the
+        # incumbents separated: each round raises its incumbent's theta to its
+        # return time, so no incumbent recurs while a gap persists; a NaN
+        # return time would raise nothing, so the round that reads it aborts
+        built = []
+
         def useless_cut(instance, incumbent, memo=None):
+            built.append(incumbent)
             return cut_families.Cut(
                 constant=0.0,
                 coeffs=(0.0,) * instance.z_count,
@@ -76,15 +82,17 @@ class TestTrivialCases:
         report = ps.solve(frozen, family=NEW)
         assert report.status == OPTIMAL
         assert report.gamma_calls_total == 0
-        assert 1 <= report.iterations <= 2**frozen.z_count
+        assert 1 <= report.iterations == len(built) == len(set(built)) <= 2**frozen.z_count
         assert report.best_value == oracle.Memo(frozen).evaluate(ps.bf_min(frozen)[0]).fr
 
+        built.clear()
         real_evaluate = oracle.Memo.evaluate
         monkeypatch.setattr(
             oracle.Memo, "evaluate", lambda memo, y: dataclasses.replace(real_evaluate(memo, y), fr=math.nan)
         )
-        with pytest.raises(NoConvergence, match="not a finite number"):
+        with pytest.raises(NoConvergence, match="return time nan.*not a finite number"):
             ps.solve(frozen, family=NEW)
+        assert built == []
 
 
 class TestExactness:
@@ -331,6 +339,25 @@ class TestFaceBounds:
         assert memo.gamma_calls == calls
         with pytest.raises(TypeError):
             memo.answers[keys[0]] = None
+
+        # with support {0, 3, 5}: each supported edge off, in id order, then
+        # one key per unselected edge with its lift tail off (none for new);
+        # the gamma ordering ranks the unselected edges by single-edge
+        # queries first, and the last lift asks one of those again
+        incumbent = (1, 0, 0, 1, 0, 1, 0)
+        supported = [(frozenset(), frozenset({k})) for k in (0, 3, 5)]
+        for family, strategy, order in [(NEW, BY_INDEX, (1, 2, 4, 6)), (LIFTED, BY_INDEX, (1, 2, 4, 6)),
+                                        (LIFTED, BY_GAMMA, (1, 6, 4, 2))]:
+            memo = oracle.Memo(inst)
+            cut_families.separator(family, memo, strategy)(incumbent)
+            tails = [frozenset(order[pos + 1 :]) if family == LIFTED else frozenset() for pos in range(len(order))]
+            lifts = [(frozenset({k}), tail) for k, tail in zip(order, tails)]
+            ranked = [(frozenset({k}), frozenset()) for k in (1, 2, 4, 6)] if strategy == BY_GAMMA else []
+            assert list(memo.answers) == list(dict.fromkeys(ranked + supported + lifts)), (family, strategy)
+            assert memo.gamma_calls == len(ranked) + inst.z_count
+            calls = memo.gamma_calls
+            list(memo.answers.items())
+            assert memo.gamma_calls == calls
 
     @pytest.mark.parametrize(
         "family, strategy", [(L_SHAPED, BY_INDEX), (NEW, BY_INDEX), (LIFTED, BY_INDEX), (LIFTED, BY_GAMMA)]
