@@ -179,7 +179,10 @@ class WalkFactor:
     iteration order of ``instance.edges``; ``sources`` the distinct fragile
     sources other than the target, ascending; ``columns[r]`` is M's column
     at ``sources[r]`` as a length-n vector that is zero at the target, and
-    ``abs_columns`` its absolute value; ``base_rows[r]`` the all-off
+    ``abs_columns`` its absolute value, the two arrays ``_row_delta``
+    multiplies; ``column_pairs`` the two stacked again, (2, s, n) for s
+    sources, from which an evaluation gathers its r rows of both with one
+    ``take``, as two contiguous r-by-n blocks; ``base_rows[r]`` the all-off
     transition row out of ``sources[r]``; ``target_row`` the all-off row
     out of the target; and ``edge_places[k]`` the place in ``sources`` of
     fragile edge k's source, or -1 when that source is the target.
@@ -197,6 +200,7 @@ class WalkFactor:
     sources: np.ndarray
     columns: np.ndarray
     abs_columns: np.ndarray
+    column_pairs: np.ndarray
     base_rows: np.ndarray
     target_row: np.ndarray
     edge_places: tuple[int, ...]
@@ -233,14 +237,16 @@ def factor_walk(instance: Instance) -> WalkFactor:
         units = np.zeros((n - 1, len(sources)))
         units[sources - (sources > v), np.arange(len(sources))] = 1.0
         columns[others] = _solve_first_passage(P, v, units)
+    columns, abs_columns = columns.T.copy(), np.abs(columns.T)
     return WalkFactor(
         instance=instance,
         h0=base.h,
         fr0=base.fr,
         fixed_edges=fixed_edges,
         sources=sources,
-        columns=columns.T.copy(),
-        abs_columns=np.abs(columns.T),
+        columns=columns,
+        abs_columns=abs_columns,
+        column_pairs=np.stack((columns, abs_columns)),
         base_rows=P[sources],
         target_row=P[v].copy(),
         edge_places=tuple(-1 if i == v else int(np.searchsorted(sources, i)) for i, _ in instance.fragile),
@@ -253,8 +259,9 @@ def _row_delta(factor: WalkFactor, edges: tuple[int, ...]) -> np.ndarray:
     edges are selected; built once per walk, by the walk builder.
 
     For the target, the row itself.  For another source, with d the change
-    of its row from the all-off row and s fragile sources: ``d M`` and
-    ``|d| |M|`` at the s sources, then ``d h0`` and ``|d| h0``, 2s + 2
+    of its row from the all-off row, e the source's unit row and s fragile
+    sources: ``e - d M`` (the source's row of the update's ``I - D M U``)
+    and ``|d| |M|`` at the s sources, then ``d h0`` and ``|d| h0``, 2s + 2
     floats.  h0 and M's columns are zero at the target, so d's target
     entry drops out of every product.
     """
@@ -268,11 +275,13 @@ def _row_delta(factor: WalkFactor, edges: tuple[int, ...]) -> np.ndarray:
         if source == instance.target:
             entry = row
         else:
-            d = row - factor.base_rows[factor.edge_places[edges[0]]]
+            place = factor.edge_places[edges[0]]
+            d = row - factor.base_rows[place]
             abs_d = np.abs(d)
             entry = np.concatenate(
-                (factor.columns @ d, factor.abs_columns @ abs_d, [d @ factor.h0, abs_d @ factor.h0])
+                (-(factor.columns @ d), factor.abs_columns @ abs_d, [d @ factor.h0, abs_d @ factor.h0])
             )
+            entry[place] += 1.0
         factor.deltas[edges] = entry
     return entry
 
@@ -285,11 +294,13 @@ def low_rank_hitting_times(factor: WalkFactor, y: Selection) -> HittingProfile:
     fragile edges.  With D the changes of those rows that lie in Q (the
     target's row and column dropped) and U the unit columns at their sources,
     Woodbury gives ``h = h0 + (M U) (I - D M U)^-1 D h0``.  Each source's
-    part of D M U and D h0 comes from ``_row_delta``, so past the first
-    evaluation of a source's edge subset the update touches n-vectors only
-    to form h, to check it, and for ``fr = 1 + P(y)[target] @ h``, with the
-    target's own row cached the same way when one of its fragile edges is
-    selected.
+    row of I - D M U and its part of D h0 come from ``_row_delta``, so past
+    the first evaluation of a source's edge subset the update touches
+    n-vectors only to form h, to check it, and for ``fr = 1 + P(y)[target]
+    @ h``, with the target's own row cached the same way when one of its
+    fragile edges is selected.  It gathers the r-by-(2r + 2) block it reads
+    from the stacked entries with one ``take``, and the r rows of M U and
+    |M U| from ``column_pairs`` with one more.
 
     Check: with C = I - D M U and w = C^-1 D h0, rounding perturbs D h0 by
     up to eps |D| |h0| and C by up to eps |D| |M U|, so to first order w is
@@ -325,19 +336,19 @@ def low_rank_hitting_times(factor: WalkFactor, y: Selection) -> HittingProfile:
     if picked:
         at = sorted(picked)
         r, s = len(at), len(factor.sources)
-        parts = np.array([_row_delta(factor, tuple(picked[p])) for p in at])
-        # r-by-(2r + 2): D M U, |D| |M U|, D h0 and |D| h0
-        parts = parts[:, at + [s + p for p in at] + [2 * s, 2 * s + 1]]
-        C = -parts[:, :r]
-        C.flat[:: r + 1] += 1.0
+        # r-by-(2r + 2): C = I - D M U, |D| |M U|, D h0 and |D| h0
+        parts = np.array([_row_delta(factor, tuple(picked[p])) for p in at]).take(
+            at + [s + p for p in at] + [2 * s, 2 * s + 1], axis=1
+        )
         try:
-            C_inv = np.linalg.inv(C)
+            C_inv = np.linalg.inv(parts[:, :r])
         except np.linalg.LinAlgError:
             return hitting_times(instance, y)
         w = C_inv @ parts[:, 2 * r]
         dw = EPS * (np.abs(C_inv) @ (parts[:, 2 * r + 1] + parts[:, r : 2 * r] @ np.abs(w)))
-        h = h + w @ factor.columns[at]
-        if not (dw @ factor.abs_columns[at] <= UPDATE_RTOL * h).all():
+        columns, abs_columns = factor.column_pairs.take(at, axis=1)  # M U and |M U|, r-by-n each
+        h = h + w @ columns
+        if not (dw @ abs_columns <= UPDATE_RTOL * h).all():
             return hitting_times(instance, y)
     else:
         h = h.copy()

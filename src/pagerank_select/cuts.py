@@ -103,7 +103,7 @@ def l_shaped_cut(
         raise LTooLarge(f"lower bound {lower_bound} exceeds the incumbent value {fr_bar}")
     gap = lower_bound - fr_bar
     constant = fr_bar + gap * (len(incumbent) - incumbent.count(0))  # times the support's size
-    coeffs = tuple(-gap if b else gap for b in incumbent)
+    coeffs = tuple([-gap if b else gap for b in incumbent])
     return Cut(constant=constant, coeffs=coeffs, family=L_SHAPED, incumbent=incumbent)
 
 

@@ -128,5 +128,5 @@ def solve_master(feasible: FeasibleSet) -> MasterResult:
     """
     theta = feasible.theta
     best = int(theta.argmin())  # first minimum; the points are in lexicographic order
-    y = tuple(feasible.points[best].astype(np.intp).tolist())
+    y = tuple(feasible.points[best].view(np.uint8).tolist())
     return MasterResult(y=y, theta=float(theta[best]), nodes_explored=len(theta), index=best)

@@ -120,8 +120,9 @@ def solve(
     iterations = 0  # cuts separated
 
     while True:
-        feasible.fold_faces((on, off, answer.value) for (on, off), answer in islice(answers.items(), folded, None))
-        folded = len(answers)
+        if len(answers) > folded:  # an lshaped cut asks no query, so its rounds fold nothing
+            feasible.fold_faces((on, off, answer.value) for (on, off), answer in islice(answers.items(), folded, None))
+            folded = len(answers)
         result = master_mod.solve_master(feasible)
         incumbent = result.y
         value = memo.evaluate(incumbent).fr

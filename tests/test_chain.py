@@ -320,6 +320,10 @@ class TestLowRankHittingTimes:
         assert walk.sources.tolist() == sources
         assert walk.columns.shape == walk.base_rows.shape == (len(sources), inst.n)
         assert not walk.columns[:, inst.target].any()
+        # the row deltas multiply C-ordered columns and F-ordered absolute values
+        assert walk.columns.flags.c_contiguous and walk.abs_columns.flags.f_contiguous
+        assert walk.column_pairs.flags.c_contiguous
+        assert np.array_equal(walk.column_pairs, np.stack((walk.columns, np.abs(walk.columns))))
         assert np.array_equal(walk.base_rows, ps.transition_matrix(inst, (0,) * inst.z_count)[sources])
         from_fragile = {i for i, _ in inst.fragile}
         assert walk.fixed_edges.tolist() == [[i, j] for i, j in inst.edges if i in from_fragile]
@@ -410,6 +414,127 @@ class TestRowDeltas:
                 got = chain.low_rank_hitting_times(warm, y)
                 want = chain.low_rank_hitting_times(chain.factor_walk(inst), y)
                 assert np.array_equal(got.h, want.h) and got.fr == want.fr
+
+
+def plain_low_rank_hitting_times(factor, y):
+    """The low-rank update in its plain form, as (h, fr, whether the update
+    answered): fancy gathers, C formed by a negation and a write through
+    ``C.flat``, and ``columns[at]`` / ``abs_columns[at]`` read from copies
+    of M's columns in the layouts ``factor_walk`` gives ``columns`` and
+    ``abs_columns`` (C-ordered columns, F-ordered absolute values).  Row
+    deltas are built here, as ``d M`` at the sources, and not read from the
+    factor's cache.  The update must match it bitwise."""
+    inst = factor.instance
+    columns = np.array(factor.columns, order="C")
+    abs_columns = np.asfortranarray(np.abs(columns))
+
+    def row_delta(edges):
+        sel = np.zeros(inst.z_count, dtype=bool)
+        sel[list(edges)] = True
+        source = inst.fragile[edges[0]][0]
+        row = chain._transition_rows(inst, sel, [source], factor.fixed_edges)[0]
+        if source == inst.target:
+            return row
+        d = row - factor.base_rows[factor.edge_places[edges[0]]]
+        abs_d = np.abs(d)
+        return np.concatenate((columns @ d, abs_columns @ abs_d, [d @ factor.h0, abs_d @ factor.h0]))
+
+    def dense():
+        profile = chain.hitting_times(inst, y)
+        return profile.h, profile.fr, False
+
+    picked = {}
+    for k, bit in enumerate(y):
+        if bit:
+            picked.setdefault(factor.edge_places[k], []).append(k)
+    if not picked:
+        return factor.h0.copy(), factor.fr0, True
+    target_row = factor.target_row
+    if -1 in picked:
+        target_row = row_delta(tuple(picked.pop(-1)))
+    h = factor.h0
+    if picked:
+        at = sorted(picked)
+        r, s = len(at), len(factor.sources)
+        parts = np.array([row_delta(tuple(picked[p])) for p in at])
+        parts = parts[:, at + [s + p for p in at] + [2 * s, 2 * s + 1]]
+        C = -parts[:, :r]
+        C.flat[:: r + 1] += 1.0
+        try:
+            C_inv = np.linalg.inv(C)
+        except np.linalg.LinAlgError:
+            return dense()
+        w = C_inv @ parts[:, 2 * r]
+        dw = chain.EPS * (np.abs(C_inv) @ (parts[:, 2 * r + 1] + parts[:, r : 2 * r] @ np.abs(w)))
+        h = h + w @ columns[at]
+        if not (dw @ abs_columns[at] <= chain.UPDATE_RTOL * h).all():
+            return dense()
+    else:
+        h = h.copy()
+    return h, 1.0 + float(target_row @ h), True
+
+
+def distinct_source_instance(rng, n, z_count, damping):
+    """Random instance whose fragile edges leave z_count distinct nodes other
+    than the target, so that the all-on selection moves z_count rows."""
+    target = int(rng.integers(n))
+    edges = {(i, j) for i in range(n) for j in range(n) if rng.random() < min(0.5, 4.0 / n)}
+    sources = rng.permutation([i for i in range(n) if i != target])[:z_count]
+    fragile = [(int(i), int(rng.integers(n))) for i in sources]
+    return make(n, target, edges - set(fragile), fragile, damping)
+
+
+class TestUpdateAgainstPlainForm:
+    """``low_rank_hitting_times`` gathers its block and its column rows with
+    one ``take`` each and reads C from the row deltas; the answers must equal
+    the plain form's bit for bit."""
+
+    @staticmethod
+    def selections(rng, inst):
+        z = inst.z_count
+        at_target = [k for k, (i, _) in enumerate(inst.fragile) if i == inst.target]
+        with_target = [list(random_selection(rng, z)) for _ in range(2)]
+        for y in with_target:
+            for k in at_target:
+                y[k] = 1
+        return [(0,) * z, (1,) * z, *map(tuple, with_target)] + [random_selection(rng, z) for _ in range(4)]
+
+    def check(self, inst, selections):
+        walk = chain.factor_walk(inst)
+        answered = []
+        for y in selections:
+            got = chain.low_rank_hitting_times(walk, y)
+            h, fr, updated = plain_low_rank_hitting_times(walk, y)
+            assert got.h.tobytes() == h.tobytes(), (inst.n, inst.damping, y)
+            assert got.fr == fr, (inst.n, inst.damping, y)
+            answered.append(updated)
+        return answered
+
+    @pytest.mark.parametrize("damping", [0.5, 0.85, 0.99, 0.999])
+    def test_bitwise_on_random_instances(self, damping):
+        rng = np.random.default_rng(int(damping * 1000) + 7)
+        answered, widest, from_target = [], 0, 0
+        for n in (2, 3, 5, 9, 17, 40, 120, 300):
+            inst = walk_instance(rng, n, damping)
+            from_target += any(i == inst.target for i, _ in inst.fragile)
+            answered += self.check(inst, self.selections(rng, inst))
+            if n > 3:
+                z = min(n - 1, 12)
+                inst = distinct_source_instance(rng, n, z, damping)
+                answered += self.check(inst, [(1,) * z] + [random_selection(rng, z) for _ in range(3)])
+                widest = max(widest, z)
+        assert widest == 12 and from_target >= 4
+        assert sum(answered) > len(answered) / 2  # mostly the update, not the dense solve
+
+    def test_bitwise_when_the_dense_solve_answers(self, monkeypatch):
+        # a zero threshold fails every error bound that is not exactly zero
+        monkeypatch.setattr(chain, "UPDATE_RTOL", 0.0)
+        rng = np.random.default_rng(31)
+        answered = []
+        for n, damping in ((9, 0.5), (40, 0.85), (120, 0.999)):
+            inst = walk_instance(rng, n, damping)
+            answered += self.check(inst, self.selections(rng, inst)[1:])
+        assert not any(answered)
 
 
 class TestDenseSizeGuard:

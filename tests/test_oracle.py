@@ -352,15 +352,29 @@ class TestAgainstReferenceBookkeeping:
         assert memo._sources == built
 
     def test_greedy_step_bitwise_on_random_nodes(self):
+        # 0, 1 and many free edges, with and without base targets, with
+        # mean_all below, at and above the cheapest free target; few
+        # distinct values, so that ties and equal means occur.  The step
+        # skips the sort for one free edge and sums the base by map.
         rng = np.random.default_rng(1202)
-        for _ in range(3000):
-            # few distinct values, so that ties and equal means occur
+        shapes = set()
+        for _ in range(4000):
             h = [float(v) for v in rng.choice([1.0, 2.5, 3.0, 7.25, 1e4, rng.uniform(1, 50)], size=8)]
             base = [int(j) for j in rng.choice(8, size=int(rng.integers(0, 4)))]
-            ids = rng.permutation(20)[: int(rng.integers(1, 5))]
-            free = [(int(k), int(rng.integers(8))) for k in ids]
-            mean_all = float(rng.uniform(0.5, 60))
+            free_count = int(rng.choice([0, 1, 1, 2, 3, 5]))
+            free = [(int(k), int(rng.integers(8))) for k in rng.permutation(20)[:free_count]]
+            cheapest = min((h[j] for _, j in free), default=2.5)
+            side = int(rng.integers(-1, 2))
+            mean_all = cheapest + side * float(rng.choice([1e-13, 0.5, 10.0]))
+            if not free and not base:  # no caller asks; both index an empty order
+                with pytest.raises(IndexError):
+                    oracle._greedy_subset(h, base, free, mean_all)
+                with pytest.raises(IndexError):
+                    reference_greedy_subset(h, base, free, mean_all)
+                continue
             assert oracle._greedy_subset(h, base, free, mean_all) == reference_greedy_subset(h, base, free, mean_all)
+            shapes.add((min(free_count, 2), bool(base), side))
+        assert len(shapes) == 3 * 2 * 3 - 3  # every shape but no free edge and no base
 
     def test_greedy_step_sums_the_base_targets_in_order(self):
         # 2**53 absorbs a 1 added after it: summed in order the base mean is
