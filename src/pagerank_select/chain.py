@@ -179,13 +179,16 @@ class WalkFactor:
     iteration order of ``instance.edges``; ``sources`` the distinct fragile
     sources other than the target, ascending; ``columns[r]`` is M's column
     at ``sources[r]`` as a length-n vector that is zero at the target, and
-    ``abs_columns`` its absolute value, the two arrays ``_row_delta``
-    multiplies; ``column_pairs`` the two stacked again, (2, s, n) for s
-    sources, from which an evaluation gathers its r rows of both with one
-    ``take``, as two contiguous r-by-n blocks; ``base_rows[r]`` the all-off
-    transition row out of ``sources[r]``; ``target_row`` the all-off row
-    out of the target; and ``edge_places[k]`` the place in ``sources`` of
-    fragile edge k's source, or -1 when that source is the target.
+    ``abs_columns`` its absolute value; ``column_pairs`` the two stacked,
+    (2, s, n) for s sources, from which an evaluation gathers its r rows of
+    both with one ``take``.  ``columns`` is the C-ordered first half of
+    ``column_pairs``; ``abs_columns`` is an F-ordered array of its own.
+    ``_row_delta`` multiplies both, and a matrix-vector product's rounding
+    may depend on its operand's layout, so these are the layouts its
+    products are pinned to.  ``base_rows[r]`` is the all-off transition
+    row out of ``sources[r]``; ``target_row`` the all-off row out of the
+    target; and ``edge_places[k]`` the place in ``sources`` of fragile edge
+    k's source, or -1 when that source is the target.
 
     ``deltas`` caches, per source and set of selected fragile edges out of
     it (keyed by those edge ids, which name the source), what the update
@@ -237,16 +240,17 @@ def factor_walk(instance: Instance) -> WalkFactor:
         units = np.zeros((n - 1, len(sources)))
         units[sources - (sources > v), np.arange(len(sources))] = 1.0
         columns[others] = _solve_first_passage(P, v, units)
-    columns, abs_columns = columns.T.copy(), np.abs(columns.T)
+    abs_columns = np.abs(columns.T)
+    column_pairs = np.array((columns.T, abs_columns))  # C-ordered, unlike np.stack of these
     return WalkFactor(
         instance=instance,
         h0=base.h,
         fr0=base.fr,
         fixed_edges=fixed_edges,
         sources=sources,
-        columns=columns,
+        columns=column_pairs[0],
         abs_columns=abs_columns,
-        column_pairs=np.stack((columns, abs_columns)),
+        column_pairs=column_pairs,
         base_rows=P[sources],
         target_row=P[v].copy(),
         edge_places=tuple(-1 if i == v else int(np.searchsorted(sources, i)) for i, _ in instance.fragile),

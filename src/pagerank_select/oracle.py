@@ -48,10 +48,9 @@ class GammaResult:
 
 def _greedy_subset(h, base_targets, free_edges, mean_all):
     """Pick the free out-edges of one node that minimize the mean hitting
-    value of its active out-neighbor set; ties keep an edge deactivated.
-    A single free edge needs no sort."""
-    order = sorted(free_edges, key=lambda kj: (h[kj[1]], kj[0])) if len(free_edges) > 1 else free_edges
-    total = sum(map(h.__getitem__, base_targets))
+    value of its active out-neighbor set; ties keep an edge deactivated."""
+    order = sorted(free_edges, key=lambda kj: (h[kj[1]], kj[0]))
+    total = float(sum(h[j] for j in base_targets))
     count = len(base_targets)
     chosen: set[int] = set()
     if count == 0:

@@ -120,9 +120,8 @@ def solve(
     iterations = 0  # cuts separated
 
     while True:
-        if len(answers) > folded:  # an lshaped cut asks no query, so its rounds fold nothing
-            feasible.fold_faces((on, off, answer.value) for (on, off), answer in islice(answers.items(), folded, None))
-            folded = len(answers)
+        feasible.fold_faces((on, off, answer.value) for (on, off), answer in islice(answers.items(), folded, None))
+        folded = len(answers)
         result = master_mod.solve_master(feasible)
         incumbent = result.y
         value = memo.evaluate(incumbent).fr

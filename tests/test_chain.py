@@ -322,7 +322,7 @@ class TestLowRankHittingTimes:
         assert not walk.columns[:, inst.target].any()
         # the row deltas multiply C-ordered columns and F-ordered absolute values
         assert walk.columns.flags.c_contiguous and walk.abs_columns.flags.f_contiguous
-        assert walk.column_pairs.flags.c_contiguous
+        assert walk.column_pairs.flags.c_contiguous and walk.columns.base is walk.column_pairs
         assert np.array_equal(walk.column_pairs, np.stack((walk.columns, np.abs(walk.columns))))
         assert np.array_equal(walk.base_rows, ps.transition_matrix(inst, (0,) * inst.z_count)[sources])
         from_fragile = {i for i, _ in inst.fragile}

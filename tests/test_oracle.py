@@ -354,8 +354,7 @@ class TestAgainstReferenceBookkeeping:
     def test_greedy_step_bitwise_on_random_nodes(self):
         # 0, 1 and many free edges, with and without base targets, with
         # mean_all below, at and above the cheapest free target; few
-        # distinct values, so that ties and equal means occur.  The step
-        # skips the sort for one free edge and sums the base by map.
+        # distinct values, so that ties and equal means occur.
         rng = np.random.default_rng(1202)
         shapes = set()
         for _ in range(4000):
