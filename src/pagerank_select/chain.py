@@ -173,22 +173,20 @@ class WalkFactor:
     holds only what an evaluation reads, and no n-by-n array.
 
     With Q0 the all-off transition matrix less the target's row and column,
-    and M = (I - Q0)^-1: ``h0`` and ``fr0`` are the all-off hitting times
-    and return time, the dense ``hitting_times`` answer; ``fixed_edges`` the
-    fixed edges out of the fragile sources, as an (m, 2) array in the
-    iteration order of ``instance.edges``; ``sources`` the distinct fragile
-    sources other than the target, ascending; ``columns[r]`` is M's column
-    at ``sources[r]`` as a length-n vector that is zero at the target, and
-    ``abs_columns`` its absolute value; ``column_pairs`` the two stacked,
-    (2, s, n) for s sources, from which an evaluation gathers its r rows of
-    both with one ``take``.  ``columns`` is the C-ordered first half of
-    ``column_pairs``; ``abs_columns`` is an F-ordered array of its own.
-    ``_row_delta`` multiplies both, and a matrix-vector product's rounding
-    may depend on its operand's layout, so these are the layouts its
-    products are pinned to.  ``base_rows[r]`` is the all-off transition
-    row out of ``sources[r]``; ``target_row`` the all-off row out of the
-    target; and ``edge_places[k]`` the place in ``sources`` of fragile edge
-    k's source, or -1 when that source is the target.
+    and M = (I - Q0)^-1: ``h0`` are the all-off hitting times, the dense
+    ``hitting_times`` answer; ``fixed_edges`` the fixed edges out of the
+    fragile sources, as an (m, 2) array in the iteration order of
+    ``instance.edges``; ``sources`` the distinct fragile sources other than
+    the target, ascending; ``column_pairs`` a C-ordered (2, s, n) array for
+    s sources, whose ``[0, r]`` is M's column at ``sources[r]`` as a
+    length-n vector that is zero at the target, and whose ``[1, r]`` is its
+    absolute value.  An evaluation gathers its r rows of both halves with
+    one ``take``.  One copy of each half suffices: the absolute half feeds
+    only the first-order rounding bound, never h or fr, so its layout moves
+    no answer.  ``base_rows[r]`` is the all-off transition row out of
+    ``sources[r]``; ``target_row`` the all-off row out of the target; and
+    ``edge_places[k]`` the place in ``sources`` of fragile edge k's source,
+    or -1 when that source is the target.
 
     ``deltas`` caches, per source and set of selected fragile edges out of
     it (keyed by those edge ids, which name the source), what the update
@@ -198,11 +196,8 @@ class WalkFactor:
 
     instance: Instance
     h0: np.ndarray
-    fr0: float
     fixed_edges: np.ndarray
     sources: np.ndarray
-    columns: np.ndarray
-    abs_columns: np.ndarray
     column_pairs: np.ndarray
     base_rows: np.ndarray
     target_row: np.ndarray
@@ -212,13 +207,16 @@ class WalkFactor:
 
 def factor_walk(instance: Instance) -> WalkFactor:
     """The all-off hitting times from the dense ``hitting_times``, and one
-    LU of ``I - Q0`` for M's columns at the fragile sources; the n-by-n
-    arrays are dropped on return.
+    LU of ``I - Q0`` for M's columns at the fragile sources, kept with their
+    absolute values as ``column_pairs``; the n-by-n arrays are dropped on
+    return.
 
     Taking ``h0`` from the reference twin, at the cost of a second dense
     solve, makes every evaluation that moves no row (the all-off selection,
-    say) equal it bitwise, and keeps one ``chain.hitting_times`` call per
-    solve where perfbench's tracer counts the chain layer.
+    say) equal it bitwise: its h is h0, and its return time is the same
+    ``1 + P[target] @ h0`` that ``hitting_times`` forms.  It also keeps one
+    ``chain.hitting_times`` call per solve where perfbench's tracer counts
+    the chain layer.
 
     Raises DampingRangeError at damping 1, before any other work;
     TooLargeForDense for n > 4096; and SingularSystem when the system is
@@ -240,17 +238,12 @@ def factor_walk(instance: Instance) -> WalkFactor:
         units = np.zeros((n - 1, len(sources)))
         units[sources - (sources > v), np.arange(len(sources))] = 1.0
         columns[others] = _solve_first_passage(P, v, units)
-    abs_columns = np.abs(columns.T)
-    column_pairs = np.array((columns.T, abs_columns))  # C-ordered, unlike np.stack of these
     return WalkFactor(
         instance=instance,
         h0=base.h,
-        fr0=base.fr,
         fixed_edges=fixed_edges,
         sources=sources,
-        columns=column_pairs[0],
-        abs_columns=abs_columns,
-        column_pairs=column_pairs,
+        column_pairs=np.array((columns.T, np.abs(columns.T))),  # C-ordered, unlike np.stack of these
         base_rows=P[sources],
         target_row=P[v].copy(),
         edge_places=tuple(-1 if i == v else int(np.searchsorted(sources, i)) for i, _ in instance.fragile),
@@ -264,10 +257,11 @@ def _row_delta(factor: WalkFactor, edges: tuple[int, ...]) -> np.ndarray:
 
     For the target, the row itself.  For another source, with d the change
     of its row from the all-off row, e the source's unit row and s fragile
-    sources: ``e - d M`` (the source's row of the update's ``I - D M U``)
-    and ``|d| |M|`` at the s sources, then ``d h0`` and ``|d| h0``, 2s + 2
-    floats.  h0 and M's columns are zero at the target, so d's target
-    entry drops out of every product.
+    sources: ``e - d M`` (the source's row of the update's ``I - D M U``,
+    from ``column_pairs[0]``) and ``|d| |M|`` at the s sources (from
+    ``column_pairs[1]``), then ``d h0`` and ``|d| h0``, 2s + 2 floats.  h0
+    and M's columns are zero at the target, so d's target entry drops out
+    of every product.
     """
     entry = factor.deltas.get(edges)
     if entry is None:
@@ -282,9 +276,8 @@ def _row_delta(factor: WalkFactor, edges: tuple[int, ...]) -> np.ndarray:
             place = factor.edge_places[edges[0]]
             d = row - factor.base_rows[place]
             abs_d = np.abs(d)
-            entry = np.concatenate(
-                (-(factor.columns @ d), factor.abs_columns @ abs_d, [d @ factor.h0, abs_d @ factor.h0])
-            )
+            columns, abs_columns = factor.column_pairs
+            entry = np.concatenate((-(columns @ d), abs_columns @ abs_d, [d @ factor.h0, abs_d @ factor.h0]))
             entry[place] += 1.0
         factor.deltas[edges] = entry
     return entry
@@ -304,7 +297,9 @@ def low_rank_hitting_times(factor: WalkFactor, y: Selection) -> HittingProfile:
     @ h``, with the target's own row cached the same way when one of its
     fragile edges is selected.  It gathers the r-by-(2r + 2) block it reads
     from the stacked entries with one ``take``, and the r rows of M U and
-    |M U| from ``column_pairs`` with one more.
+    |M U| from ``column_pairs`` with one more.  A selection that moves no
+    row of Q (none selected, or only the target's edges) has h = h0 and
+    ``fr = 1 + P(y)[target] @ h0``, with no update.
 
     Check: with C = I - D M U and w = C^-1 D h0, rounding perturbs D h0 by
     up to eps |D| |h0| and C by up to eps |D| |M U|, so to first order w is
@@ -331,8 +326,6 @@ def low_rank_hitting_times(factor: WalkFactor, y: Selection) -> HittingProfile:
     picked: dict[int, list[int]] = {}  # selected edge ids by their source's place
     for k in compress(range(len(y)), y):
         picked.setdefault(places[k], []).append(k)
-    if not picked:
-        return HittingProfile(h=factor.h0.copy(), fr=factor.fr0)
     target_row = factor.target_row
     if -1 in picked:
         target_row = _row_delta(factor, tuple(picked.pop(-1)))

@@ -99,7 +99,7 @@ def gamma(instance: Instance, query: GammaQuery, *, memo: Memo | None = None) ->
         forced_at.setdefault(instance.fragile[k][0], []).append(memo._fragile_at[k])
     nodes = []  # (base targets, free edges) per source with a free edge, ascending
     for i, fixed, edges in memo._sources:
-        free = [e for e in edges if e[0] not in forced] if forced else edges
+        free = [e for e in edges if e[0] not in forced]
         if free:
             nodes.append((fixed + tuple(forced_at[i]) if i in forced_at else fixed, free))
     y = [0 if k in forced_off else 1 for k in range(z_count)]
@@ -172,8 +172,8 @@ class Memo:
             fixed_at.setdefault(i, []).append(place[j])
         self._fragile_at = [place[j] for j in fragile_targets]
         # Per fragile source, ascending: the places of its fixed targets and
-        # its fragile edges as (id, place of the target), by id, as tuples
-        # that every query may share.  A query masks its forced edges out.
+        # its fragile edges as (id, place of the target), by id.  Each query
+        # copies the edges it leaves free.
         edges_at: dict[int, list[tuple[int, int]]] = {}
         for k, (i, _) in enumerate(instance.fragile):
             edges_at.setdefault(i, []).append((k, self._fragile_at[k]))

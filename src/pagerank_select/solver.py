@@ -82,9 +82,10 @@ def solve(
     Raises Infeasible when the constraint set admits no selection,
     TooLargeToEnumerate when its feasible selections would pass
     ``master.POINTS_MAX_BYTES``, ValueError (before the enumeration) for an
-    unknown family or ordering or a negative or NaN ``eps`` or ``max_iters``,
-    and NoConvergence in a round whose incumbent value or master bound is not
-    a finite number, before its cut; returns a partial trace with status
+    unknown family or ordering, a negative or NaN ``eps`` or ``max_iters``,
+    or an infinite ``eps``, which would close every gap at round zero, and
+    NoConvergence in a round whose incumbent value or master bound is not a
+    finite number, before its cut; returns a partial trace with status
     "iter_limit" once max_iters cuts have been separated without closing the
     gap.  One ``master.FeasibleSet`` and one ``oracle.Memo`` serve the whole
     solve: each round folds only the memo's new answers and its incumbent's
@@ -101,6 +102,8 @@ def solve(
         raise DampingRangeError("the cutting-plane solver requires damping < 1")
     if not eps >= 0:  # NaN too
         raise ValueError(f"gap tolerance must be nonnegative, got {eps}")
+    if eps == math.inf:
+        raise ValueError(f"gap tolerance must be finite, got {eps}")
     if not max_iters >= 0:
         raise ValueError(f"iteration limit must be nonnegative, got {max_iters}")
 

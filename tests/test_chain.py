@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import product
 
 import numpy as np
@@ -318,12 +319,12 @@ class TestLowRankHittingTimes:
         walk = chain.factor_walk(inst)
         sources = sorted({i for i, _ in inst.fragile} - {inst.target})
         assert walk.sources.tolist() == sources
-        assert walk.columns.shape == walk.base_rows.shape == (len(sources), inst.n)
-        assert not walk.columns[:, inst.target].any()
-        # the row deltas multiply C-ordered columns and F-ordered absolute values
-        assert walk.columns.flags.c_contiguous and walk.abs_columns.flags.f_contiguous
-        assert walk.column_pairs.flags.c_contiguous and walk.columns.base is walk.column_pairs
-        assert np.array_equal(walk.column_pairs, np.stack((walk.columns, np.abs(walk.columns))))
+        assert walk.column_pairs.shape == (2, len(sources), inst.n)
+        assert walk.base_rows.shape == (len(sources), inst.n)
+        # the row deltas and the update read both halves C-ordered
+        assert walk.column_pairs.flags.c_contiguous
+        assert not walk.column_pairs[:, :, inst.target].any()
+        assert np.array_equal(walk.column_pairs[1], np.abs(walk.column_pairs[0]))
         assert np.array_equal(walk.base_rows, ps.transition_matrix(inst, (0,) * inst.z_count)[sources])
         from_fragile = {i for i, _ in inst.fragile}
         assert walk.fixed_edges.tolist() == [[i, j] for i, j in inst.edges if i in from_fragile]
@@ -419,13 +420,15 @@ class TestRowDeltas:
 def plain_low_rank_hitting_times(factor, y):
     """The low-rank update in its plain form, as (h, fr, whether the update
     answered): fancy gathers, C formed by a negation and a write through
-    ``C.flat``, and ``columns[at]`` / ``abs_columns[at]`` read from copies
-    of M's columns in the layouts ``factor_walk`` gives ``columns`` and
-    ``abs_columns`` (C-ordered columns, F-ordered absolute values).  Row
-    deltas are built here, as ``d M`` at the sources, and not read from the
-    factor's cache.  The update must match it bitwise."""
+    ``C.flat``, and ``columns[at]`` / ``abs_columns[at]`` read from a
+    C-ordered copy of M's columns (``column_pairs[0]``) and an F-ordered
+    copy of their absolute values, a layout ``factor_walk`` does not use:
+    the absolute values feed only the rounding bound, so their layout must
+    move no answer.  Row deltas are built here, as ``d M`` at the sources,
+    and not read from the factor's cache.  The update must match it
+    bitwise."""
     inst = factor.instance
-    columns = np.array(factor.columns, order="C")
+    columns = np.array(factor.column_pairs[0], order="C")
     abs_columns = np.asfortranarray(np.abs(columns))
 
     def row_delta(edges):
@@ -447,8 +450,6 @@ def plain_low_rank_hitting_times(factor, y):
     for k, bit in enumerate(y):
         if bit:
             picked.setdefault(factor.edge_places[k], []).append(k)
-    if not picked:
-        return factor.h0.copy(), factor.fr0, True
     target_row = factor.target_row
     if -1 in picked:
         target_row = row_delta(tuple(picked.pop(-1)))
@@ -535,6 +536,35 @@ class TestUpdateAgainstPlainForm:
             inst = walk_instance(rng, n, damping)
             answered += self.check(inst, self.selections(rng, inst)[1:])
         assert not any(answered)
+
+    @pytest.mark.parametrize("damping", [0.5, 0.85, 0.99, 0.999])
+    def test_absolute_columns_reach_only_the_rounding_bound(self, damping, monkeypatch):
+        # with every bound accepted, doubling |M| may move no bit of h or fr:
+        # the factor keeps M's columns once, and |M| never enters the answer
+        monkeypatch.setattr(chain, "UPDATE_RTOL", 1.0)
+        dense = []
+        real = chain.hitting_times
+
+        def counted(instance, y):
+            dense.append(y)
+            return real(instance, y)
+
+        monkeypatch.setattr(chain, "hitting_times", counted)
+        rng = np.random.default_rng(int(damping * 1000) + 11)
+        evaluations = 0
+        for n in (3, 5, 9, 17, 40, 120):
+            inst = walk_instance(rng, n, damping)
+            walk = chain.factor_walk(inst)
+            columns, abs_columns = walk.column_pairs
+            doubled = dataclasses.replace(walk, column_pairs=np.array((columns, 2.0 * abs_columns)), deltas={})
+            dense.clear()
+            for y in self.selections(rng, inst) + [random_selection(rng, inst.z_count) for _ in range(4)]:
+                got, want = chain.low_rank_hitting_times(doubled, y), chain.low_rank_hitting_times(walk, y)
+                assert got.h.tobytes() == want.h.tobytes(), (n, y)
+                assert got.fr == want.fr, (n, y)
+                evaluations += 1
+            assert dense == []  # the update answered every one
+        assert evaluations == 72
 
 
 class TestDenseSizeGuard:

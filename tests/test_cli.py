@@ -215,6 +215,13 @@ class TestSolveAndBrute:
         assert err.startswith("error:") and "gap tolerance" in err
         assert "Traceback" not in err
 
+    def test_infinite_eps_is_an_input_error(self, capsys, demo_file):
+        code, out, err = run(capsys, "solve", demo_file, "--eps", "inf")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "gap tolerance must be finite" in err
+        assert "Traceback" not in err
+
     def test_negative_iteration_limit_is_an_input_error(self, capsys, demo_file):
         code, out, err = run(capsys, "solve", demo_file, "--max-iters", "-5")
         assert code == 1

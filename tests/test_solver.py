@@ -62,6 +62,15 @@ class TestTrivialCases:
         with pytest.raises(ValueError, match="must be nonnegative, got nan"):
             ps.solve(frozen, **limit)
 
+    def test_infinite_gap_tolerance_rejected_before_any_round(self, frozen, monkeypatch):
+        # an infinite tolerance would close the gap at round zero with a
+        # value that is not the optimum; "no limit" stays allowed for rounds
+        report = ps.solve(frozen, max_iters=math.inf)
+        assert report.status == OPTIMAL
+        monkeypatch.setattr(master_mod, "feasible_set", None)  # nothing may be enumerated
+        with pytest.raises(ValueError, match="gap tolerance must be finite, got inf"):
+            ps.solve(frozen, eps=math.inf)
+
     def test_useless_cuts_close_and_a_nan_return_time_aborts_before_any_cut(self, frozen, monkeypatch):
         # a separation that asks nothing still closes, with no record of the
         # incumbents separated: each round raises its incumbent's theta to its
