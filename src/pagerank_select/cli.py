@@ -108,7 +108,7 @@ def cmd_compare_cuts(args) -> int:
     rng = np.random.default_rng(args.seed)
     incumbents = _sample_incumbents(feasible, args.trials, rng)
     families = cut_families.FAMILIES
-    separators = [cut_families.separator(family, memo, args.ordering) for family in families]
+    lower_bound = oracle.min_unconstrained(inst, memo=memo)  # the sharpest legal lshaped bound
     iteration_counts = [
         solver.solve(inst, constraints, family=family, ordering_strategy=args.ordering).iterations
         for family in families
@@ -116,7 +116,10 @@ def cmd_compare_cuts(args) -> int:
 
     rows = []
     for incumbent in incumbents:
-        built = [separate(incumbent) for separate in separators]
+        lshaped = cut_families.l_shaped_cut(inst, incumbent, lower_bound, memo)
+        new = cut_families.new_cut(inst, incumbent, memo)
+        ordering = cut_families.make_lift_ordering(inst, incumbent, args.ordering, memo)
+        built = [lshaped, new, cut_families.lifted_cut(inst, incumbent, ordering, memo)]  # in the order of families
         for family, cut in zip(families, built):
             worst = max(
                 (cut_families.eval_cut(cut, y) - fr_at[y] for y in cube),

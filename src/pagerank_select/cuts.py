@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import oracle
 from .errors import LTooLarge
@@ -107,22 +107,31 @@ def l_shaped_cut(
     return Cut(constant=constant, coeffs=coeffs, family=L_SHAPED, incumbent=incumbent)
 
 
-def _forced_cut(memo: oracle.Memo, incumbent: Selection, sel: frozenset[int], lifts: Iterable, family: str) -> Cut:
-    """The builder of ``new`` and ``lifted`` at a checked incumbent and its support
-    ``sel``.  Asks each edge of ``sel`` forced off, in id order, for ``w = min(0,
-    gamma - fr_bar)`` in the constant and ``-w`` at the edge; then each ``(edge,
-    tail)`` of ``lifts``, forced on with its tail off, for ``min(0, gamma - fr_bar)``."""
+def forced_queries(incumbent: Selection, order: tuple[int, ...], tails: bool) -> list[oracle.GammaQuery]:
+    """The oracle queries of ``new`` and ``lifted`` at a checked incumbent, in
+    the order they are asked: each supported edge forced off, in id order;
+    then each edge of ``order`` (the unselected edges) forced on, with the
+    edges after it in ``order`` forced off when ``tails`` (``lifted``) and
+    nothing forced off otherwise (``new``)."""
+    off = [oracle.GammaQuery(forced_off=frozenset({k})) for k, bit in enumerate(incumbent) if bit]
+    on = [oracle.GammaQuery(frozenset({k}), frozenset(order[i + 1 :] if tails else ())) for i, k in enumerate(order)]
+    return off + on
+
+
+def _forced_cut(memo: oracle.Memo, incumbent: Selection, order: tuple[int, ...], tails: bool, family: str) -> Cut:
+    """The builder of ``new`` and ``lifted`` at a checked incumbent, from the
+    memo's answers to ``forced_queries``.  The edge each query forces gets
+    ``w = min(0, gamma - fr_bar)`` as its construction coefficient, so ``-w``
+    at a supported edge, where ``w`` also joins the constant."""
     fr_bar = memo.evaluate(incumbent).fr
     constant = fr_bar
     coeffs = [0.0] * memo.instance.z_count
-    for k in sorted(sel):
-        g = memo.gamma(oracle.GammaQuery(forced_off=frozenset({k}))).value
-        w = min(0.0, g - fr_bar)
-        constant += w
-        coeffs[k] = -w
-    for k, tail in lifts:
-        g = memo.gamma(oracle.GammaQuery(forced_on=frozenset({k}), forced_off=tail)).value
-        coeffs[k] = min(0.0, g - fr_bar)
+    for query in forced_queries(incumbent, order, tails):
+        w = min(0.0, memo.gamma(query).value - fr_bar)
+        (k,) = query.forced_on or query.forced_off
+        if incumbent[k]:  # a supported edge, forced off
+            constant += w
+        coeffs[k] = -w if incumbent[k] else w
     return Cut(constant=constant, coeffs=tuple(coeffs), family=family, incumbent=incumbent)
 
 
@@ -136,9 +145,8 @@ def new_cut(instance: Instance, incumbent: Selection, memo: oracle.Memo | None =
     which counts them and does not solve again those it already holds.
     """
     incumbent = check_selection(instance.z_count, incumbent)
-    sel = frozenset(compress(range(instance.z_count), incumbent))  # support(), the bits already checked
-    lifts = ((k, frozenset()) for k in range(instance.z_count) if k not in sel)
-    return _forced_cut(oracle.memo_for(instance, memo), incumbent, sel, lifts, NEW)
+    unselected = tuple(k for k, bit in enumerate(incumbent) if not bit)
+    return _forced_cut(oracle.memo_for(instance, memo), incumbent, unselected, False, NEW)
 
 
 def make_lift_ordering(
@@ -173,26 +181,33 @@ def lifted_cut(
     asked of ``memo`` as in ``new_cut``.
     """
     incumbent = check_selection(instance.z_count, incumbent)
-    sel = frozenset(compress(range(instance.z_count), incumbent))  # support(), the bits already checked
-    check_lift_order(instance.z_count, sel, ordering.order)
-    lifts = ((k, frozenset(ordering.order[pos + 1 :])) for pos, k in enumerate(ordering.order))
-    return _forced_cut(oracle.memo_for(instance, memo), incumbent, sel, lifts, LIFTED)
+    # the support, as support() gives it, read from the bits already checked
+    check_lift_order(instance.z_count, frozenset(compress(range(instance.z_count), incumbent)), ordering.order)
+    return _forced_cut(oracle.memo_for(instance, memo), incumbent, ordering.order, True, LIFTED)
 
 
-def separator(family: str, memo: oracle.Memo, ordering_strategy: str = BY_INDEX) -> Callable[[Selection], Cut]:
-    """The one family-to-builder map: a function from an incumbent to the
-    ``family`` cut there, built through ``memo``.  The ``lshaped`` bound is
-    asked once, here.  Builders are looked up on this module at each cut, so
-    a wrapper set on the module later (a tracer's) sees every cut."""
+def separator(family: str, memo: oracle.Memo, ordering_strategy: str = BY_INDEX) -> Callable[[Selection], list]:
+    """The one dispatch on the family: a function that asks ``memo`` the
+    oracle queries of the ``family`` cut at an incumbent and returns the
+    cut's queries, a list of ``oracle.GammaQuery`` in the order asked; it
+    builds no ``Cut``.  Under the ``gamma`` ordering the lift ordering's
+    single-edge queries are asked first.  ``lshaped`` asks its bound once,
+    here, and nothing per incumbent.  ``forced_queries`` is looked up on this
+    module at each incumbent, so a wrapper set on the module later (a
+    tracer's) sees every separation."""
     instance = memo.instance
     if family == L_SHAPED:
-        lower_bound = oracle.min_unconstrained(instance, memo=memo)
-        return lambda incumbent: l_shaped_cut(instance, incumbent, lower_bound, memo=memo)
-    if family == NEW:
-        return lambda incumbent: new_cut(instance, incumbent, memo=memo)
-    if family == LIFTED:
-        def lifted(incumbent: Selection) -> Cut:
-            ordering = make_lift_ordering(instance, incumbent, ordering_strategy, memo=memo)
-            return lifted_cut(instance, incumbent, ordering, memo=memo)
-        return lifted
-    raise ValueError(f"unknown cut family {family!r}")
+        oracle.min_unconstrained(instance, memo=memo)  # folded by the solve as the root face's bound
+        return lambda incumbent: []
+    if family not in FAMILIES:
+        raise ValueError(f"unknown cut family {family!r}")
+    # new lifts every unselected edge in id order, with no tail
+    strategy, tails = (ordering_strategy, True) if family == LIFTED else (BY_INDEX, False)
+
+    def separate(incumbent: Selection) -> list[oracle.GammaQuery]:
+        queries = forced_queries(incumbent, make_lift_ordering(instance, incumbent, strategy, memo=memo).order, tails)
+        for query in queries:
+            memo.gamma(query)
+        return queries
+
+    return separate

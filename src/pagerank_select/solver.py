@@ -2,17 +2,19 @@
 
 Each round solves the master, evaluates the true objective at the master's
 incumbent, and stops once the incumbent value and the master bound meet
-within the gap tolerance; otherwise one cut of the chosen family is
-separated at the incumbent and the loop repeats.  The master folds no cut.
-It folds each oracle query answered so far as a bound on its face, and each
-incumbent's return time at its own point; in exact arithmetic these imply
-every cut the families build, so a cut tightens the master through the
-queries it asks.  When the separation asked the unconstrained minimum
-before round one (``lshaped``) and its minimiser meets the rows, that
-minimiser is the first incumbent: no feasible point can do better, so round
-zero closes the gap.  Each incumbent's row is raised to its own return time,
-so a finite incumbent cannot come back while a gap remains; a return time
-or master bound that is not a finite number raises in the round it is read.
+within the gap tolerance; otherwise the chosen family is separated at the
+incumbent, which asks the solve's memo the oracle queries of the family's
+cut there and builds no cut, and the loop repeats.  The master folds each
+oracle query answered so far as a bound on its face, and each incumbent's
+return time at its own point; in exact arithmetic these imply every cut the
+families build, so a separation tightens the master through the queries it
+asks.  When the separator asked the unconstrained minimum before round one
+(``lshaped``, whose separations ask nothing) and its minimiser meets the
+rows, that minimiser is the first incumbent: no feasible point can do
+better, so round zero closes the gap.  Each incumbent's row is raised to its
+own return time, so a finite incumbent cannot come back while a gap remains;
+a return time or master bound that is not a finite number raises in the
+round it is read.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ class SolveReport:
     ``lower_bounds``/``upper_bounds`` hold one entry per master solve (the
     master bound and the best incumbent value so far, counting the
     unconstrained minimiser when the memo holds it and it is feasible), so
-    they are one longer than ``iterations``, the cuts separated, each at an
+    they are one longer than ``iterations``, the separations, each at an
     incumbent not separated before.  The master bound is that of the face
-    bounds and incumbent values folded so far, never of the cuts themselves.
+    bounds and incumbent values folded so far; no cut is built.
     ``gamma_calls_total`` counts the oracle queries the solve asked its memo;
     ``gamma_solves`` the policy iterations actually run, one per distinct
     query of the solve.
@@ -85,12 +87,12 @@ def solve(
     unknown family or ordering, a negative or NaN ``eps`` or ``max_iters``,
     or an infinite ``eps``, which would close every gap at round zero, and
     NoConvergence in a round whose incumbent value or master bound is not a
-    finite number, before its cut; returns a partial trace with status
-    "iter_limit" once max_iters cuts have been separated without closing the
-    gap.  One ``master.FeasibleSet`` and one ``oracle.Memo`` serve the whole
-    solve: each round folds only the memo's new answers and its incumbent's
-    value into the master, and each distinct oracle query and each incumbent's
-    value is computed once.  When the memo holds the unconstrained query (the
+    finite number, before its separation; returns a partial trace with
+    status "iter_limit" once max_iters separations have run without closing
+    the gap.  One ``master.FeasibleSet`` and one ``oracle.Memo`` serve the
+    whole solve: each round folds only the memo's new answers and its
+    incumbent's value into the master, and each distinct oracle query and
+    each incumbent's value is computed once.  When the memo holds the unconstrained query (the
     ``lshaped`` bound) and the compiled rows admit its argmin, that argmin is
     the incumbent before round one, at the memo's own value.
     """
@@ -120,7 +122,7 @@ def solve(
     root = answers.get((frozenset(), frozenset()))
     if root is not None and constraints.compiled_rows(instance.z_count).admits(root.argmin):
         best_y, best_val = root.argmin, root.value
-    iterations = 0  # cuts separated
+    iterations = 0  # separations
 
     while True:
         feasible.fold_faces((on, off, answer.value) for (on, off), answer in islice(answers.items(), folded, None))

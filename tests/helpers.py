@@ -170,3 +170,27 @@ def reference_gamma(instance, query, memo):
         if tuple(y) in evaluated:
             best = min(evaluated, key=lambda sel: (evaluated[sel], sel))
             return oracle.GammaResult(value=evaluated[best], argmin=best, iterations=len(evaluated))
+
+
+def family_cut(family, instance, incumbent, strategy, memo):
+    """The ``family`` cut at ``incumbent``, from its public builder through
+    ``memo``: the ``lshaped`` bound is the unconstrained minimum, and the
+    ``lifted`` ordering follows ``strategy``."""
+    if family == ps.L_SHAPED:
+        return ps.l_shaped_cut(instance, incumbent, ps.min_unconstrained(instance, memo=memo), memo=memo)
+    if family == ps.NEW:
+        return ps.new_cut(instance, incumbent, memo=memo)
+    ordering = ps.make_lift_ordering(instance, incumbent, strategy, memo=memo)
+    return ps.lifted_cut(instance, incumbent, ordering, memo=memo)
+
+
+class AskingMemo(oracle.Memo):
+    """A memo that records every query asked of it, repeats included."""
+
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.asked = []
+
+    def gamma(self, query):
+        self.asked.append(query)
+        return super().gamma(query)

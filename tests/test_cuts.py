@@ -8,7 +8,7 @@ import pagerank_select as ps
 from pagerank_select import LiftOrdering, cuts
 from pagerank_select.cuts import BY_GAMMA, BY_INDEX, FAMILIES, L_SHAPED, NEW, construction_coefficient
 from pagerank_select.errors import DampingRangeError, DimensionMismatch, InvalidOrdering, LTooLarge
-from helpers import build_corpus, fr_table, random_selection
+from helpers import AskingMemo, build_corpus, family_cut, fr_table, random_selection
 
 
 def no_fragile_instance():
@@ -292,14 +292,21 @@ class TestSeparator:
     @pytest.mark.parametrize("strategy", [BY_INDEX, BY_GAMMA])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_builds_the_family_cut(self, frozen, family, strategy):
+        # the separator asks, in the same order, the queries the family's
+        # builder asks on a fresh memo, and returns the cut's own; the
+        # builder then finds every answer in the memo the separator filled
+        # and builds the same cut there
         incumbent = (0, 1, 0, 0)
-        low = ps.min_unconstrained(frozen)
-        direct = {
-            L_SHAPED: lambda: ps.l_shaped_cut(frozen, incumbent, low),
-            NEW: lambda: ps.new_cut(frozen, incumbent),
-            ps.LIFTED: lambda: ps.lifted_cut(frozen, incumbent, ps.make_lift_ordering(frozen, incumbent, strategy)),
-        }[family]()
-        assert repr(cuts.separator(family, ps.Memo(frozen), strategy)(incumbent)) == repr(direct)
+        alone = AskingMemo(frozen)
+        direct = family_cut(family, frozen, incumbent, strategy, alone)
+        memo = AskingMemo(frozen)
+        queries = cuts.separator(family, memo, strategy)(incumbent)
+        assert memo.asked == alone.asked
+        assert len(queries) == (0 if family == L_SHAPED else frozen.z_count)
+        assert queries == memo.asked[len(memo.asked) - len(queries) :]
+        solves = memo.gamma_solves
+        assert repr(family_cut(family, frozen, incumbent, strategy, memo)) == repr(direct)
+        assert memo.gamma_solves == solves
 
     def test_lshaped_bound_is_asked_once(self, frozen):
         memo = ps.Memo(frozen)
@@ -309,19 +316,22 @@ class TestSeparator:
         assert memo.gamma_calls == 1
 
     def test_builder_looked_up_at_each_cut(self, frozen, monkeypatch):
-        # a wrapper set on the module after the separator is made, as a
-        # tracer sets one, still sees every cut
-        separate = cuts.separator(NEW, ps.Memo(frozen))
+        # a wrapper set on the module after the separators are made, as a
+        # tracer sets one, still sees every separation
+        separators = {family: cuts.separator(family, ps.Memo(frozen)) for family in (NEW, ps.LIFTED)}
         seen = []
-        real = cuts.new_cut
+        real = cuts.forced_queries
 
-        def watched(instance, incumbent, memo=None):
-            seen.append(incumbent)
-            return real(instance, incumbent, memo=memo)
+        def watched(incumbent, order, tails):
+            seen.append((incumbent, tails))
+            return real(incumbent, order, tails)
 
-        monkeypatch.setattr(cuts, "new_cut", watched)
-        separate((0, 1, 0, 0))
-        assert seen == [(0, 1, 0, 0)]
+        monkeypatch.setattr(cuts, "forced_queries", watched)
+        for family, separate in separators.items():
+            tails = family == ps.LIFTED
+            assert separate((0, 1, 0, 0)) == real((0, 1, 0, 0), (0, 2, 3), tails)
+            separate((1, 0, 0, 1))
+        assert seen == [((0, 1, 0, 0), False), ((1, 0, 0, 1), False), ((0, 1, 0, 0), True), ((1, 0, 0, 1), True)]
 
     def test_unknown_family(self, frozen):
         with pytest.raises(ValueError, match="unknown cut family"):

@@ -10,7 +10,7 @@ from pagerank_select import chain, cuts as cut_families, master as master_mod, o
 from pagerank_select.cuts import BY_GAMMA, BY_INDEX, FAMILIES, L_SHAPED, LIFTED, NEW
 from pagerank_select.errors import DampingRangeError, Infeasible, NoConvergence
 from pagerank_select.solver import ITER_LIMIT, OPTIMAL
-from helpers import DAMPINGS, SPECS, build_corpus, differential_case
+from helpers import DAMPINGS, SPECS, build_corpus, differential_case, family_cut
 
 
 @pytest.fixture(scope="module")
@@ -76,32 +76,30 @@ class TestTrivialCases:
         # incumbents separated: each round raises its incumbent's theta to its
         # return time, so no incumbent recurs while a gap persists; a NaN
         # return time would raise nothing, so the round that reads it aborts
-        built = []
+        separated = []
 
-        def useless_cut(instance, incumbent, memo=None):
-            built.append(incumbent)
-            return cut_families.Cut(
-                constant=0.0,
-                coeffs=(0.0,) * instance.z_count,
-                family=NEW,
-                incumbent=tuple(incumbent),
-            )
+        def useless_separator(family, memo, ordering_strategy):
+            def separate(incumbent):
+                separated.append(incumbent)
+                return []
 
-        monkeypatch.setattr(cut_families, "new_cut", useless_cut)
+            return separate
+
+        monkeypatch.setattr(cut_families, "separator", useless_separator)
         report = ps.solve(frozen, family=NEW)
         assert report.status == OPTIMAL
         assert report.gamma_calls_total == 0
-        assert 1 <= report.iterations == len(built) == len(set(built)) <= 2**frozen.z_count
+        assert 1 <= report.iterations == len(separated) == len(set(separated)) <= 2**frozen.z_count
         assert report.best_value == oracle.Memo(frozen).evaluate(ps.bf_min(frozen)[0]).fr
 
-        built.clear()
+        separated.clear()
         real_evaluate = oracle.Memo.evaluate
         monkeypatch.setattr(
             oracle.Memo, "evaluate", lambda memo, y: dataclasses.replace(real_evaluate(memo, y), fr=math.nan)
         )
         with pytest.raises(NoConvergence, match="return time nan.*not a finite number"):
             ps.solve(frozen, family=NEW)
-        assert built == []
+        assert separated == []
 
 
 class TestExactness:
@@ -175,6 +173,37 @@ class TestTraceInvariants:
     def test_deterministic(self, frozen):
         cons = ConstraintSet(cardinality=("<=", 2))
         assert ps.solve(frozen, cons, family=LIFTED) == ps.solve(frozen, cons, family=LIFTED)
+
+
+class TestSeparationBuildsNoCut:
+    """A round asks its family's oracle queries and builds no ``Cut``."""
+
+    @pytest.mark.parametrize(
+        "family, strategy", [(L_SHAPED, BY_INDEX), (NEW, BY_INDEX), (LIFTED, BY_INDEX), (LIFTED, BY_GAMMA)]
+    )
+    def test_a_cut_that_cannot_be_built_changes_no_solve(self, frozen, monkeypatch, family, strategy):
+        cases = (ps.EMPTY_CONSTRAINTS, ConstraintSet(cardinality=("<=", 1)))
+        expected = [ps.solve(frozen, cons, family=family, ordering_strategy=strategy) for cons in cases]
+        assert expected[1].iterations >= 1  # the root argmin breaks card_le:1, so even lshaped separates
+
+        def no_cut(*args, **fields):
+            raise AssertionError(f"a Cut was built: {args} {fields}")
+
+        monkeypatch.setattr(cut_families, "Cut", no_cut)
+        for cons, report in zip(cases, expected):
+            assert ps.solve(frozen, cons, family=family, ordering_strategy=strategy) == report
+
+    def test_an_lshaped_separation_evaluates_nothing_and_asks_nothing(self, frozen, monkeypatch):
+        memo = oracle.Memo(frozen)
+        separate = cut_families.separator(L_SHAPED, memo)
+        assert memo.gamma_calls == 1  # the bound, asked once when the separator is made
+        evaluated = []
+        real = oracle.Memo.evaluate
+        monkeypatch.setattr(oracle.Memo, "evaluate", lambda memo, y: evaluated.append(y) or real(memo, y))
+        for incumbent in [(0, 0, 0, 0), (1, 0, 1, 0), (1, 1, 1, 1)]:
+            assert separate(incumbent) == []
+        assert evaluated == []
+        assert memo.gamma_calls == 1
 
 
 class TestMasterCalls:
@@ -328,10 +357,13 @@ class TestFaceBounds:
             for row in rng.choice(len(points), size=min(5, len(points)), replace=False):
                 incumbent = tuple(int(b) for b in points[row])
                 memo = oracle.Memo(inst)
-                cut = cut_families.separator(family, memo, strategy)(incumbent)
+                cut_families.separator(family, memo, strategy)(incumbent)
                 implied = master_mod.feasible_set(cons, inst.z_count)
                 implied.fold_faces((on, off, answer.value) for (on, off), answer in memo.answers.items())
                 implied.theta[row] = max(implied.theta[row], memo.evaluate(incumbent).fr)
+                solves = memo.gamma_solves
+                cut = family_cut(family, inst, incumbent, strategy, memo)  # from the separation's answers
+                assert memo.gamma_solves == solves
                 for point, theta in zip(points, implied.theta):
                     value = ps.eval_cut(cut, point)
                     assert theta >= value - 1e-12 * abs(value), (case, incumbent, point)
