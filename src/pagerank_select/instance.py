@@ -396,12 +396,12 @@ def validation_errors(raw) -> list[str]:
 # random generation
 
 
-def parse_constraint_spec(spec: str | None, z_count: int, rng=None) -> ConstraintSet:
+def parse_constraint_spec(spec: str | None, z_count: int, rng) -> ConstraintSet:
     """Compile a constraint spec string into a ConstraintSet.
 
     Supported forms: "none", "card_le:K", "card_ge:K", "card_eq:K" and
-    "cover:M" (one covering row over M randomly drawn fragile edges; needs rng).
-    """
+    "cover:M" (one covering row over M fragile edges, drawn by the numpy
+    Generator ``rng``; the other forms leave it unread)."""
     if spec is None or spec == "none":
         return EMPTY_CONSTRAINTS
     name, _, arg = spec.partition(":")
@@ -418,8 +418,6 @@ def parse_constraint_spec(spec: str | None, z_count: int, rng=None) -> Constrain
             raise ParseError("cover constraint needs at least one fragile edge")
         if not 1 <= k <= z_count:
             raise ParseError(f"cover size {k} outside [1, {z_count}]")
-        if rng is None:
-            rng = np.random.default_rng(0)
         chosen = set(int(i) for i in rng.choice(z_count, size=k, replace=False))
         coeffs = tuple(1 if i in chosen else 0 for i in range(z_count))
         return ConstraintSet(rows=(Row(coeffs=coeffs, sense=">=", rhs=1),))

@@ -12,7 +12,8 @@ The per-node step is the classical minimize-the-mean rule: with out-neighbor
 value estimates at hand, include the next-cheapest free target exactly when it
 strictly lowers the mean of the included values.  A node with no fixed or
 forced-on out-edges also weighs staying dangling (uniform jump) against
-activating its cheapest free target.
+activating its cheapest free target.  The loop ends when it proposes a
+selection it has evaluated, and answers with the lowest one it evaluated.
 """
 
 from __future__ import annotations
@@ -48,36 +49,36 @@ class GammaResult:
 
 def _greedy_subset(h, base_targets, free_edges, mean_all):
     """Pick the free out-edges of one node that minimize the mean hitting
-    value of its active out-neighbor set; ties keep an edge deactivated."""
-    order = sorted(free_edges, key=lambda kj: (h[kj[1]], kj[0]))
+    value of its active out-neighbor set; ties keep an edge deactivated.
+
+    One pass over the free edges, cheapest first (ties by id): each is taken
+    while it lowers the running mean by more than ``MEAN_IMPROVEMENT``, and
+    the first that does not ends the pass, since a refusal leaves the mean as
+    it was and every later target is at least as dear.  With no base target
+    the running mean is ``mean_all``, the dangling node's uniform jump."""
     total = float(sum(h[j] for j in base_targets))
     count = len(base_targets)
     chosen: set[int] = set()
-    if count == 0:
-        k0, j0 = order[0]
-        if h[j0] < mean_all - MEAN_IMPROVEMENT:
-            chosen.add(k0)
-            total, count = float(h[j0]), 1
-        else:
-            return chosen  # staying dangling is at least as good
-    for k, j in order:
-        if k in chosen:
-            continue
-        if (total + h[j]) / (count + 1) < total / count - MEAN_IMPROVEMENT:
-            chosen.add(k)
-            total += float(h[j])
-            count += 1
+    for k, j in sorted(free_edges, key=lambda kj: (h[kj[1]], kj[0])):
+        mean = total / count if count else mean_all
+        if not (total + h[j]) / (count + 1) < mean - MEAN_IMPROVEMENT:
+            break
+        chosen.add(k)
+        total += float(h[j])
+        count += 1
     return chosen
 
 
 def gamma(instance: Instance, query: GammaQuery, *, memo: Memo | None = None) -> GammaResult:
     """Minimize the first return time subject to the forced edges.
 
-    Policy iteration: start with every free edge activated; alternate exact
-    hitting-time evaluation with the per-node greedy re-selection until no
-    node changes.  Rounding noise in h above ``MEAN_IMPROVEMENT`` can make the
-    greedy step cycle; when it returns a selection already evaluated, the
-    lowest-``fr`` selection seen is returned (ties by the selection tuple).
+    Policy iteration in one loop: start with every free edge activated;
+    evaluate the selection, then build the next from the forced-on edges and
+    each node's greedy re-selection, until it proposes a selection already
+    evaluated.  A fixed point proposes itself again; rounding noise in h
+    above ``MEAN_IMPROVEMENT`` can instead make the greedy step recur to an
+    earlier selection.  Either way the answer is the lowest ``(fr,
+    selection)`` evaluated, a return time at a point of the query's face.
     Every evaluation goes through ``memo`` (one solve shares one; a fresh one
     when None, which raises DampingRangeError at damping 1), so a
     selection another query already evaluated is not evaluated again.
@@ -93,37 +94,33 @@ def gamma(instance: Instance, query: GammaQuery, *, memo: Memo | None = None) ->
 
     # Only the sources of free edges re-select; their fixed and forced-on
     # targets keep the order of instance.edges, then of forced_on.  Targets
-    # are named by their place in Evaluation.h.
+    # are named by their place in Evaluation.h.  Every selection proposed
+    # starts from the forced-on bits, ``on``.
     forced_at: dict[int, list[int]] = {}
+    on = [0] * z_count
     for k in forced_on:
         forced_at.setdefault(instance.fragile[k][0], []).append(memo._fragile_at[k])
+        on[k] = 1
     nodes = []  # (base targets, free edges) per source with a free edge, ascending
     for i, fixed, edges in memo._sources:
         free = [e for e in edges if e[0] not in forced]
         if free:
             nodes.append((fixed + tuple(forced_at[i]) if i in forced_at else fixed, free))
-    y = [0 if k in forced_off else 1 for k in range(z_count)]
+    y = tuple([0 if k in forced_off else 1 for k in range(z_count)])
 
     evaluated: dict[Selection, float] = {}
-    while True:
-        current = tuple(y)
-        profile = memo.evaluate(current)
-        evaluated[current] = profile.fr
+    while y not in evaluated:
+        profile = memo.evaluate(y)
+        evaluated[y] = profile.fr
         h = profile.h
         mean_all = profile.h_sum / instance.n
-        changed = False
+        bits = on.copy()
         for base_targets, node_free in nodes:
-            chosen = _greedy_subset(h, base_targets, node_free, mean_all)
-            for k, _ in node_free:
-                bit = 1 if k in chosen else 0
-                if y[k] != bit:
-                    y[k] = bit
-                    changed = True
-        if not changed:
-            return GammaResult(value=profile.fr, argmin=current, iterations=len(evaluated))
-        if tuple(y) in evaluated:
-            best = min(evaluated, key=lambda sel: (evaluated[sel], sel))
-            return GammaResult(value=evaluated[best], argmin=best, iterations=len(evaluated))
+            for k in _greedy_subset(h, base_targets, node_free, mean_all):
+                bits[k] = 1
+        y = tuple(bits)
+    value, argmin = min(zip(evaluated.values(), evaluated))
+    return GammaResult(value=value, argmin=argmin, iterations=len(evaluated))
 
 
 def min_unconstrained(instance: Instance, memo: Memo | None = None) -> float:

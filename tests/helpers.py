@@ -121,9 +121,11 @@ def reference_greedy_subset(h, base_targets, free_edges, mean_all):
 def reference_gamma(instance, query, memo):
     """``oracle.gamma`` with per-query bookkeeping: the free edges, base
     targets and first selection are rebuilt from ``instance`` for every
-    query, and the greedy step is ``reference_greedy_subset``.  Evaluations
-    go through ``memo``, whose place map (``_watched``) it reads; the ids are
-    taken as valid."""
+    query, the greedy step is ``reference_greedy_subset``, and each sweep
+    flips bits in place and checks both exits, a fixed point and a
+    recurrence; either answers with the lowest ``(fr, selection)``
+    evaluated.  Evaluations go through ``memo``, whose place map
+    (``_watched``) it reads; the ids are taken as valid."""
     place = {j: at for at, j in enumerate(memo._watched.tolist())}
     fixed_at = {}
     for i, j in memo.walk.fixed_edges.tolist():
@@ -165,9 +167,7 @@ def reference_gamma(instance, query, memo):
                 if y[k] != bit:
                     y[k] = bit
                     changed = True
-        if not changed:
-            return oracle.GammaResult(value=profile.fr, argmin=current, iterations=len(evaluated))
-        if tuple(y) in evaluated:
+        if not changed or tuple(y) in evaluated:  # a fixed point, or a recurrence
             best = min(evaluated, key=lambda sel: (evaluated[sel], sel))
             return oracle.GammaResult(value=evaluated[best], argmin=best, iterations=len(evaluated))
 

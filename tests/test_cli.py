@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
 import pagerank_select as ps
-from pagerank_select import chain, cli
+from pagerank_select import chain, cli, cuts as cut_families
 from test_instance import MALFORMED, malformed_dict
 
 
@@ -326,6 +327,19 @@ class TestCompareCuts:
         assert out == ""
         assert err.startswith("error:") and "damping < 1" in err
         assert calls == []
+
+    def test_a_cut_above_the_return_time_is_refused(self, capsys, demo_file, monkeypatch):
+        real = cut_families.new_cut
+
+        def raised(*args):  # the new cut is tight at its incumbent; raised by 1, it cuts that point off
+            cut = real(*args)
+            return dataclasses.replace(cut, constant=cut.constant + 1.0)
+
+        monkeypatch.setattr(cut_families, "new_cut", raised)
+        code, out, err = run(capsys, "compare-cuts", demo_file, "--trials", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: new cut at ") and "violates validity by 1.000e+00" in err
 
     def test_infeasible_exit_code(self, capsys, tmp_path):
         path = tmp_path / "infeasible.json"

@@ -110,6 +110,8 @@ class TestValidate:
             ps.validate(minimal_dict(edges=[[0]]))
         with pytest.raises(ParseError):
             ps.validate(minimal_dict(edges=[[0, 1.5]]))
+        with pytest.raises(ParseError, match="expected a mapping or an Instance, got int"):
+            ps.validate(42)
 
     def test_validation_errors_collects_everything(self):
         msgs = ps.validation_errors(
@@ -486,6 +488,7 @@ REFUSED = [
     ((6, 0.3, -1, None, 0), InfeasibleSpec, "fragile edge count must be nonnegative, got -1"),
     ((12, 0.95, 10, None, 4), InfeasibleSpec, "10 fragile edges requested but only 8 non-edges remain"),
     ((0, 0.5, 0, None, 0), NodeIndexError, "node count must be positive, got 0"),
+    ((6, 0.3, 0, "cover:1", 0), ParseError, "cover constraint needs at least one fragile edge"),
 ]
 
 
@@ -637,6 +640,9 @@ def card(k):
 MALFORMED = [
     pytest.param({"edges": 5}, '"edges"', id="edges-not-a-list"),
     pytest.param({"fragile": 5}, '"fragile"', id="fragile-not-a-list"),
+    pytest.param({"constraints": 5}, '"constraints"', id="constraints-not-an-object"),
+    pytest.param({"constraints": {"rows": [{"coeffs": [1, 1], "sense": "<="}]}}, "rhs", id="row-without-rhs"),
+    pytest.param({"constraints": {"cardinality": {"sense": "<="}}}, '"cardinality"', id="cardinality-without-k"),
     pytest.param({"constraints": {"rows": 5}}, '"rows"', id="rows-not-a-list"),
     pytest.param({"constraints": {"rows": [5]}}, "constraint row 0", id="row-not-an-object"),
     pytest.param({"constraints": row(coeffs=1)}, '"coeffs"', id="coeffs-not-a-list"),
@@ -661,6 +667,7 @@ BAD_ROWS = [
     pytest.param(ConstraintSet(rows=(Row((True, 0, 1), ">=", 1),)), '"coeffs"', id="bool-coefficient"),
     pytest.param(ConstraintSet(rows=(Row((1, 0, 1), ">=", 1.0),)), '"rhs"', id="float-bound"),
     pytest.param(ConstraintSet(cardinality=("<=", 1.5)), '"k"', id="float-cardinality"),
+    pytest.param(ConstraintSet(cardinality=("<>", 1)), "cardinality sense '<>' unknown", id="unknown-cardinality-sense"),
     pytest.param(ConstraintSet(rows=(Row((1, 0, 1), "<=", 2**60),)), "2\\*\\*53", id="bound-2**60"),
 ]
 

@@ -52,6 +52,11 @@ class TestTrivialCases:
         with pytest.raises(ValueError, match="unknown cut family 'bogus'"):  # not Infeasible
             ps.solve(frozen, ConstraintSet(cardinality=("<=", -1)), family="bogus")
 
+    def test_unknown_ordering_rejected_before_the_enumeration(self, frozen, monkeypatch):
+        monkeypatch.setattr(master_mod, "feasible_set", None)  # nothing may be enumerated
+        with pytest.raises(ValueError, match="unknown ordering strategy 'bogus'"):
+            ps.solve(frozen, ordering_strategy="bogus")
+
     def test_negative_iteration_limit_rejected(self, frozen):
         with pytest.raises(ValueError, match="iteration limit"):
             ps.solve(frozen, max_iters=-5)
