@@ -23,19 +23,12 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import (
-    DampingRangeError,
-    NoConvergence,
-    SingularSystem,
-    TooLargeForDense,
-)
+from .errors import DampingRangeError, SingularSystem, TooLargeForDense
 from .instance import Instance, Selection, check_selection
 
-STATIONARY_TOL = 1e-12
-STATIONARY_MAX_ITERS = 10**6
 # One float64 n-by-n array may take at most 128 MiB, so n <= 4096.  A dense
-# solve holds about four such arrays at once (P, its (n-1)-square block,
-# I - Q and LAPACK's LU copy), about 512 MiB at the limit.
+# solve holds at most three such arrays at once (P, the system built from it
+# and LAPACK's LU copy), about 384 MiB at the limit.
 DENSE_MAX_BYTES = 2**27
 # Largest first-order bound on the rounding error of the low-rank update,
 # relative to each hitting time, that low_rank_hitting_times accepts; above
@@ -119,7 +112,7 @@ def _require_target_reachable(P: np.ndarray, v: int) -> None:
 
 
 def _first_passage_matrix(P: np.ndarray, v: int) -> np.ndarray:
-    """``I - Q`` for n > 1, with Q the transition matrix P less the target's
+    """``I - Q``, with Q the transition matrix P less the target's
     row and column: each entry is ``0 - P[j, k]``, plus 1 on the diagonal,
     which is bitwise ``eye - Q`` (a zero entry of P stays +0).
 
@@ -137,7 +130,7 @@ def _first_passage_matrix(P: np.ndarray, v: int) -> np.ndarray:
 
 
 def _solve_first_passage(P: np.ndarray, v: int, rhs: np.ndarray) -> np.ndarray:
-    """``(I - Q)^-1 rhs`` by a dense solve (n > 1); SingularSystem when it is singular."""
+    """``(I - Q)^-1 rhs`` by a dense solve; SingularSystem when it is singular."""
     try:
         return np.linalg.solve(_first_passage_matrix(P, v), rhs)
     except np.linalg.LinAlgError:
@@ -149,7 +142,8 @@ def hitting_times(instance: Instance, y: Selection) -> HittingProfile:
 
     ``h[j] = 1 + sum_{k != v} P[j, k] h[k]`` for ``j != v`` with ``h[v] = 0``,
     by a dense direct solve of the (n-1)-dimensional system excluding the
-    target, then ``fr = 1 + P[v] @ h``.
+    target, then ``fr = 1 + P[v] @ h``.  A one-node walk solves the empty
+    system: h = [0].
 
     Raises
     ------
@@ -161,8 +155,7 @@ def hitting_times(instance: Instance, y: Selection) -> HittingProfile:
     if instance.damping >= 1.0:
         _require_target_reachable(P, v)
     h = np.zeros(n)
-    if n > 1:
-        h[np.arange(n) != v] = _solve_first_passage(P, v, np.ones(n - 1))
+    h[np.arange(n) != v] = _solve_first_passage(P, v, np.ones(n - 1))
     fr = 1.0 + float(P[v] @ h)
     return HittingProfile(h=h, fr=fr)
 
@@ -353,11 +346,12 @@ def low_rank_hitting_times(factor: WalkFactor, y: Selection) -> HittingProfile:
 
 
 def stationary(instance: Instance, y: Selection) -> np.ndarray:
-    """Stationary distribution by power iteration.
+    """Stationary distribution (PageRank) of the walk, by one dense solve.
 
-    Requires damping < 1 (teleportation makes the chain ergodic).  Iterates
-    ``pi <- pi P`` until the L1 residual drops below STATIONARY_TOL, at most
-    STATIONARY_MAX_ITERS times (both read at call time).
+    Requires damping < 1: teleportation makes the chain irreducible, so the
+    balance equations ``pi (I - P) = 0`` with the normalisation
+    ``sum(pi) = 1`` in place of the last of them form a nonsingular system.
+    Its cost does not depend on how fast the walk mixes.
 
     Returns
     -------
@@ -368,13 +362,10 @@ def stationary(instance: Instance, y: Selection) -> np.ndarray:
     if instance.damping >= 1.0:
         raise DampingRangeError("stationary distribution requires damping < 1")
     P = transition_matrix(instance, y)
-    pi = np.full(instance.n, 1.0 / instance.n)
-    for _ in range(STATIONARY_MAX_ITERS):
-        nxt = pi @ P
-        done = float(np.abs(nxt - pi).sum()) < STATIONARY_TOL
-        pi = nxt
-        if done:
-            return pi / pi.sum()
-    raise NoConvergence(
-        f"power iteration residual above {STATIONARY_TOL} after {STATIONARY_MAX_ITERS} iterations"
-    )
+    A = -P.T
+    A[np.diag_indices_from(A)] += 1.0  # (I - P)^T: one row per balance equation
+    A[-1] = 1.0  # the normalisation in place of the last
+    unit = np.zeros(instance.n)
+    unit[-1] = 1.0
+    pi = np.linalg.solve(A, unit)
+    return pi / pi.sum()

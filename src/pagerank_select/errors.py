@@ -49,7 +49,7 @@ class SingularSystem(PagerankSelectError):
 
 
 class NoConvergence(PagerankSelectError):
-    """An iterative method exceeded its iteration guard."""
+    """A solve read a return time or master bound that is not a finite number."""
 
 
 class LTooLarge(PagerankSelectError):

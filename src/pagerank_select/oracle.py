@@ -208,19 +208,15 @@ class Memo:
         """What a policy-iteration sweep reads at selection ``y``, evaluated
         once per selection.  A solve reads its incumbents' return times
         here too, so that a later sweep through an incumbent finds it.  ``y``
-        is looked up as given first; entries are keyed by the tuple that
-        ``instance.check_selection`` returns, which checks ``y`` on a miss."""
-        try:
-            entry = self._evaluations.get(y)
-        except TypeError:  # a form that is no dict key
-            entry = None
+        is checked by ``instance.check_selection`` first, and the tuple it
+        returns keys the entry, so every accepted form of a selection finds
+        one entry."""
+        y = check_selection(self.instance.z_count, y)
+        entry = self._evaluations.get(y)
         if entry is None:
-            y = check_selection(self.instance.z_count, y)
-            entry = self._evaluations.get(y)
-            if entry is None:
-                profile = chain.low_rank_hitting_times(self.walk, y)
-                entry = Evaluation(profile.fr, profile.h.take(self._watched).tolist(), float(profile.h.sum()))
-                self._evaluations[y] = entry
+            profile = chain.low_rank_hitting_times(self.walk, y)
+            entry = Evaluation(profile.fr, profile.h.take(self._watched).tolist(), float(profile.h.sum()))
+            self._evaluations[y] = entry
         return entry
 
 

@@ -9,7 +9,6 @@ from pagerank_select import chain
 from pagerank_select.errors import (
     DampingRangeError,
     DimensionMismatch,
-    NoConvergence,
     OverlapError,
     SingularSystem,
     TooLargeForDense,
@@ -216,6 +215,16 @@ class TestHittingTimes:
         with pytest.raises(SingularSystem):
             ps.hitting_times(inst, ())
 
+    def test_singular_dense_solve_names_the_target(self, monkeypatch):
+        def refuse(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        inst = make(4, 2, [(0, 1), (1, 2), (2, 3), (3, 0)], fragile=[(1, 3)])
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        for call in (lambda: ps.hitting_times(inst, (0,)), lambda: chain.factor_walk(inst)):
+            with pytest.raises(SingularSystem, match="for target 2 is singular"):
+                call()
+
     def test_reachability_at_damping_one_follows_the_selection(self):
         # node 1 reaches the target only through the fragile edge (1, 0)
         inst = make(2, 0, [(0, 1), (1, 1)], fragile=[(1, 0)], damping=1.0)
@@ -351,6 +360,22 @@ class TestLowRankHittingTimes:
             assert dense[-1] == y
             assert np.array_equal(got.h, want.h)
             assert got.fr == want.fr
+
+    def test_singular_update_falls_back_to_dense(self, monkeypatch):
+        refused = []
+
+        def refuse(a):
+            refused.append(a)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        rng = np.random.default_rng(13)
+        inst, _ = ps.generate_random(30, 0.1, 8, None, seed=6)
+        walk = chain.factor_walk(inst)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        for y in [(1,) * inst.z_count] + [random_selection(rng, inst.z_count) for _ in range(4)]:
+            got, want = chain.low_rank_hitting_times(walk, y), ps.hitting_times(inst, y)
+            assert np.array_equal(got.h, want.h) and got.fr == want.fr
+        assert len(refused) == 5
 
     def test_damping_one_rejected_before_any_work(self, monkeypatch):
         inst = make(2, 0, [(0, 1), (1, 1)], fragile=[(1, 0)], damping=1.0)
@@ -613,9 +638,13 @@ class TestStationary:
         with pytest.raises(DampingRangeError):
             ps.stationary(inst, ())
 
-    def test_no_convergence_when_starved(self, monkeypatch):
-        # asymmetric graph, so the uniform start is far from stationary
-        monkeypatch.setattr(chain, "STATIONARY_MAX_ITERS", 5)
-        inst = make(3, 0, [(0, 1), (1, 0), (2, 0)], damping=0.95)
-        with pytest.raises(NoConvergence):
-            ps.stationary(inst, ())
+    def test_balance_holds_on_a_slow_mixing_walk(self):
+        # a 300-node directed cycle with one chord, at damping 0.999: a walk
+        # that takes thousands of steps to mix, at both selections
+        n = 300
+        cycle = [(i, (i + 1) % n) for i in range(n)] + [(0, 150)]
+        inst = make(n, 0, cycle, fragile=[(1, 0)], damping=0.999)
+        for y in ((0,), (1,)):
+            pi = ps.stationary(inst, y)
+            assert np.abs(pi @ ps.transition_matrix(inst, y) - pi).sum() <= 1e-13
+            assert abs(pi[inst.target] * ps.hitting_times(inst, y).fr - 1.0) <= 1e-12
