@@ -53,24 +53,20 @@ class HittingProfile:
     fr: float
 
 
-def _transition_rows(instance: Instance, y: Selection, nodes=None, fixed=None) -> np.ndarray:
-    """Transition rows out of ``nodes`` (distinct, in range; every node in
-    order when None) under a checked selection: the only builder of the
-    walk.  Every other function here reads its rows.  ``fixed`` lists the
-    fixed edges to count (all of them when None); it must hold every fixed
-    edge out of ``nodes``."""
+def _transition_rows(instance: Instance, y: Selection, source=None, fixed=None) -> np.ndarray:
+    """Transition rows under a checked selection, of a validated instance:
+    every node's in order, or the one row out of ``source`` when it is
+    given.  The only builder of the walk; every other function here reads
+    its rows.  ``fixed`` lists the fixed edges to count (``edge_array`` when
+    None); it must hold every fixed edge out of ``source``."""
     n, c = instance.n, instance.damping
     fixed = instance.edge_array if fixed is None else fixed
     active = np.concatenate((fixed, instance.fragile_array[np.asarray(y, dtype=bool)]))
     src, dst = active[:, 0], active[:, 1]
     count = n
-    if nodes is not None:
-        count = len(nodes)
-        row_of = np.full(n, -1, dtype=np.intp)
-        row_of[nodes] = np.arange(count)
-        src = row_of[src]
-        keep = src >= 0
-        src, dst = src[keep], dst[keep]
+    if source is not None:
+        count, dst = 1, dst[src == source]
+        src = np.zeros_like(dst)
     deg = np.bincount(src, minlength=count)
     rows = np.full((count, n), (1.0 - c) / n)
     rows[src, dst] += c / deg[src]
@@ -81,9 +77,11 @@ def _transition_rows(instance: Instance, y: Selection, nodes=None, fixed=None) -
 def transition_matrix(instance: Instance, y: Selection) -> np.ndarray:
     """Full n-by-n transition matrix under the given selection.
 
+    Validates the instance first, through ``edge_array``, as validate does.
     Raises TooLargeForDense, before allocating, when one float64 n-by-n
     array would take more than ``DENSE_MAX_BYTES`` (128 MiB, so n > 4096).
     """
+    instance.edge_array  # validates, once per Instance
     y = check_selection(instance.z_count, y)
     n = instance.n
     if n * n * 8 > DENSE_MAX_BYTES:
@@ -168,8 +166,8 @@ class WalkFactor:
     With Q0 the all-off transition matrix less the target's row and column,
     and M = (I - Q0)^-1: ``h0`` are the all-off hitting times, the dense
     ``hitting_times`` answer; ``fixed_edges`` the fixed edges out of the
-    fragile sources, as an (m, 2) array in the iteration order of
-    ``instance.edges``; ``sources`` the distinct fragile sources other than
+    fragile sources, as a read-only (m, 2) array in ``edge_array``'s sorted
+    order; ``sources`` the distinct fragile sources other than
     the target, ascending; ``column_pairs`` a C-ordered (2, s, n) array for
     s sources, whose ``[0, r]`` is M's column at ``sources[r]`` as a
     length-n vector that is zero at the target, and whose ``[1, r]`` is its
@@ -211,20 +209,25 @@ def factor_walk(instance: Instance) -> WalkFactor:
     ``chain.hitting_times`` call per solve where perfbench's tracer counts
     the chain layer.
 
-    Raises DampingRangeError at damping 1, before any other work;
-    TooLargeForDense for n > 4096; and SingularSystem when the system is
-    singular.
+    Reads ``edge_array`` first, which validates the instance as validate
+    does; then raises DampingRangeError at damping 1, before any other
+    work; TooLargeForDense for n > 4096; and SingularSystem when the system
+    is singular.  Every edge it reads comes from ``edge_array`` and
+    ``fragile_array``.
     """
+    edges = instance.edge_array
     if instance.damping >= 1.0:
         raise DampingRangeError("the factored walk requires damping < 1")
-    from_fragile = {i for i, _ in instance.fragile}
-    fixed_edges = np.array([e for e in instance.edges if e[0] in from_fragile], dtype=np.intp).reshape(-1, 2)
-    fixed_edges.setflags(write=False)
     n, v = instance.n, instance.target
+    from_fragile = instance.fragile_array[:, 0]
+    fixed_edges = edges[np.isin(edges[:, 0], from_fragile)]
+    fixed_edges.setflags(write=False)
+    # Ahead of the dense solves: numpy's first np.unique in a process maps
+    # about 1.3 MB (numpy 2.4), which would otherwise add to their peak.
+    sources = np.unique(from_fragile[from_fragile != v])
     off = (0,) * instance.z_count
     base = hitting_times(instance, off)
     P = transition_matrix(instance, off)
-    sources = np.array(sorted(from_fragile - {v}), dtype=np.intp)
     others = np.arange(n) != v
     columns = np.zeros((n, len(sources)))
     if len(sources):
@@ -239,7 +242,7 @@ def factor_walk(instance: Instance) -> WalkFactor:
         column_pairs=np.array((columns.T, np.abs(columns.T))),  # C-ordered, unlike np.stack of these
         base_rows=P[sources],
         target_row=P[v].copy(),
-        edge_places=tuple(-1 if i == v else int(np.searchsorted(sources, i)) for i, _ in instance.fragile),
+        edge_places=tuple(np.where(from_fragile == v, -1, np.searchsorted(sources, from_fragile)).tolist()),
     )
 
 
@@ -261,8 +264,8 @@ def _row_delta(factor: WalkFactor, edges: tuple[int, ...]) -> np.ndarray:
         instance = factor.instance
         y = np.zeros(instance.z_count, dtype=bool)
         y[list(edges)] = True
-        source = instance.fragile[edges[0]][0]
-        row = _transition_rows(instance, y, [source], factor.fixed_edges)[0]
+        source = instance.fragile_array[edges[0], 0]
+        row = _transition_rows(instance, y, source, factor.fixed_edges)[0]
         if source == instance.target:
             entry = row
         else:
@@ -351,13 +354,15 @@ def stationary(instance: Instance, y: Selection) -> np.ndarray:
     Requires damping < 1: teleportation makes the chain irreducible, so the
     balance equations ``pi (I - P) = 0`` with the normalisation
     ``sum(pi) = 1`` in place of the last of them form a nonsingular system.
-    Its cost does not depend on how fast the walk mixes.
+    Its cost does not depend on how fast the walk mixes.  Validates the
+    instance first, as ``transition_matrix`` does, then refuses damping 1.
 
     Returns
     -------
     ndarray, shape (n,)
         Probability vector summing to 1.
     """
+    instance.edge_array  # validates, once per Instance
     y = check_selection(instance.z_count, y)
     if instance.damping >= 1.0:
         raise DampingRangeError("stationary distribution requires damping < 1")

@@ -92,20 +92,18 @@ def gamma(instance: Instance, query: GammaQuery, *, memo: Memo | None = None) ->
     forced = forced_on | forced_off
     memo = memo_for(instance, memo)
 
-    # Only the sources of free edges re-select; their fixed and forced-on
-    # targets keep the order of instance.edges, then of forced_on.  Targets
-    # are named by their place in Evaluation.h.  Every selection proposed
-    # starts from the forced-on bits, ``on``.
-    forced_at: dict[int, list[int]] = {}
-    on = [0] * z_count
-    for k in forced_on:
-        forced_at.setdefault(instance.fragile[k][0], []).append(memo._fragile_at[k])
-        on[k] = 1
+    # Only the sources of free edges re-select; their fixed targets keep
+    # edge_array's order, and their forced-on targets follow by id.
+    # Targets are named by their place in Evaluation.h.  Every selection
+    # proposed starts from the forced-on bits, ``on``.
+    on = [int(k in forced_on) for k in range(z_count)]
     nodes = []  # (base targets, free edges) per source with a free edge, ascending
-    for i, fixed, edges in memo._sources:
+    for fixed, edges in memo._sources:
         free = [e for e in edges if e[0] not in forced]
         if free:
-            nodes.append((fixed + tuple(forced_at[i]) if i in forced_at else fixed, free))
+            if len(free) < len(edges):
+                fixed += tuple(at for k, at in edges if k in forced_on)
+            nodes.append((fixed, free))
     y = tuple([0 if k in forced_off else 1 for k in range(z_count)])
 
     evaluated: dict[Selection, float] = {}
@@ -160,21 +158,20 @@ class Memo:
         self.walk = chain.factor_walk(instance)
         # The watched nodes, ascending: the fragile targets and the fixed
         # targets out of the fragile sources; Evaluation.h holds h at them.
-        # _fragile_at[k] is the place there of fragile edge k's target.
-        fragile_targets = [j for _, j in instance.fragile]
-        self._watched = np.unique(np.concatenate((fragile_targets, self.walk.fixed_edges[:, 1])).astype(np.intp))
-        place = {j: at for at, j in enumerate(self._watched.tolist())}
+        # fragile_at[k] is the place there of fragile edge k's target.
+        fragile, fixed = instance.fragile_array, self.walk.fixed_edges
+        self._watched = np.unique(np.concatenate((fragile[:, 1], fixed[:, 1])))
+        fragile_at = np.searchsorted(self._watched, fragile[:, 1]).tolist()
         fixed_at: dict[int, list[int]] = {}
-        for i, j in self.walk.fixed_edges.tolist():
-            fixed_at.setdefault(i, []).append(place[j])
-        self._fragile_at = [place[j] for j in fragile_targets]
+        for i, at in zip(fixed[:, 0].tolist(), np.searchsorted(self._watched, fixed[:, 1]).tolist()):
+            fixed_at.setdefault(i, []).append(at)
         # Per fragile source, ascending: the places of its fixed targets and
         # its fragile edges as (id, place of the target), by id.  Each query
         # copies the edges it leaves free.
         edges_at: dict[int, list[tuple[int, int]]] = {}
-        for k, (i, _) in enumerate(instance.fragile):
-            edges_at.setdefault(i, []).append((k, self._fragile_at[k]))
-        self._sources = [(i, tuple(fixed_at.get(i, ())), tuple(edges)) for i, edges in sorted(edges_at.items())]
+        for k, i in enumerate(fragile[:, 0].tolist()):
+            edges_at.setdefault(i, []).append((k, fragile_at[k]))
+        self._sources = [(tuple(fixed_at.get(i, ())), tuple(edges)) for i, edges in sorted(edges_at.items())]
         self._gamma: dict[tuple[frozenset[int], frozenset[int]], GammaResult] = {}
         self._evaluations: dict[Selection, Evaluation] = {}
         self.gamma_calls = 0

@@ -81,7 +81,9 @@ def solve(
 ) -> SolveReport:
     """Minimize the first return time over the feasible selections, exactly.
 
-    Raises Infeasible when the constraint set admits no selection,
+    An invalid instance raises the error validate names, after the family
+    and ordering checks and before the damping refusal.  Raises Infeasible
+    when the constraint set admits no selection,
     TooLargeToEnumerate when its feasible selections would pass
     ``master.POINTS_MAX_BYTES``, ValueError (before the enumeration) for an
     unknown family or ordering, a negative or NaN ``eps`` or ``max_iters``,
@@ -100,6 +102,7 @@ def solve(
         raise ValueError(f"unknown cut family {family!r}")
     if ordering_strategy not in cut_families.ORDERING_STRATEGIES:
         raise ValueError(f"unknown ordering strategy {ordering_strategy!r}")
+    instance.edge_array  # validates, once per Instance
     if instance.damping >= 1.0:
         raise DampingRangeError("the cutting-plane solver requires damping < 1")
     if not eps >= 0:  # NaN too

@@ -124,8 +124,10 @@ def reference_gamma(instance, query, memo):
     query, the greedy step is ``reference_greedy_subset``, and each sweep
     flips bits in place and checks both exits, a fixed point and a
     recurrence; either answers with the lowest ``(fr, selection)``
-    evaluated.  Evaluations go through ``memo``, whose place map
-    (``_watched``) it reads; the ids are taken as valid."""
+    evaluated.  A node's base targets are its fixed targets, in
+    ``walk.fixed_edges`` order, then its forced-on targets by id.
+    Evaluations go through ``memo``, whose place map (``_watched``) it
+    reads; the ids are taken as valid."""
     place = {j: at for at, j in enumerate(memo._watched.tolist())}
     fixed_at = {}
     for i, j in memo.walk.fixed_edges.tolist():
@@ -139,7 +141,7 @@ def reference_gamma(instance, query, memo):
         if k not in forced_on and k not in forced_off:
             free_by_node.setdefault(i, []).append((k, fragile_at[k]))
     base_targets = {i: list(fixed_at.get(i, ())) for i in free_by_node}
-    for k in forced_on:
+    for k in sorted(forced_on):
         i = instance.fragile[k][0]
         if i in base_targets:
             base_targets[i].append(fragile_at[k])

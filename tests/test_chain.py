@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 import pagerank_select as ps
-from pagerank_select import chain
+from pagerank_select import chain, oracle
 from pagerank_select.errors import (
     DampingRangeError,
     DimensionMismatch,
+    NodeIndexError,
     OverlapError,
+    ParseError,
     SingularSystem,
     TooLargeForDense,
 )
+from pagerank_select.oracle import GammaQuery
 from helpers import build_corpus, random_selection
 
 
@@ -336,7 +339,7 @@ class TestLowRankHittingTimes:
         assert np.array_equal(walk.column_pairs[1], np.abs(walk.column_pairs[0]))
         assert np.array_equal(walk.base_rows, ps.transition_matrix(inst, (0,) * inst.z_count)[sources])
         from_fragile = {i for i, _ in inst.fragile}
-        assert walk.fixed_edges.tolist() == [[i, j] for i, j in inst.edges if i in from_fragile]
+        assert walk.fixed_edges.tolist() == [[i, j] for i, j in sorted(inst.edges) if i in from_fragile]
 
     def test_failed_error_bound_falls_back_to_dense(self, monkeypatch):
         # a zero threshold fails every error bound that is not exactly zero
@@ -405,15 +408,37 @@ class TestLowRankHittingTimes:
                     assert profile.fr.hex() == expected.fr.hex()
 
 
+class TestEdgeSetOrder:
+    def test_walk_and_answers_do_not_depend_on_how_the_edge_set_was_built(self):
+        # equal instances whose frozensets were built in another order, and
+        # so iterate in another order
+        reordered = 0
+        for seed in range(20):
+            inst, _ = ps.generate_random(60, 0.08, 10, None, seed=seed)
+            twin = dataclasses.replace(inst, edges=frozenset(sorted(inst.edges, reverse=True)))
+            assert twin == inst
+            reordered += list(twin.edges) != list(inst.edges)
+            walks = [chain.factor_walk(i) for i in (inst, twin)]
+            for name in ("fixed_edges", "sources"):
+                assert np.array_equal(getattr(walks[0], name), getattr(walks[1], name))
+            assert walks[0].edge_places == walks[1].edge_places
+            memos = [oracle.Memo(i) for i in (inst, twin)]
+            for memo in memos:
+                for q in [GammaQuery()] + [GammaQuery(forced_on=frozenset({k})) for k in range(inst.z_count)]:
+                    memo.gamma(q)
+            assert list(memos[0].answers.items()) == list(memos[1].answers.items())
+        assert reordered
+
+
 class TestRowDeltas:
     def test_each_source_subset_built_once_per_walk(self, monkeypatch):
         built = []
         real = chain._transition_rows
 
-        def spy(instance, y, nodes=None, fixed=None):
-            if nodes is not None:
-                built.append((tuple(nodes), tuple(k for k, bit in enumerate(y) if bit)))
-            return real(instance, y, nodes, fixed)
+        def spy(instance, y, source=None, fixed=None):
+            if source is not None:
+                built.append((source, tuple(k for k, bit in enumerate(y) if bit)))
+            return real(instance, y, source, fixed)
 
         rng = np.random.default_rng(21)
         inst = walk_instance(rng, 40, 0.85)
@@ -424,7 +449,7 @@ class TestRowDeltas:
             for y in selections:
                 chain.low_rank_hitting_times(walk, y)
         assert len(built) == len(set(built)) == len(walk.deltas)
-        for (node,), edges in built:
+        for node, edges in built:
             assert {inst.fragile[k][0] for k in edges} == {node}
             assert edges in walk.deltas
 
@@ -460,7 +485,7 @@ def plain_low_rank_hitting_times(factor, y):
         sel = np.zeros(inst.z_count, dtype=bool)
         sel[list(edges)] = True
         source = inst.fragile[edges[0]][0]
-        row = chain._transition_rows(inst, sel, [source], factor.fixed_edges)[0]
+        row = chain._transition_rows(inst, sel, source, factor.fixed_edges)[0]
         if source == inst.target:
             return row
         d = row - factor.base_rows[factor.edge_places[edges[0]]]
@@ -648,3 +673,42 @@ class TestStationary:
             pi = ps.stationary(inst, y)
             assert np.abs(pi @ ps.transition_matrix(inst, y) - pi).sum() <= 1e-13
             assert abs(pi[inst.target] * ps.hitting_times(inst, y).fr - 1.0) <= 1e-12
+
+
+def invalid(**fields):
+    """A three-node Instance, built without validation, with ``fields`` replaced."""
+    valid = {"n": 3, "target": 0, "edges": frozenset({(0, 1), (1, 2), (2, 0)}), "fragile": ((1, 0), (2, 1))}
+    return ps.Instance(**{**valid, **fields})
+
+
+WALK_ENTRIES = {
+    "solve": ps.solve,
+    "gamma": lambda inst: ps.gamma(inst, GammaQuery()),
+    "factor_walk": chain.factor_walk,
+    "Memo": oracle.Memo,
+    "new_cut": lambda inst: ps.new_cut(inst, (0,) * inst.z_count),
+    "min_unconstrained": ps.min_unconstrained,
+    "stationary": lambda inst: ps.stationary(inst, (0,) * inst.z_count),
+    "transition_matrix": lambda inst: ps.transition_matrix(inst, (0,) * inst.z_count),
+    "hitting_times": lambda inst: ps.hitting_times(inst, (0,) * inst.z_count),
+}
+INVALID = {
+    "fixed endpoint past intp": (invalid(edges=frozenset({(0, 1), (1, 2), (2, 0), (1, 2**70)})), NodeIndexError),
+    "fragile entry of three ids": (invalid(fragile=((1, 0), (1, 2, 0))), ParseError),
+    "damping a string": (invalid(damping="0.5"), ParseError),
+    "damping None": (invalid(damping=None), ParseError),
+    "node count a string": (invalid(n="3"), ParseError),
+}
+
+
+class TestInvalidInstanceAtEveryEntry:
+    @pytest.mark.parametrize("entry", WALK_ENTRIES)
+    @pytest.mark.parametrize("case", INVALID)
+    def test_raises_the_error_validate_names(self, case, entry):
+        inst, error = INVALID[case]
+        with pytest.raises(error) as named:
+            ps.validate(inst)
+        with pytest.raises(error) as raised:
+            WALK_ENTRIES[entry](inst)
+        assert type(raised.value) is type(named.value)
+        assert str(raised.value) == str(named.value)

@@ -391,7 +391,7 @@ class TestAgainstReferenceBookkeeping:
         inst = ps.generate_random(30, 0.1, 10, None, seed=1203)[0]
         memo = oracle.Memo(inst)
         built = list(memo._sources)
-        assert all(type(fixed) is tuple and type(edges) is tuple for _, fixed, edges in built)
+        assert all(type(fixed) is tuple and type(edges) is tuple for fixed, edges in built)
         rng = np.random.default_rng(1203)
         for q in [GammaQuery()] + [random_disjoint_query(rng, inst.z_count) for _ in range(20)]:
             assert oracle.gamma(inst, q, memo=memo) == reference_gamma(inst, q, memo)

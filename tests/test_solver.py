@@ -505,10 +505,10 @@ class TestOneEvaluationPerSelection:
             evaluated.append(tuple(y))
             return real_evaluate(walk, y)
 
-        def transition_rows(instance, y, nodes=None, fixed=None):
-            if nodes is not None:
-                rows.append((tuple(nodes), tuple(k for k, bit in enumerate(y) if bit)))
-            return real_rows(instance, y, nodes, fixed)
+        def transition_rows(instance, y, source=None, fixed=None):
+            if source is not None:
+                rows.append((source, tuple(k for k, bit in enumerate(y) if bit)))
+            return real_rows(instance, y, source, fixed)
 
         monkeypatch.setattr(chain, "low_rank_hitting_times", evaluate)
         monkeypatch.setattr(chain, "_transition_rows", transition_rows)
@@ -526,7 +526,7 @@ class TestOneEvaluationPerSelection:
             assert evaluated and len(evaluated) == len(set(evaluated))
             # one source's row per subset of its selected fragile edges
             assert len(rows) == len(set(rows))
-            assert all(len(nodes) == 1 for nodes, _ in rows)
+            assert all(np.ndim(source) == 0 for source, _ in rows)
 
     def test_no_cache_entry_holds_an_n_vector(self, monkeypatch):
         memos = []
