@@ -8,12 +8,13 @@ uniformly.  All functions here are safe for concurrent use; the only state
 is a factor's cache of row deltas, whose entries depend only on their key.
 
 Two hitting-time paths give the same answers to rounding.  ``hitting_times``
-builds P and solves densely: the reference twin, the all-off base of the
-factor, the fallback, and the only path at damping 1.  ``factor_walk``
-factors the walk once, at the all-off selection and for damping < 1 only,
-and ``low_rank_hitting_times`` then evaluates any selection by a low-rank
-(Woodbury) update over the rows of its selected fragile edges' sources, in
-time linear in n.
+builds P and solves densely, in one LU, for the hitting times and for the
+expected visits to each fragile source: the reference twin, the fallback,
+and the only path at damping 1.  ``factor_walk`` factors the walk once, at
+the all-off selection and for damping < 1 only, by taking that one dense
+answer whole; ``low_rank_hitting_times`` then evaluates any selection by a
+low-rank (Woodbury) update over the rows of its selected fragile edges'
+sources, in time linear in n.
 """
 
 from __future__ import annotations
@@ -42,15 +43,26 @@ EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class HittingProfile:
-    """Expected steps to first reach the target from each node, and the
-    expected first return time from the target itself.
+    """Expected steps to first reach the target from each node, the
+    expected first return time from the target itself, and the expected
+    visits to each fragile source before the first passage.
+
+    ``visits`` is an (s, n) array for the s fragile sources other than the
+    target, ascending (``_fragile_sources``): ``visits[r, j]`` is the
+    expected number of visits to ``sources[r]`` by a walk that starts at j,
+    counting the start, before it first reaches the target.  Row r is the
+    column of ``(I - Q)^-1`` at ``sources[r]``, with a zero put in at the
+    target.  ``hitting_times`` forms it; the low-rank update does not, and
+    leaves None.
 
     Invariants: ``h[target] == 0``, ``h[j] >= 1`` elsewhere, and
-    ``fr == 1 + P[target] @ h >= 1``.
+    ``fr == 1 + P[target] @ h >= 1``; ``visits[:, target] == 0`` and
+    ``visits[r, sources[r]] >= 1``.
     """
 
     h: np.ndarray
     fr: float
+    visits: np.ndarray | None = None
 
 
 def _transition_rows(instance: Instance, y: Selection, source=None, fixed=None) -> np.ndarray:
@@ -123,7 +135,7 @@ def _first_passage_matrix(P: np.ndarray, v: int) -> np.ndarray:
         for to_cols, cols in ((slice(None, v), slice(None, v)), (slice(v, None), slice(v + 1, None))):
             A[to_rows, to_cols] = P[rows, cols]
     np.subtract(0.0, A, out=A)
-    A[np.diag_indices_from(A)] += 1.0
+    A.ravel()[::n] += 1.0  # the diagonal: every n-th entry of the contiguous (n-1)-square A
     return A
 
 
@@ -135,13 +147,26 @@ def _solve_first_passage(P: np.ndarray, v: int, rhs: np.ndarray) -> np.ndarray:
         raise SingularSystem(f"hitting-time system for target {v} is singular") from None
 
 
+def _fragile_sources(instance: Instance) -> np.ndarray:
+    """The distinct sources of fragile edges other than the target,
+    ascending: the rows of Q that a selection can move.  A mask over the
+    nodes, not ``np.unique``, keeps the dense reference cheap at small n."""
+    is_source = np.zeros(instance.n, dtype=bool)
+    is_source[instance.fragile_array[:, 0]] = True
+    is_source[instance.target] = False
+    return np.flatnonzero(is_source)
+
+
 def hitting_times(instance: Instance, y: Selection) -> HittingProfile:
     """Solve the first-passage system for the target node.
 
     ``h[j] = 1 + sum_{k != v} P[j, k] h[k]`` for ``j != v`` with ``h[v] = 0``,
     by a dense direct solve of the (n-1)-dimensional system excluding the
-    target, then ``fr = 1 + P[v] @ h``.  A one-node walk solves the empty
-    system: h = [0].
+    target, then ``fr = 1 + P[v] @ h``.  The same solve, one LU, takes the
+    unit columns at the fragile sources other than the target as further
+    right-hand sides, ``(I - Q) [h | X] = [1 | U]``, and ``visits`` is X
+    transposed with a zero put in at the target.  A one-node walk solves the
+    empty system: h = [0], and visits has shape (0, 1).
 
     Raises
     ------
@@ -152,10 +177,17 @@ def hitting_times(instance: Instance, y: Selection) -> HittingProfile:
     n, v = instance.n, instance.target
     if instance.damping >= 1.0:
         _require_target_reachable(P, v)
-    h = np.zeros(n)
-    h[np.arange(n) != v] = _solve_first_passage(P, v, np.ones(n - 1))
-    fr = 1.0 + float(P[v] @ h)
-    return HittingProfile(h=h, fr=fr)
+    sources = _fragile_sources(instance)
+    s = len(sources)
+    rhs = np.zeros((n - 1, 1 + s))
+    rhs[:, 0] = 1.0
+    rhs[sources - (sources > v), np.arange(1, 1 + s)] = 1.0
+    x = _solve_first_passage(P, v, rhs)
+    rows = np.zeros((1 + s, n))  # h, then visits: x transposed, zero at the target
+    rows[:, :v] = x[:v].T
+    rows[:, v + 1 :] = x[v:].T
+    h, visits = rows[0], rows[1:]
+    return HittingProfile(h=h, fr=1.0 + float(P[v] @ h), visits=visits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,10 +200,11 @@ class WalkFactor:
     ``hitting_times`` answer; ``fixed_edges`` the fixed edges out of the
     fragile sources, as a read-only (m, 2) array in ``edge_array``'s sorted
     order; ``sources`` the distinct fragile sources other than
-    the target, ascending; ``column_pairs`` a C-ordered (2, s, n) array for
-    s sources, whose ``[0, r]`` is M's column at ``sources[r]`` as a
-    length-n vector that is zero at the target, and whose ``[1, r]`` is its
-    absolute value.  An evaluation gathers its r rows of both halves with
+    the target, ascending (``_fragile_sources``); ``column_pairs`` a
+    C-ordered (2, s, n) array for s sources, whose ``[0]`` is the same
+    answer's ``visits`` (row r: M's column at ``sources[r]`` as a length-n
+    vector that is zero at the target), and whose ``[1]`` is its absolute
+    value.  An evaluation gathers its r rows of both halves with
     one ``take``.  One copy of each half suffices: the absolute half feeds
     only the first-order rounding bound, never h or fr, so its layout moves
     no answer.  ``base_rows[r]`` is the all-off transition row out of
@@ -197,17 +230,15 @@ class WalkFactor:
 
 
 def factor_walk(instance: Instance) -> WalkFactor:
-    """The all-off hitting times from the dense ``hitting_times``, and one
-    LU of ``I - Q0`` for M's columns at the fragile sources, kept with their
-    absolute values as ``column_pairs``; the n-by-n arrays are dropped on
+    """The walk factored from one dense ``hitting_times`` answer at the
+    all-off selection: its ``h`` as h0, and its ``visits``, M's columns at
+    the fragile sources, kept with their absolute values as
+    ``column_pairs``; one LU in all, and the n-by-n arrays are dropped on
     return.
 
-    Taking ``h0`` from the reference twin, at the cost of a second dense
-    solve, makes every evaluation that moves no row (the all-off selection,
-    say) equal it bitwise: its h is h0, and its return time is the same
-    ``1 + P[target] @ h0`` that ``hitting_times`` forms.  It also keeps one
-    ``chain.hitting_times`` call per solve where perfbench's tracer counts
-    the chain layer.
+    So every evaluation that moves no row (the all-off selection, say)
+    equals the dense answer bitwise: its h is h0, and its return time is
+    the same ``1 + P[target] @ h0`` that ``hitting_times`` forms.
 
     Reads ``edge_array`` first, which validates the instance as validate
     does; then raises DampingRangeError at damping 1, before any other
@@ -218,28 +249,20 @@ def factor_walk(instance: Instance) -> WalkFactor:
     edges = instance.edge_array
     if instance.damping >= 1.0:
         raise DampingRangeError("the factored walk requires damping < 1")
-    n, v = instance.n, instance.target
+    v = instance.target
     from_fragile = instance.fragile_array[:, 0]
     fixed_edges = edges[np.isin(edges[:, 0], from_fragile)]
     fixed_edges.setflags(write=False)
-    # Ahead of the dense solves: numpy's first np.unique in a process maps
-    # about 1.3 MB (numpy 2.4), which would otherwise add to their peak.
-    sources = np.unique(from_fragile[from_fragile != v])
+    sources = _fragile_sources(instance)
     off = (0,) * instance.z_count
     base = hitting_times(instance, off)
     P = transition_matrix(instance, off)
-    others = np.arange(n) != v
-    columns = np.zeros((n, len(sources)))
-    if len(sources):
-        units = np.zeros((n - 1, len(sources)))
-        units[sources - (sources > v), np.arange(len(sources))] = 1.0
-        columns[others] = _solve_first_passage(P, v, units)
     return WalkFactor(
         instance=instance,
         h0=base.h,
         fixed_edges=fixed_edges,
         sources=sources,
-        column_pairs=np.array((columns.T, np.abs(columns.T))),  # C-ordered, unlike np.stack of these
+        column_pairs=np.array((base.visits, np.abs(base.visits))),  # C-ordered
         base_rows=P[sources],
         target_row=P[v].copy(),
         edge_places=tuple(np.where(from_fragile == v, -1, np.searchsorted(sources, from_fragile)).tolist()),
@@ -281,7 +304,8 @@ def _row_delta(factor: WalkFactor, edges: tuple[int, ...]) -> np.ndarray:
 
 def low_rank_hitting_times(factor: WalkFactor, y: Selection) -> HittingProfile:
     """``hitting_times(factor.instance, y)`` from the factor, without the
-    n-by-n ``P``.
+    n-by-n ``P``: its h and fr, with visits None unless the dense solve
+    answered.
 
     A selection changes only the rows out of the sources of its selected
     fragile edges.  With D the changes of those rows that lie in Q (the

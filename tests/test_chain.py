@@ -277,6 +277,80 @@ class TestHittingTimes:
             assert abs(fr - mean) <= 3 * stderr, (fr, mean, stderr)
 
 
+def reference_visits(inst, y):
+    """Rows of ``inv(I - Q)`` at the fragile sources other than the target,
+    from the loop-built P, with a zero put in at the target."""
+    v = inst.target
+    others = [j for j in range(inst.n) if j != v]
+    P = loop_transition_matrix(inst, y)
+    M = np.linalg.inv(np.eye(inst.n - 1) - P[np.ix_(others, others)])
+    sources = sorted({i for i, _ in inst.fragile} - {v})
+    visits = np.zeros((len(sources), inst.n))
+    visits[:, others] = M[:, [others.index(i) for i in sources]].T
+    return sources, visits
+
+
+class TestVisits:
+    """``HittingProfile.visits``: the expected visits to each fragile source
+    before the first passage, from the same solve as h."""
+
+    def check(self, inst, y):
+        profile = ps.hitting_times(inst, y)
+        sources, want = reference_visits(inst, y)
+        assert profile.visits.shape == (len(sources), inst.n)
+        np.testing.assert_allclose(profile.visits, want, rtol=1e-12, atol=0)
+        assert not profile.visits[:, inst.target].any()
+        assert all(profile.visits[r, i] >= 1.0 for r, i in enumerate(sources))
+
+    @pytest.mark.parametrize("damping", [0.5, 0.85, 0.99, 0.999])
+    def test_match_the_inverse_on_random_instances(self, damping):
+        rng = np.random.default_rng(int(damping * 1000) + 3)
+        from_target = 0
+        for n in (2, 3, 5, 9, 17, 40, 120, 300):
+            inst = walk_instance(rng, n, damping)
+            from_target += any(i == inst.target for i, _ in inst.fragile)
+            for y in ((0,) * inst.z_count, (1,) * inst.z_count, random_selection(rng, inst.z_count)):
+                self.check(inst, y)
+        assert from_target >= 4  # a target that is itself a fragile source
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            make(1, 0, [], fragile=[(0, 0)]),
+            make(1, 0, [(0, 0)]),
+            make(4, 2, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+            make(4, 2, [(0, 1), (1, 2), (3, 0)], fragile=[(2, 3), (2, 0)], damping=0.999),
+        ],
+    )
+    def test_no_source_but_the_target(self, inst):
+        for y in product((0, 1), repeat=inst.z_count):
+            assert ps.hitting_times(inst, y).visits.shape == (0, inst.n)
+            self.check(inst, y)
+
+
+class TestOneSolvePerFactor:
+    def test_factor_walk_makes_one_dense_solve(self, monkeypatch):
+        calls = []
+        solve, dense = np.linalg.solve, chain.hitting_times
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append("solve") or solve(*args))
+        monkeypatch.setattr(chain, "hitting_times", lambda *args: calls.append("hitting_times") or dense(*args))
+        rng = np.random.default_rng(5)
+        for n in (2, 9, 40, 300):
+            calls.clear()
+            chain.factor_walk(walk_instance(rng, n, 0.85))
+            assert sorted(calls) == ["hitting_times", "solve"], n
+
+    def test_columns_are_the_dense_visits(self):
+        rng = np.random.default_rng(6)
+        for inst in [walk_instance(rng, n, 0.85) for n in (2, 9, 40, 300)] + [make(1, 0, [], fragile=[(0, 0)])]:
+            walk = chain.factor_walk(inst)
+            off = (0,) * inst.z_count
+            profile = ps.hitting_times(inst, off)
+            assert walk.column_pairs[0].tobytes() == profile.visits.tobytes()
+            assert walk.column_pairs.shape == (2, *profile.visits.shape)
+            assert walk.h0.tobytes() == profile.h.tobytes()
+
+
 class TestLowRankHittingTimes:
     @pytest.mark.parametrize("damping", [0.5, 0.85, 0.99, 0.999])
     def test_matches_dense_on_random_instances(self, damping, monkeypatch):
