@@ -77,6 +77,12 @@ def _is_integer_type(kind: type) -> bool:
     return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 
+def _is_number(value) -> bool:
+    """The number rule of damping, density and the gap tolerance: a Python
+    int or float, never a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def check_forced(z_count: int, forced_on, forced_off) -> tuple[frozenset[int], frozenset[int]]:
     """The forced ids as frozensets, checked for ``gamma`` and ``bf_gamma``
     alike: DimensionMismatch for an id that is not an integer, OverlapError
@@ -293,8 +299,8 @@ def _coerce(raw) -> tuple[Instance, np.ndarray, np.ndarray]:
 
 
 def _check_damping(damping) -> None:
-    """The one damping rule: a Python int or float, never a bool."""
-    if isinstance(damping, bool) or not isinstance(damping, (int, float)):
+    """The one damping rule: a number, as _is_number defines one."""
+    if not _is_number(damping):
         raise ParseError(f'"damping" must be a number, got {damping!r}')
 
 
@@ -445,7 +451,8 @@ def generate_random(
 
     Deterministic for a fixed seed.  Raises InfeasibleSpec for an ``n`` or
     ``fragile_count`` that is not an integer (as _is_integer defines one), a
-    ``fixed_edge_prob`` outside [0, 1] (NaN included), a negative
+    ``fixed_edge_prob`` that is not a number (as _is_number defines one) or
+    lies outside [0, 1] (NaN included), a negative
     fragile_count, or when fewer than fragile_count non-edges remain after
     the fixed draw; NodeIndexError for a node count below 1; ParseError for
     a damping that _coerce would refuse, before any draw.
@@ -458,6 +465,8 @@ def generate_random(
     for what, count in (("node count", n), ("fragile edge count", fragile_count)):
         if not _is_integer(count):
             raise InfeasibleSpec(f"{what} must be an integer, got {count!r}")
+    if not _is_number(fixed_edge_prob):
+        raise InfeasibleSpec(f"fixed edge density must be a number, got {fixed_edge_prob!r}")
     if not 0.0 <= fixed_edge_prob <= 1.0:
         raise InfeasibleSpec(f"fixed edge density must lie in [0, 1], got {fixed_edge_prob}")
     if n < 1:

@@ -25,7 +25,7 @@ from itertools import islice
 
 from . import cuts as cut_families, master as master_mod, oracle
 from .errors import DampingRangeError, NoConvergence
-from .instance import ConstraintSet, EMPTY_CONSTRAINTS, Instance, Selection
+from .instance import ConstraintSet, EMPTY_CONSTRAINTS, Instance, Selection, _is_integer, _is_number
 
 OPTIMAL = "optimal"
 ITER_LIMIT = "iter_limit"
@@ -86,8 +86,11 @@ def solve(
     when the constraint set admits no selection,
     TooLargeToEnumerate when its feasible selections would pass
     ``master.POINTS_MAX_BYTES``, ValueError (before the enumeration) for an
-    unknown family or ordering, a negative or NaN ``eps`` or ``max_iters``,
-    or an infinite ``eps``, which would close every gap at round zero, and
+    unknown family or ordering, an ``eps`` that is not a number (as
+    instance._is_number defines one), a ``max_iters`` that is neither an
+    integer (as instance._is_integer defines one) nor ``math.inf`` (no
+    limit), a negative or NaN ``eps`` or ``max_iters``, or an infinite
+    ``eps``, which would close every gap at round zero, and
     NoConvergence in a round whose incumbent value or master bound is not a
     finite number, before its separation; returns a partial trace with
     status "iter_limit" once max_iters separations have run without closing
@@ -105,10 +108,15 @@ def solve(
     instance.edge_array  # validates, once per Instance
     if instance.damping >= 1.0:
         raise DampingRangeError("the cutting-plane solver requires damping < 1")
+    if not _is_number(eps):
+        raise ValueError(f"gap tolerance must be a number, got {eps!r}")
     if not eps >= 0:  # NaN too
         raise ValueError(f"gap tolerance must be nonnegative, got {eps}")
     if eps == math.inf:
         raise ValueError(f"gap tolerance must be finite, got {eps}")
+    nan = isinstance(max_iters, float) and math.isnan(max_iters)  # refused by the sign check below
+    if not (_is_integer(max_iters) or max_iters == math.inf or nan):
+        raise ValueError(f"iteration limit must be an integer or math.inf, got {max_iters!r}")
     if not max_iters >= 0:
         raise ValueError(f"iteration limit must be nonnegative, got {max_iters}")
 

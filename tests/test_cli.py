@@ -2,7 +2,14 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pagerank_select as ps
@@ -10,10 +17,101 @@ from pagerank_select import chain, cli, cuts as cut_families
 from test_instance import MALFORMED, malformed_dict
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+AGREE = 1e-9  # solve's optimum against brute's
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def optimum(line: str) -> float:
+    """The value of a ``solve`` or ``brute`` line, ``optimum <value> ...``."""
+    return float(line.split()[1])
+
+
+def gen(capsys, path, *options) -> str:
+    """Write ``gen --n 12 --density 0.3 OPTIONS`` to ``path``; it must exit 0."""
+    code, _, _ = run(capsys, "gen", "--n", "12", "--density", "0.3", *options, "--out", str(path))
+    assert code == 0
+    return str(path)
+
+
+def rewritten(source, path, **fields) -> str:
+    """A copy of the instance file ``source`` at ``path``, with ``fields`` replaced."""
+    data = json.loads(Path(source).read_text())
+    data.update(fields)
+    Path(path).write_text(json.dumps(data))
+    return str(path)
+
+
+def huge_row_file(tmp_path) -> str:
+    """An instance whose row bound, 2**60, is past exact integer arithmetic."""
+    path = tmp_path / "huge.json"
+    inst, _ = ps.generate_random(6, 0.3, 3, None, seed=5)
+    data = ps.instance.instance_to_json(inst)
+    data["constraints"] = {"rows": [{"coeffs": [1, 0, 1], "sense": "<=", "rhs": 2**60}], "cardinality": None}
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def infeasible_file(tmp_path) -> str:
+    """An instance whose two equality rows admit no selection."""
+    path = tmp_path / "inf.json"
+    inst, _ = ps.generate_random(5, 0.3, 3, None, seed=2)
+    cons = ps.ConstraintSet(rows=(ps.Row((1, 0, 0), "=", 1), ps.Row((1, 0, 0), "=", 0)))
+    ps.write_instance(path, inst, cons)
+    return str(path)
+
+
+# Instance files by recipe: each takes (capsys, tmp_path) and returns the path.
+
+
+def card_le3_file(capsys, tmp_path) -> str:
+    return gen(capsys, tmp_path / "x.json", "--fragile", "6", "--constraint", "card_le:3", "--seed", "1")
+
+
+def rows_file(constraint, damping=None):
+    """The seed-2 file under ``constraint``, its damping rewritten when given."""
+
+    def make(capsys, tmp_path) -> str:
+        path = gen(capsys, tmp_path / "rows.json", "--fragile", "6", "--constraint", constraint, "--seed", "2")
+        return path if damping is None else rewritten(path, tmp_path / "rows99.json", damping=damping)
+
+    return make
+
+
+def free_file(capsys, tmp_path) -> str:
+    return gen(capsys, tmp_path / "free.json", "--fragile", "6", "--seed", "3")
+
+
+def wide_file(fragile):
+    """The seed-4 file with ``fragile`` fragile edges and no rows."""
+
+    def make(capsys, tmp_path) -> str:
+        return gen(capsys, tmp_path / f"wide{fragile}.json", "--fragile", str(fragile), "--seed", "4")
+
+    return make
+
+
+def numpy_row_file(capsys, tmp_path) -> str:
+    """The card_le:3 instance under a row of numpy integers, as write_instance writes it."""
+    inst, _ = ps.read_instance(card_le3_file(capsys, tmp_path))
+    row = ps.Row(tuple(np.ones(inst.z_count, dtype=np.int64)), "<=", np.int64(2))
+    path = tmp_path / "numpy.json"
+    ps.write_instance(path, inst, ps.ConstraintSet(rows=(row,)))
+    return str(path)
+
+
+def equality_row_file(capsys, tmp_path) -> str:
+    """The card_le:3 instance under an equality row with a negative coefficient and a card_ge:1 bound."""
+    constraints = {
+        "rows": [{"coeffs": [1, -1, 0, 0, 0, 0], "sense": "=", "rhs": 0}],
+        "cardinality": {"sense": ">=", "k": 1},
+    }
+    return rewritten(card_le3_file(capsys, tmp_path), tmp_path / "eq.json", constraints=constraints)
 
 
 @pytest.fixture()
@@ -113,12 +211,7 @@ class TestValidate:
 class TestRowsPastExactArithmetic:
     @pytest.mark.parametrize("command", ["validate", "solve", "brute"])
     def test_every_command_is_an_input_error(self, capsys, tmp_path, command):
-        path = tmp_path / "huge.json"
-        inst, _ = ps.generate_random(6, 0.3, 3, None, seed=5)
-        data = ps.instance.instance_to_json(inst)
-        data["constraints"] = {"rows": [{"coeffs": [1, 0, 1], "sense": "<=", "rhs": 2**60}], "cardinality": None}
-        path.write_text(json.dumps(data))
-        code, out, err = run(capsys, command, str(path))
+        code, out, err = run(capsys, command, huge_row_file(tmp_path))
         assert code == 1
         assert out == ""
         assert err.startswith("invalid: " if command == "validate" else "error: ")
@@ -181,16 +274,14 @@ class TestSolveAndBrute:
         assert code == 0
         code, brute_out, _ = run(capsys, "brute", demo_file)
         assert code == 0
-        solve_val = float(solve_out.split()[1])
-        brute_val = float(brute_out.split()[1])
-        assert abs(solve_val - brute_val) <= 1e-9
+        assert abs(optimum(solve_out) - optimum(brute_out)) <= AGREE
 
     def test_all_families_agree(self, capsys, demo_file):
         values = []
         for family in ("lshaped", "new", "lifted"):
             code, out, _ = run(capsys, "solve", demo_file, "--cuts", family)
             assert code == 0
-            values.append(float(out.split()[1]))
+            values.append(optimum(out))
         assert max(values) - min(values) <= 1e-9
 
     def test_report_file(self, capsys, demo_file, tmp_path):
@@ -201,13 +292,10 @@ class TestSolveAndBrute:
         assert blob["status"] == "optimal"
 
     def test_infeasible_exit_code(self, capsys, tmp_path):
-        path = tmp_path / "inf.json"
-        inst, _ = ps.generate_random(5, 0.3, 3, None, seed=2)
-        cons = ps.ConstraintSet(rows=(ps.Row((1, 0, 0), "=", 1), ps.Row((1, 0, 0), "=", 0)))
-        ps.write_instance(path, inst, cons)
-        code, _, err = run(capsys, "solve", str(path))
+        path = infeasible_file(tmp_path)
+        code, _, err = run(capsys, "solve", path)
         assert code == 2
-        code, _, err = run(capsys, "brute", str(path))
+        code, _, err = run(capsys, "brute", path)
         assert code == 2
 
     def test_negative_eps_is_an_input_error(self, capsys, demo_file):
@@ -272,8 +360,21 @@ class TestSolveAndBrute:
 
 
 class TestCompareCuts:
-    def test_csv_shape_and_dominance(self, capsys, demo_file):
-        code, out, _ = run(capsys, "compare-cuts", demo_file, "--trials", "4", "--seed", "1")
+    @pytest.mark.parametrize(
+        "make, options",
+        [
+            pytest.param(None, ("--trials", "4", "--seed", "1"), id="demo"),
+            *(
+                pytest.param(card_le3_file, ("--trials", "3", "--ordering", ordering), id=f"card_le:3-{ordering}")
+                for ordering in ("gamma", "index")
+            ),
+        ],
+    )
+    def test_csv_shape_and_dominance(self, capsys, tmp_path, demo_file, make, options):
+        # lifted is new with forced-off tails: equal to new at each edge the
+        # incumbent selects, at least new elsewhere
+        path = demo_file if make is None else make(capsys, tmp_path)
+        code, out, _ = run(capsys, "compare-cuts", path, *options)
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows
@@ -281,7 +382,10 @@ class TestCompareCuts:
             lifted = float(row["coeff_lifted"])
             new = float(row["coeff_new"])
             lshaped = float(row["coeff_lshaped"])
-            assert lifted >= new - 1e-9
+            if row["incumbent"][int(row["edge_id"])] == "1":
+                assert lifted == new
+            else:
+                assert lifted >= new - 1e-9
             assert new >= lshaped - 1e-9
 
     def test_deterministic(self, capsys, demo_file):
@@ -360,3 +464,76 @@ class TestCompareCuts:
         assert code == 3
         assert out == ""
         assert err.startswith("limit: 19 fragile edges")
+
+
+class TestEndToEnd:
+    """Generated files through cli.main: solve against brute, the
+    enumeration boundary, a solve at n = 2000, and the exit codes of a real
+    process."""
+
+    @pytest.mark.parametrize(
+        "make, families",
+        [
+            pytest.param(card_le3_file, (None,), id="card_le:3"),
+            *(
+                pytest.param(rows_file(constraint, damping), ("lshaped", "new", "lifted"), id=f"{constraint}-{label}")
+                for constraint in ("card_ge:2", "cover:2")
+                # at 0.99 the walk is slow to mix and rounding in the face bounds is largest
+                for damping, label in ((None, "own-damping"), (0.99, "damping-0.99"))
+            ),
+            pytest.param(free_file, ("lshaped",), id="no-rows"),
+            pytest.param(numpy_row_file, (None,), id="numpy-integer-row"),
+            pytest.param(equality_row_file, ("lshaped", "new", "lifted"), id="equality-row"),
+        ],
+    )
+    def test_solve_agrees_with_brute(self, capsys, tmp_path, make, families):
+        path = make(capsys, tmp_path)
+        assert run(capsys, "validate", path)[0] == 0
+        code, brute, _ = run(capsys, "brute", path)
+        assert code == 0
+        for family in families:  # None: solve's default family
+            code, solved, _ = run(capsys, "solve", path, *(() if family is None else ("--cuts", family)))
+            assert code == 0
+            assert abs(optimum(solved) - optimum(brute)) <= AGREE, (family, solved, brute)
+
+    @pytest.mark.parametrize("make", [free_file, wide_file(18)], ids=["no-rows", "18-edges"])
+    def test_lshaped_closes_at_round_zero_without_rows(self, capsys, tmp_path, make):
+        # with no rows the unconstrained minimiser is feasible, so lshaped
+        # takes it as its first incumbent and runs no separation; 18 fragile
+        # edges is the widest cube the master enumerates
+        code, out, _ = run(capsys, "solve", make(capsys, tmp_path), "--cuts", "lshaped")
+        assert code == 0
+        assert re.search(r"(^| )iterations 0( |$)", out), out
+
+    def test_nineteen_fragile_edges_are_a_limit(self, capsys, tmp_path):
+        code, out, err = run(capsys, "solve", wide_file(19)(capsys, tmp_path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("limit: 19 fragile edges")
+
+    def test_n2000_commands_each_within_30_s(self, capsys, tmp_path):
+        # about 80,000 edges: the solve factors the walk at that size
+        path = str(tmp_path / "big.json")
+        gen_argv = ("gen", "--n", "2000", "--density", "0.02", "--fragile", "10", "--seed", "1", "--out", path)
+        for argv in (gen_argv, ("validate", path), ("solve", path)):
+            start = time.perf_counter()
+            code, _, _ = run(capsys, *argv)
+            seconds = time.perf_counter() - start
+            assert code == 0
+            assert seconds < 30, (argv[0], seconds)
+
+    @pytest.mark.parametrize(
+        "make, command, expected",
+        [
+            pytest.param(card_le3_file, "validate", 0, id="ok"),
+            pytest.param(lambda capsys, tmp_path: huge_row_file(tmp_path), "solve", 1, id="input-error"),
+            pytest.param(lambda capsys, tmp_path: infeasible_file(tmp_path), "solve", 2, id="infeasible"),
+            pytest.param(wide_file(19), "solve", 3, id="limit"),
+        ],
+    )
+    def test_a_python_process_exits_with_the_code_main_returns(self, capsys, tmp_path, make, command, expected):
+        path = make(capsys, tmp_path)
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        argv = [sys.executable, "-m", "pagerank_select.cli", command, path]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == expected, done.stderr

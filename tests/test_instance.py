@@ -380,6 +380,9 @@ class TestGenerator:
             ((6, math.nan, 2), "fixed edge density must lie in [0, 1], got nan"),
             ((6, -3.0, 2), "fixed edge density must lie in [0, 1], got -3.0"),
             ((6, 1.5, 2), "fixed edge density must lie in [0, 1], got 1.5"),
+            ((6, "0.5", 2), "fixed edge density must be a number, got '0.5'"),
+            ((6, None, 2), "fixed edge density must be a number, got None"),
+            ((5, True, 0), "fixed edge density must be a number, got True"),
             ((10.0, 0.3, 2), "node count must be an integer, got 10.0"),
             ((True, 0.3, 0), "node count must be an integer, got True"),
             ((10, 0.3, 2.0), "fragile edge count must be an integer, got 2.0"),

@@ -67,6 +67,23 @@ class TestTrivialCases:
         with pytest.raises(ValueError, match="must be nonnegative, got nan"):
             ps.solve(frozen, **limit)
 
+    @pytest.mark.parametrize(
+        "limit, message",
+        [
+            ({"max_iters": 1.5}, "iteration limit must be an integer or math.inf, got 1.5"),
+            ({"max_iters": True}, "iteration limit must be an integer or math.inf, got True"),
+            ({"max_iters": "3"}, "iteration limit must be an integer or math.inf, got '3'"),
+            ({"eps": True}, "gap tolerance must be a number, got True"),
+            ({"eps": "1"}, "gap tolerance must be a number, got '1'"),
+            ({"eps": None}, "gap tolerance must be a number, got None"),
+        ],
+    )
+    def test_limit_of_the_wrong_type_rejected_before_any_round(self, frozen, limit, message, monkeypatch):
+        monkeypatch.setattr(master_mod, "feasible_set", None)  # nothing may be enumerated
+        with pytest.raises(ValueError) as caught:
+            ps.solve(frozen, **limit)
+        assert str(caught.value) == message
+
     def test_infinite_gap_tolerance_rejected_before_any_round(self, frozen, monkeypatch):
         # an infinite tolerance would close the gap at round zero with a
         # value that is not the optimum; "no limit" stays allowed for rounds
