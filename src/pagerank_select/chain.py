@@ -14,13 +14,15 @@ and the only path at damping 1.  ``factor_walk`` factors the walk once, at
 the all-off selection and for damping < 1 only, by taking that one dense
 answer whole; ``low_rank_hitting_times`` then evaluates any selection by a
 low-rank (Woodbury) update over the rows of its selected fragile edges'
-sources, in time linear in n.
+sources, in time linear in n.  ``low_rank_hitting_times_many`` evaluates
+many selections by the same update, stacked by rank, with the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -31,6 +33,11 @@ from .instance import Instance, Selection, check_selection
 # solve holds at most three such arrays at once (P, the system built from it
 # and LAPACK's LU copy), about 384 MiB at the limit.
 DENSE_MAX_BYTES = 2**27
+# The stacked n-vectors of one chunk of low_rank_hitting_times_many: per
+# selection of rank r, the r rows of M U and of |M U| and about five
+# n-vectors of h and its bound.  4 MiB holds 134 selections of rank 4 at
+# n = 300, and about 1,200 of rank 3 at n = 40.
+_BATCH_MAX_BYTES = 2**22
 # Largest first-order bound on the rounding error of the low-rank update,
 # relative to each hitting time, that low_rank_hitting_times accepts; above
 # it the dense solve answers.  The bound covers the update's own rounding
@@ -67,18 +74,24 @@ class HittingProfile:
 
 def _transition_rows(instance: Instance, y: Selection, source=None, fixed=None) -> np.ndarray:
     """Transition rows under a checked selection, of a validated instance:
-    every node's in order, or the one row out of ``source`` when it is
-    given.  The only builder of the walk; every other function here reads
-    its rows.  ``fixed`` lists the fixed edges to count (``edge_array`` when
-    None); it must hold every fixed edge out of ``source``."""
+    every node's in order, or, when ``source`` is given, the rows out of it
+    (one node, or an array of distinct nodes, in its order).  The only
+    builder of the walk; every other function here reads its rows.
+    ``fixed`` lists the fixed edges to count (``edge_array`` when None); it
+    must hold every fixed edge out of ``source``."""
     n, c = instance.n, instance.damping
     fixed = instance.edge_array if fixed is None else fixed
     active = np.concatenate((fixed, instance.fragile_array[np.asarray(y, dtype=bool)]))
     src, dst = active[:, 0], active[:, 1]
     count = n
-    if source is not None:
+    if source is not None and np.ndim(source) == 0:  # one node: a mask, cheaper than a map over n
         count, dst = 1, dst[src == source]
         src = np.zeros_like(dst)
+    elif source is not None:
+        place = np.full(n, -1)  # the row of each node of source, by node
+        place[source] = np.arange(len(source))
+        keep = place[src] >= 0
+        count, src, dst = len(source), place[src[keep]], dst[keep]
     deg = np.bincount(src, minlength=count)
     rows = np.full((count, n), (1.0 - c) / n)
     rows[src, dst] += c / deg[src]
@@ -233,8 +246,9 @@ def factor_walk(instance: Instance) -> WalkFactor:
     """The walk factored from one dense ``hitting_times`` answer at the
     all-off selection: its ``h`` as h0, and its ``visits``, M's columns at
     the fragile sources, kept with their absolute values as
-    ``column_pairs``; one LU in all, and the n-by-n arrays are dropped on
-    return.
+    ``column_pairs``; one build of P and one LU in all, and the n-by-n
+    arrays are dropped on return: the all-off rows out of the sources and
+    the target are built apart from P, as those rows alone.
 
     So every evaluation that moves no row (the all-off selection, say)
     equals the dense answer bitwise: its h is h0, and its return time is
@@ -256,15 +270,15 @@ def factor_walk(instance: Instance) -> WalkFactor:
     sources = _fragile_sources(instance)
     off = (0,) * instance.z_count
     base = hitting_times(instance, off)
-    P = transition_matrix(instance, off)
+    rows = _transition_rows(instance, off, np.append(sources, v))  # not a second P
     return WalkFactor(
         instance=instance,
         h0=base.h,
         fixed_edges=fixed_edges,
         sources=sources,
         column_pairs=np.array((base.visits, np.abs(base.visits))),  # C-ordered
-        base_rows=P[sources],
-        target_row=P[v].copy(),
+        base_rows=rows[:-1],
+        target_row=rows[-1],
         edge_places=tuple(np.where(from_fragile == v, -1, np.searchsorted(sources, from_fragile)).tolist()),
     )
 
@@ -342,21 +356,12 @@ def low_rank_hitting_times(factor: WalkFactor, y: Selection) -> HittingProfile:
     """
     instance = factor.instance
     y = check_selection(instance.z_count, y)
-    places = factor.edge_places
-    picked: dict[int, list[int]] = {}  # selected edge ids by their source's place
-    for k in compress(range(len(y)), y):
-        picked.setdefault(places[k], []).append(k)
-    target_row = factor.target_row
-    if -1 in picked:
-        target_row = _row_delta(factor, tuple(picked.pop(-1)))
+    target_row, at, entries = _gather(factor, y)
     h = factor.h0
-    if picked:
-        at = sorted(picked)
+    if at:
         r, s = len(at), len(factor.sources)
         # r-by-(2r + 2): C = I - D M U, |D| |M U|, D h0 and |D| h0
-        parts = np.array([_row_delta(factor, tuple(picked[p])) for p in at]).take(
-            at + [s + p for p in at] + [2 * s, 2 * s + 1], axis=1
-        )
+        parts = np.array(entries).take(at + [s + p for p in at] + [2 * s, 2 * s + 1], axis=1)
         try:
             C_inv = np.linalg.inv(parts[:, :r])
         except np.linalg.LinAlgError:
@@ -370,6 +375,97 @@ def low_rank_hitting_times(factor: WalkFactor, y: Selection) -> HittingProfile:
     else:
         h = h.copy()
     return HittingProfile(h=h, fr=1.0 + float(target_row @ h))
+
+
+def _gather(factor: WalkFactor, y: Selection) -> tuple[np.ndarray, list[int], list[np.ndarray]]:
+    """What the update reads of a checked selection: the row out of the
+    target (its cached ``_row_delta`` when one of its fragile edges is
+    selected, else the all-off row), the places in ``sources`` of the other
+    sources of its selected edges, ascending, and their ``_row_delta``
+    entries in that order."""
+    places = factor.edge_places
+    picked: dict[int, list[int]] = {}  # selected edge ids by their source's place
+    for k in compress(range(len(y)), y):
+        picked.setdefault(places[k], []).append(k)
+    target_row = factor.target_row
+    if -1 in picked:
+        target_row = _row_delta(factor, tuple(picked.pop(-1)))
+    at = sorted(picked)
+    return target_row, at, [_row_delta(factor, tuple(picked[p])) for p in at]
+
+
+def low_rank_hitting_times_many(
+    factor: WalkFactor, ys: Iterable[Selection]
+) -> Iterator[tuple[int, HittingProfile]]:
+    """``low_rank_hitting_times(factor, y)`` for each selection of ``ys``,
+    bitwise, yielded as ``(place in ys, profile)`` pairs, grouped by rank.
+
+    Every selection is checked by ``check_selection`` before the first is
+    evaluated.  One that moves no row of Q has h = h0, as there.  Those that
+    move r > 0 rows are evaluated together, in chunks of at most
+    ``_BATCH_MAX_BYTES`` of stacked n-vectors: one gather of their blocks
+    from the row deltas, one stacked ``np.linalg.inv``,
+    stacked ``C^-1 D h0`` and bound ``dw``, one ``take`` of their rows of M U
+    and |M U|, and one accept check.  Each stacked product makes the same
+    BLAS call per selection as the one-selection path, so numpy's per-call
+    overhead is paid once per chunk and no bit moves.  A selection whose
+    bound fails is answered by dense ``hitting_times`` on its own; when a
+    chunk's stacked ``inv`` raises (some C is singular), each of its
+    selections is evaluated on its own, as ``low_rank_hitting_times`` would.
+
+    An accepted profile's h is a row of its chunk's stacked array, so a
+    caller that keeps only what it reads of each profile holds one chunk at
+    a time.  Below a few selections the one-selection path is as fast or
+    faster: a batch of one took 39 us against 24 us at n = 40, a batch of
+    two broke even, and 298 took 7.5 us a selection (2-CPU host, one BLAS
+    thread).
+    """
+    instance = factor.instance
+    ys = [check_selection(instance.z_count, y) for y in ys]
+    groups: dict[int, list[tuple[int, np.ndarray, list[int], list[np.ndarray]]]] = {}
+    for i, y in enumerate(ys):
+        target_row, at, entries = _gather(factor, y)
+        groups.setdefault(len(at), []).append((i, target_row, at, entries))
+    for i, target_row, _, _ in groups.pop(0, ()):
+        yield i, HittingProfile(h=factor.h0.copy(), fr=1.0 + float(target_row @ factor.h0))
+    for r, group in groups.items():
+        size = max(1, _BATCH_MAX_BYTES // (8 * instance.n * (2 * r + 5)))
+        for start in range(0, len(group), size):
+            yield from _evaluate_chunk(factor, ys, r, group[start : start + size])
+
+
+def _evaluate_chunk(
+    factor: WalkFactor, ys: list[Selection], r: int, chunk: list
+) -> Iterator[tuple[int, HittingProfile]]:
+    """One chunk of ``low_rank_hitting_times_many``: the selections of rank
+    r > 0 in ``chunk``, each as ``(place in ys, target row, places, entries)``
+    from ``_gather``.  A generator, so that its stacked arrays are dropped
+    once its last profile is taken."""
+    instance = factor.instance
+    k, n, s = len(chunk), instance.n, len(factor.sources)
+    at = np.array([places for _, _, places, _ in chunk])
+    picks = np.empty((k, 1, 2 * r + 2), dtype=np.intp)  # the columns each selection reads
+    picks[:, 0, :r], picks[:, 0, r : 2 * r], picks[:, 0, 2 * r :] = at, at + s, (2 * s, 2 * s + 1)
+    # k-by-r-by-(2r + 2), each laid out as in low_rank_hitting_times
+    parts = np.array([entries for *_, entries in chunk])[np.arange(k)[:, None, None], np.arange(r)[:, None], picks]
+    try:
+        C_inv = np.linalg.inv(parts[:, :, :r])
+    except np.linalg.LinAlgError:
+        for i, *_ in chunk:
+            yield i, low_rank_hitting_times(factor, ys[i])
+        return
+    w = C_inv @ parts[:, :, 2 * r : 2 * r + 1]
+    dw = EPS * (np.abs(C_inv) @ (parts[:, :, 2 * r + 1 :] + parts[:, :, r : 2 * r] @ np.abs(w)))
+    columns, abs_columns = factor.column_pairs.take(at, axis=1)  # k-by-r-by-n each
+    h = factor.h0 + w.reshape(k, 1, r) @ columns  # k-by-1-by-n
+    accepted = (dw.reshape(k, 1, r) @ abs_columns <= UPDATE_RTOL * h).all(axis=(1, 2))
+    rows = np.array([target_row for _, target_row, _, _ in chunk])
+    fr = 1.0 + (rows[:, None, :] @ h.reshape(k, n, 1)).ravel()
+    for j, (i, *_) in enumerate(chunk):
+        if accepted[j]:
+            yield i, HittingProfile(h=h[j, 0], fr=float(fr[j]))
+        else:
+            yield i, hitting_times(instance, ys[i])
 
 
 def stationary(instance: Instance, y: Selection) -> np.ndarray:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -147,10 +147,12 @@ class Memo:
     stored: a query that raises is asked again, and raises again, next time.
     The memo factors the instance's walk when it is made (``walk``, the
     solve's only factorisation, so damping 1 raises DampingRangeError here),
-    and every answer comes from it through ``chain.low_rank_hitting_times``.
-    A selection's cache entry is an ``Evaluation``, which holds no n-vector.
-    ``gamma_calls`` counts the queries asked, repeats included;
-    ``gamma_solves`` the distinct ones.
+    and every answer comes from it through ``chain.low_rank_hitting_times``,
+    or through ``chain.low_rank_hitting_times_many`` for the selections that
+    ``evaluate_many`` evaluates together, with the same bits.  A selection's
+    cache entry is an ``Evaluation``, which holds no n-vector; the entries
+    are read through ``evaluations``.  ``gamma_calls`` counts the queries
+    asked, repeats included; ``gamma_solves`` the distinct ones.
     """
 
     def __init__(self, instance: Instance):
@@ -182,6 +184,12 @@ class Memo:
         return len(self._gamma)
 
     @property
+    def evaluations(self) -> Mapping[Selection, Evaluation]:
+        """Every selection evaluated so far, as the tuple ``check_selection``
+        returns, to its entry: a read-only view, which evaluates nothing."""
+        return MappingProxyType(self._evaluations)
+
+    @property
     def answers(self) -> Mapping[tuple[frozenset[int], frozenset[int]], GammaResult]:
         """Every distinct query answered so far, ``(forced_on, forced_off)``
         to its result, in the order first asked: a read-only view, which
@@ -211,10 +219,22 @@ class Memo:
         y = check_selection(self.instance.z_count, y)
         entry = self._evaluations.get(y)
         if entry is None:
-            profile = chain.low_rank_hitting_times(self.walk, y)
-            entry = Evaluation(profile.fr, profile.h.take(self._watched).tolist(), float(profile.h.sum()))
-            self._evaluations[y] = entry
+            entry = self._evaluations[y] = self._entry(chain.low_rank_hitting_times(self.walk, y))
         return entry
+
+    def evaluate_many(self, ys: Iterable[Selection]) -> None:
+        """``evaluate`` at each selection of ``ys``, storing the same entries,
+        with the new ones evaluated together by
+        ``chain.low_rank_hitting_times_many``.  Every selection is checked by
+        ``instance.check_selection`` before any is evaluated; selections the
+        memo holds, and repeats, are skipped."""
+        z_count = self.instance.z_count
+        todo = [y for y in dict.fromkeys(check_selection(z_count, y) for y in ys) if y not in self._evaluations]
+        for i, profile in chain.low_rank_hitting_times_many(self.walk, todo):
+            self._evaluations[todo[i]] = self._entry(profile)
+
+    def _entry(self, profile: chain.HittingProfile) -> Evaluation:
+        return Evaluation(profile.fr, profile.h.take(self._watched).tolist(), float(profile.h.sum()))
 
 
 def memo_for(instance: Instance, memo: Memo | None) -> Memo:

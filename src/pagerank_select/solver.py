@@ -100,6 +100,14 @@ def solve(
     each incumbent's value is computed once.  When the memo holds the unconstrained query (the
     ``lshaped`` bound) and the compiled rows admit its argmin, that argmin is
     the incumbent before round one, at the memo's own value.
+
+    A round past round zero that folds no new answer, whose master bound is
+    below the best value by more than ``eps`` and whose incumbent the memo
+    does not hold yet, first evaluates every feasible point tied at the
+    master's minimum, in one ``Memo.evaluate_many``: until an answer is new,
+    theta rises only at each incumbent's own row, so those points are the
+    next incumbents, in order.  Their entries equal ``Memo.evaluate``'s, so
+    the report is the same as without the batch.
     """
     if family not in cut_families.FAMILIES:
         raise ValueError(f"unknown cut family {family!r}")
@@ -136,10 +144,15 @@ def solve(
     iterations = 0  # separations
 
     while True:
+        fresh = len(answers) > folded
         feasible.fold_faces((on, off, answer.value) for (on, off), answer in islice(answers.items(), folded, None))
         folded = len(answers)
         result = master_mod.solve_master(feasible)
         incumbent = result.y
+        if iterations and not fresh and result.theta < best_val - eps and incumbent not in memo.evaluations:
+            # Until an answer is new, theta moves only at each incumbent's
+            # row, so the next incumbents are the points tied at the minimum.
+            memo.evaluate_many(map(tuple, feasible.points[feasible.theta == result.theta].tolist()))
         value = memo.evaluate(incumbent).fr
         if not math.isfinite(value - result.theta):
             raise NoConvergence(

@@ -330,15 +330,18 @@ class TestVisits:
 
 class TestOneSolvePerFactor:
     def test_factor_walk_makes_one_dense_solve(self, monkeypatch):
+        # and builds P once: the rows out of the sources and the target are
+        # built on their own
         calls = []
-        solve, dense = np.linalg.solve, chain.hitting_times
+        solve, dense, build = np.linalg.solve, chain.hitting_times, chain.transition_matrix
         monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append("solve") or solve(*args))
         monkeypatch.setattr(chain, "hitting_times", lambda *args: calls.append("hitting_times") or dense(*args))
+        monkeypatch.setattr(chain, "transition_matrix", lambda *args: calls.append("P") or build(*args))
         rng = np.random.default_rng(5)
         for n in (2, 9, 40, 300):
             calls.clear()
             chain.factor_walk(walk_instance(rng, n, 0.85))
-            assert sorted(calls) == ["hitting_times", "solve"], n
+            assert sorted(calls) == ["P", "hitting_times", "solve"], n
 
     def test_columns_are_the_dense_visits(self):
         rng = np.random.default_rng(6)
@@ -349,6 +352,17 @@ class TestOneSolvePerFactor:
             assert walk.column_pairs[0].tobytes() == profile.visits.tobytes()
             assert walk.column_pairs.shape == (2, *profile.visits.shape)
             assert walk.h0.tobytes() == profile.h.tobytes()
+
+
+    def test_rows_are_those_of_the_all_off_matrix_bitwise(self):
+        rng = np.random.default_rng(7)
+        cases = [walk_instance(rng, n, damping) for n in (2, 9, 40, 300) for damping in (0.5, 0.999)]
+        for inst in cases + [make(1, 0, [], fragile=[(0, 0)]), make(3, 1, [(0, 1), (1, 2)], fragile=[(1, 0)])]:
+            walk = chain.factor_walk(inst)
+            P = ps.transition_matrix(inst, (0,) * inst.z_count)
+            assert walk.base_rows.shape == (len(walk.sources), inst.n)
+            assert walk.base_rows.tobytes() == P[walk.sources].tobytes()
+            assert walk.target_row.tobytes() == P[inst.target].tobytes()
 
 
 class TestLowRankHittingTimes:
@@ -689,6 +703,130 @@ class TestUpdateAgainstPlainForm:
                 evaluations += 1
             assert dense == []  # the update answered every one
         assert evaluations == 72
+
+
+def rank(inst, y):
+    """The rows of Q that selection y moves: its selected edges' sources
+    other than the target."""
+    return len({inst.fragile[k][0] for k, bit in enumerate(y) if bit} - {inst.target})
+
+
+def batched(walk, ys):
+    """``low_rank_hitting_times_many``'s profiles, in the order of ys."""
+    got = dict(chain.low_rank_hitting_times_many(walk, ys))
+    assert sorted(got) == list(range(len(ys)))
+    return [got[i] for i in range(len(ys))]
+
+
+class TestBatchedUpdate:
+    """``low_rank_hitting_times_many`` stacks the one-selection update by
+    rank; each profile must equal ``low_rank_hitting_times``'s bit for bit,
+    and come from the dense solve exactly when that one's does."""
+
+    @staticmethod
+    def check(walk, ys):
+        """Asserts the twins agree at every selection of one batch; returns
+        how many the dense solve answered."""
+        dense = 0
+        for y, got in zip(ys, batched(walk, ys)):
+            want = chain.low_rank_hitting_times(walk, y)
+            assert got.h.tobytes() == want.h.tobytes(), (walk.instance.n, walk.instance.damping, y)
+            assert got.fr == want.fr, (walk.instance.n, walk.instance.damping, y)
+            assert (got.visits is None) == (want.visits is None), y
+            dense += want.visits is not None
+        return dense
+
+    @pytest.mark.parametrize("damping", [0.5, 0.85, 0.99, 0.999])
+    def test_bitwise_on_random_instances(self, damping):
+        rng = np.random.default_rng(int(damping * 1000) + 11)
+        evaluations = dense = from_target = 0
+        mixed = set()
+        for n in (2, 3, 5, 9, 17, 40, 120, 300):
+            inst = walk_instance(rng, n, damping)
+            z = inst.z_count
+            ys = TestUpdateAgainstPlainForm.selections(rng, inst) + [random_selection(rng, z) for _ in range(12)]
+            from_target += any(i == inst.target for i, _ in inst.fragile)
+            mixed.add(len({rank(inst, y) for y in ys}))
+            dense += self.check(chain.factor_walk(inst), ys)
+            evaluations += len(ys)
+        assert max(mixed) >= 4 and from_target >= 4  # one batch holds r = 0 and three more ranks
+        assert dense < evaluations / 2  # mostly the update, not the dense solve
+
+    def test_rank_zero_alone_and_the_targets_own_edges(self):
+        inst = make(5, 0, [(0, 1), (1, 2), (2, 0), (3, 4)], fragile=[(0, 3), (0, 4), (1, 4), (4, 0)])
+        cube = list(product((0, 1), repeat=4))
+        walk = chain.factor_walk(inst)
+        assert self.check(walk, [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)]) == 0
+        assert {rank(inst, y) for y in cube} == {0, 1, 2}
+        assert self.check(walk, cube) == 0
+
+    def test_chunks_of_one_selection(self, monkeypatch):
+        monkeypatch.setattr(chain, "_BATCH_MAX_BYTES", 1)
+        rng = np.random.default_rng(14)
+        for n in (9, 40):
+            inst = walk_instance(rng, n, 0.85)
+            self.check(chain.factor_walk(inst), [random_selection(rng, inst.z_count) for _ in range(10)])
+
+    def test_bitwise_when_the_dense_solve_answers(self, monkeypatch):
+        # a zero threshold fails every error bound that is not exactly zero
+        monkeypatch.setattr(chain, "UPDATE_RTOL", 0.0)
+        rng = np.random.default_rng(15)
+        for n, damping in ((9, 0.5), (40, 0.85), (120, 0.999)):
+            inst = walk_instance(rng, n, damping)
+            z = inst.z_count
+            ys = TestUpdateAgainstPlainForm.selections(rng, inst) + [random_selection(rng, z) for _ in range(6)]
+            assert self.check(chain.factor_walk(inst), ys) == sum(rank(inst, y) > 0 for y in ys)
+
+    def test_a_singular_C_is_evaluated_on_its_own(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        inst = distinct_source_instance(rng, 40, 6, 0.85)
+        walk = chain.factor_walk(inst)
+        # edge 0's own entry of I - D M U made zero: its C = [[0]] is singular
+        entry = chain._row_delta(walk, (0,)).copy()
+        entry[walk.edge_places[0]] = 0.0
+        walk.deltas[(0,)] = entry
+        singles = [tuple(int(k == j) for k in range(6)) for j in range(6)]  # rank 1 each: one chunk
+        alone = []
+        real = chain.low_rank_hitting_times
+        monkeypatch.setattr(chain, "low_rank_hitting_times", lambda walk, y: alone.append(y) or real(walk, y))
+        batched(walk, singles)
+        assert alone == singles  # the chunk's stacked inv raised
+        # only the singular one is answered densely, by both paths
+        assert self.check(walk, singles) == 1
+        self.check(walk, singles + [(1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0)])
+
+    def test_memo_stores_the_entries_evaluate_stores(self, monkeypatch):
+        asked = []
+        real = chain.low_rank_hitting_times_many
+        monkeypatch.setattr(
+            chain, "low_rank_hitting_times_many", lambda walk, ys: asked.append(list(ys)) or real(walk, ys)
+        )
+        rng = np.random.default_rng(18)
+        for n, damping in ((40, 0.85), (120, 0.999)):
+            inst = walk_instance(rng, n, damping)
+            ys = [random_selection(rng, inst.z_count) for _ in range(20)]
+            one, many = oracle.Memo(inst), oracle.Memo(inst)
+            for y in ys:
+                one.evaluate(y)
+            many.evaluate(ys[0])
+            # new ones as numpy arrays, and repeats in another form
+            many.evaluate_many([np.array(y) for y in ys] + [list(y) for y in ys[:5]])
+            assert asked.pop() == [y for y in dict.fromkeys(ys) if y != ys[0]]  # held ones skipped
+            assert dict(many.evaluations) == dict(one.evaluations)
+            assert all(type(bit) is int for y in many.evaluations for bit in y)
+            many.evaluate_many(ys)
+            assert asked.pop() == []
+
+    def test_a_bad_selection_raises_before_any_evaluation(self):
+        inst = walk_instance(np.random.default_rng(19), 20, 0.85)
+        z = inst.z_count
+        good, bad = (1,) * z, (2,) + (0,) * (z - 1)
+        memo = oracle.Memo(inst)
+        with pytest.raises(DimensionMismatch):
+            memo.evaluate_many([good, bad])
+        with pytest.raises(DimensionMismatch):
+            list(chain.low_rank_hitting_times_many(memo.walk, [good, good[1:]]))
+        assert not memo.evaluations and not memo.walk.deltas
 
 
 class TestDenseSizeGuard:

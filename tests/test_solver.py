@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -524,7 +526,7 @@ class TestOneEvaluationPerSelection:
 
         def transition_rows(instance, y, source=None, fixed=None):
             if source is not None:
-                rows.append((source, tuple(k for k, bit in enumerate(y) if bit)))
+                rows.append((tuple(np.atleast_1d(source).tolist()), tuple(k for k, bit in enumerate(y) if bit)))
             return real_rows(instance, y, source, fixed)
 
         monkeypatch.setattr(chain, "low_rank_hitting_times", evaluate)
@@ -541,9 +543,13 @@ class TestOneEvaluationPerSelection:
             rows.clear()
             assert ps.solve(inst, cons, family=family, ordering_strategy=strategy).status == OPTIMAL
             assert evaluated and len(evaluated) == len(set(evaluated))
-            # one source's row per subset of its selected fragile edges
+            # one source's row per subset of its selected fragile edges, and
+            # the factor's all-off rows out of the sources and the target
+            # in one build
             assert len(rows) == len(set(rows))
-            assert all(np.ndim(source) == 0 for source, _ in rows)
+            sources = sorted({i for i, _ in inst.fragile} - {inst.target})
+            assert [nodes for nodes, edges in rows if not edges] == [(*sources, inst.target)]
+            assert all(len(nodes) == 1 for nodes, edges in rows if edges)
 
     def test_no_cache_entry_holds_an_n_vector(self, monkeypatch):
         memos = []
@@ -568,6 +574,121 @@ class TestOneEvaluationPerSelection:
         for edges, delta in memo.walk.deltas.items():
             if inst.fragile[edges[0]][0] != inst.target:
                 assert delta.shape == (2 * sources + 2,)
+
+
+# perfbench's three workloads (perfbench/run.py, WORKLOADS) at their base
+# seeds, before its relabelling: family, then generate_random's arguments
+BENCH_BASES = {
+    "lifted-n300": (LIFTED, 300, 0.02, 10, (1, 3, 9)),
+    "new-bnb": (NEW, 100, 0.05, 14, (0, 3, 7)),
+    "lshaped-enum": (L_SHAPED, 40, 0.1, 12, (0, 1)),
+}
+
+
+def bench_cases():
+    return [
+        (family, *ps.generate_random(n, density, z_count, "card_le:3", seed=seed))
+        for family, n, density, z_count, seeds in BENCH_BASES.values()
+        for seed in seeds
+    ]
+
+
+class BatchLog:
+    """Records the batches of the solves run while it is installed: per
+    batch, its round, whether that round folded a new answer, and the
+    selections it evaluated (those its memo did not hold); and every
+    selection read through ``Memo.evaluate``, incumbents and sweeps alike."""
+
+    def __init__(self, monkeypatch):
+        self.batches, self.reads, self.folded = [], [], []
+        log, solve_master = self, master_mod.solve_master
+
+        class Recording(oracle.Memo):
+            def __init__(self, instance):
+                super().__init__(instance)
+                log.memo, log.folded = self, []
+
+            def evaluate(self, y):
+                log.reads.append(tuple(y))
+                return super().evaluate(y)
+
+            def evaluate_many(self, ys):
+                ys = list(ys)
+                fresh = len(log.folded) == 1 or log.folded[-1] > log.folded[-2]
+                new = [y for y in dict.fromkeys(map(tuple, ys)) if y not in self.evaluations]
+                log.batches.append((len(log.folded) - 1, fresh, len(log.reads), new))
+                return super().evaluate_many(ys)
+
+        def master(feasible):
+            log.folded.append(len(log.memo.answers))  # the answers folded by this round
+            return solve_master(feasible)
+
+        monkeypatch.setattr(oracle, "Memo", Recording)
+        monkeypatch.setattr(master_mod, "solve_master", master)
+
+    def unread(self):
+        """(batched selections that no later evaluate read, batched selections)."""
+        unread = sum(y not in set(self.reads[at:]) for _, _, at, new in self.batches for y in new)
+        return unread, sum(len(new) for *_, new in self.batches)
+
+
+class TestTiedPointsBatch:
+    """A round that folds no new answer evaluates the points tied at the
+    master's minimum in one batch; the reports must not show it."""
+
+    @pytest.mark.parametrize("corpus", ["differential", "bench"])
+    def test_reports_equal_those_of_a_solve_that_batches_nothing(self, corpus, monkeypatch):
+        if corpus == "differential":
+            cases = [(family, *differential_case(d, spec, draw)) for d in DAMPINGS for spec in SPECS
+                     for draw in (0, 1) for family in FAMILIES]
+        else:
+            cases = [(family, inst, cons) for _, inst, cons in bench_cases() for family in FAMILIES]
+        log = BatchLog(monkeypatch)
+        batched = [json.dumps(ps.solve(inst, cons, family=family).to_json()) for family, inst, cons in cases]
+        assert log.batches
+        monkeypatch.setattr(oracle.Memo, "evaluate_many", lambda memo, ys: None)
+        assert [json.dumps(ps.solve(inst, cons, family=family).to_json()) for family, inst, cons in cases] == batched
+
+    def test_the_299_round_lshaped_solve_runs_one_batch_of_298_points(self, monkeypatch):
+        log = BatchLog(monkeypatch)
+        inst, cons = ps.generate_random(40, 0.1, 12, "card_le:3", seed=1)
+        assert ps.solve(inst, cons, family=L_SHAPED).iterations == 299
+        assert [(at_round, len(new)) for at_round, _, _, new in log.batches] == [(1, 298)]
+
+    def test_no_batch_at_round_zero_or_after_a_fresh_answer(self, monkeypatch):
+        log = BatchLog(monkeypatch)
+        cases = bench_cases() + [(NEW, *ps.generate_random(100, 0.05, 20, "card_le:4", seed=s)) for s in (0, 1)]
+        for family, inst, cons in cases:
+            ps.solve(inst, cons, family=family)
+        assert len(log.batches) == 12
+        for at_round, fresh, _, _ in log.batches:
+            assert at_round >= 1 and not fresh
+
+    @pytest.mark.parametrize(
+        "workload, unread",
+        [("lifted-n300", (0, 0)), ("new-bnb", (1, 4)), ("lshaped-enum", (0, 298)), ("new-n100-z20", (12, 153))],
+    )
+    def test_batched_points_that_no_later_evaluation_reads(self, workload, unread, monkeypatch):
+        log = BatchLog(monkeypatch)
+        if workload in BENCH_BASES:
+            cases = [case for case in bench_cases() if case[0] == BENCH_BASES[workload][0]]
+        else:
+            cases = [(NEW, *ps.generate_random(100, 0.05, 20, "card_le:4", seed=s)) for s in (0, 1)]
+        for family, inst, cons in cases:
+            assert ps.solve(inst, cons, family=family).status == OPTIMAL
+        assert log.unread() == unread
+
+    def test_an_lshaped_scan_of_6196_points_within_its_memory_bound(self):
+        # tracemalloc peak of the same solve without the batch: 24.0 MiB
+        inst, cons = ps.generate_random(300, 0.02, 20, "card_le:4", seed=2)
+        tracemalloc.start()
+        try:
+            report = ps.solve(inst, cons, family=L_SHAPED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.iterations == 6196 and report.status == OPTIMAL
+        assert peak <= 1.5 * 24.0 * 2**20, peak / 2**20
 
 
 class TestReportJson:
